@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import math
 import sys
 import warnings
 from pathlib import Path
@@ -34,6 +33,7 @@ from .spectral import (
     connes_trace_check,
     dixmier_estimate,
     lattice_counting_data,
+    lattice_disk_eigenvalues,
     lattice_eigenvalues,
     perturbed_resolvent_check,
     resolvent_mu_disk,
@@ -283,8 +283,7 @@ def run_connes_trace(cfg: cfgmod.ExperimentConfig) -> int:
         order = float(cfg.symbol[1])
         if order > -2.5:
             raise cfgmod.ConfigError("power preset expects order <= -3 (trace class)")
-        q = lattice_eigenvalues(cfg.moduli, int(math.isqrt(int(cfg.dixmier_qmax))) + 2,
-                                q_max=cfg.dixmier_qmax)
+        q = lattice_disk_eigenvalues(cfg.moduli, cfg.dixmier_qmax)
         mu = np.sort((1.0 + q) ** (order / 2.0))[::-1]
         est = dixmier_estimate(DixmierData(mu))
         ok = est.vanishing

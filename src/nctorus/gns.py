@@ -5,6 +5,14 @@ n inner).  Left/right multiplication operators and the flat and conformally
 perturbed Laplacians are compressed to this window as dense matrices; a
 generalized eigenvalue pencil built from the weighted inner product provides
 an independent construction of the perturbed spectrum.
+
+A section couples the basis vector (m,n) only to (m,n) plus the lattice
+generated by the support of its coefficients; for h supported on Z x {0} the
+window splits into 2N+1 independent rows.  ``coupling_blocks`` finds these
+blocks as the connected components of the joint nonzero pattern, so every
+solve and the K D K product run block by block.  A connected pattern (generic
+h, whose support spans Z^2) is a single block: the dense solve on the whole
+window.  The matrices handed out stay dense and full-size.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .algebra import (
     AlgebraError,
@@ -160,53 +170,79 @@ def _as_real_if_possible(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def coupling_blocks(*mats) -> list:
+    """Index sets of the connected components of the joint nonzero pattern.
+
+    No matrix has a nonzero entry between two different sets, so all of them
+    are block diagonal under one common permutation.  Each set is ascending.
+    """
+    pattern = np.zeros(mats[0].shape, dtype=bool)
+    for m in mats:
+        pattern |= m != 0
+    count, labels = connected_components(sp.csr_matrix(pattern), directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
+def block_stacks(blocks, *mats):
+    """Per block size, yield (sel, subs): mat[sel] stacks the diagonal blocks
+    of that size as a (count, size, size) array, subs holds them for each mat."""
+    by_size: dict = {}
+    for b in blocks:
+        by_size.setdefault(b.size, []).append(b)
+    for group in by_size.values():
+        idx = np.stack(group)
+        sel = (idx[:, :, None], idx[:, None, :])
+        yield sel, [m[sel] for m in mats]
+
+
+def _block_diagnostics(blocks) -> dict:
+    """Block count and largest block size: which path a solve ran."""
+    return {"blocks": len(blocks), "max_block": max(b.size for b in blocks)}
+
+
 def perturbed_laplacian_matrix(cd: ConformalData, w: BasisWindow) -> FiniteSectionOperator:
     """Finite section of the conformally perturbed Laplacian k (flat) k.
 
     Assembled as K D K with K the left-multiplication section of the Weyl
-    factor and D the diagonal flat Laplacian, then symmetrized as (M+M^H)/2;
-    the discarded asymmetry magnitude is reported in diagnostics.
+    factor and D the diagonal flat Laplacian, one coupling block of K at a
+    time, then symmetrized as (M+M^H)/2; the discarded asymmetry magnitude is
+    reported in diagnostics.
     """
     K = _as_real_if_possible(_mult_matrix(cd.k, w, side_left=True))
     mm, nn = w.index_grids()
     diag = quadratic_form_values(cd.tau, mm, nn)
-    M = (K * diag[np.newaxis, :]) @ K
-    asym = float(np.max(np.abs(M - M.conj().T)))
+    blocks = coupling_blocks(K)
+    M = np.zeros_like(K)
+    asym = 0.0
+    for sel, (Kb,) in block_stacks(blocks, K):
+        Mb = (Kb * diag[sel[1]]) @ Kb
+        MbH = Mb.conj().swapaxes(1, 2)
+        asym = max(asym, float(np.max(np.abs(Mb - MbH))))
+        M[sel] = (Mb + MbH) / 2.0
     if asym > 1e-8:
         raise SectionError(
             f"perturbed Laplacian asymmetry {asym:.3e}; Weyl factor cache inconsistent"
         )
-    M = (M + M.conj().T) / 2.0
     return FiniteSectionOperator(
-        w, M, selfadjoint=True, diagnostics={"asymmetry": asym}
+        w, M, selfadjoint=True,
+        diagnostics={"asymmetry": asym, **_block_diagnostics(blocks)},
     )
 
 
-def h10_gram_matrix(w: BasisWindow, tau: ModuliPoint, cd_angle) -> np.ndarray:
-    """Gram matrix of the monomials in the derivative-space inner product.
-
-    Writing each monomial as a * db with b = V and a = e_j V^{-1} / conj(tau),
-    the inner product t(a'* a db db'*) collapses to the plain GNS pairing of
-    monomials, so the Gram is the identity; kept as an explicit constructor so
-    the pencil below states its ingredients honestly (and testably).
-    """
-    return np.eye(w.dim, dtype=complex)
-
-
 def gram_laplacian_matrix(cd: ConformalData, w: BasisWindow):
-    """Matrix pencil (A^H G1 A, G_phi) for the weighted-space Laplacian.
+    """Matrix pencil (A^H A, G_phi) for the weighted-space Laplacian.
 
-    A is the diagonal section of the Dolbeault derivation (entry m + conj(tau) n),
-    G1 the derivative-space Gram of the monomials, and G_phi the weighted Gram
+    A is the diagonal section of the Dolbeault derivation (entry m + conj(tau) n).
+    The derivative-space Gram of the monomials is the identity: writing each
+    monomial as a * db with b = V, the inner product t(a'* a db db'*) collapses
+    to the plain GNS pairing.  G_phi is the weighted Gram
     G_phi[(m,n),(p,q)] = phi((U^p V^q)* U^m V^n).  Generalized eigenvalues of
     the pencil approximate the perturbed Laplacian spectrum.
     """
     mm, nn = w.index_grids()
     d = mm + cd.tau.value.conjugate() * nn
-    g1 = h10_gram_matrix(w, cd.tau, cd.angle)
-    A = np.diag(d)
-    stiffness = A.conj().T @ g1 @ A
-    stiffness = (stiffness + stiffness.conj().T) / 2.0
+    stiffness = np.diag(d.conj() * d)
     # G_phi is the transpose of the right-multiplication section of e^{-h}
     gram = _mult_matrix(cd.k_inv2, w, side_left=False).T.copy()
     asym = float(np.max(np.abs(gram - gram.conj().T)))
@@ -219,7 +255,7 @@ def gram_laplacian_matrix(cd: ConformalData, w: BasisWindow):
 
 
 def hermitian_spectrum(op: FiniteSectionOperator, positive: bool = False) -> SpectrumResult:
-    """Full ascending spectrum of a selfadjoint finite section.
+    """Full ascending spectrum of a selfadjoint finite section, block by block.
 
     With positive=True the result is additionally required to satisfy
     min eigenvalue >= -1e-8 (boundary-effect allowance for positive operators).
@@ -227,8 +263,10 @@ def hermitian_spectrum(op: FiniteSectionOperator, positive: bool = False) -> Spe
     if not op.selfadjoint:
         raise SectionError("hermitian_spectrum requires the selfadjoint flag")
     mat = _as_real_if_possible(op.entries)
+    blocks = coupling_blocks(mat)
     try:
-        ev = np.linalg.eigvalsh(mat)
+        ev = np.concatenate([np.linalg.eigvalsh(sub).ravel()
+                             for _, (sub,) in block_stacks(blocks, mat)])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
         raise SectionError(f"eigensolver failed: {exc}") from exc
     ev = np.sort(ev)
@@ -236,18 +274,25 @@ def hermitian_spectrum(op: FiniteSectionOperator, positive: bool = False) -> Spe
         raise SectionError(
             f"positive-flagged section has eigenvalue {ev[0]:.3e} below -1e-8"
         )
-    return SpectrumResult(ev, {"dim": op.dim, "min_eigenvalue": float(ev[0])})
+    return SpectrumResult(ev, {"dim": op.dim, "min_eigenvalue": float(ev[0]),
+                               **_block_diagnostics(blocks)})
 
 
 def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator) -> SpectrumResult:
-    """Ascending generalized eigenvalues of the pencil (op, gram)."""
+    """Ascending generalized eigenvalues of the pencil (op, gram), solved on
+    the coupling blocks of their joint pattern."""
+    blocks = coupling_blocks(op.entries, gram.entries)
     try:
-        ev = sla.eigh(op.entries, gram.entries, eigvals_only=True)
+        ev = np.concatenate([
+            sla.eigh(a, b, eigvals_only=True)
+            for _, stacks in block_stacks(blocks, op.entries, gram.entries)
+            for a, b in zip(*stacks)
+        ])
     except np.linalg.LinAlgError as exc:
         raise SectionError(
             f"Gram matrix not positive definite within tolerance: {exc}"
         ) from exc
-    return SpectrumResult(np.sort(ev), {"dim": op.dim})
+    return SpectrumResult(np.sort(ev), {"dim": op.dim, **_block_diagnostics(blocks)})
 
 
 def vacuum_expectation(op: FiniteSectionOperator) -> complex:
@@ -259,11 +304,14 @@ def vacuum_expectation(op: FiniteSectionOperator) -> complex:
 def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:
     """t(k^{-2}) via the vacuum expectation of the inverse of L_{k^2}.
 
-    The window pads the support of k^2 so the dense inverse approximates the
-    true inverse well near the vacuum column.
+    The window pads the support of k^2 so the inverse approximates the true
+    inverse well near the vacuum column; only the vacuum's coupling block is
+    solved, for that column alone.
     """
     k2 = mul(cd.k, cd.k).trimmed(1e-14)
     w = BasisWindow(k2.support_bandwidth() + pad)
     K2 = _mult_matrix(k2, w, side_left=True)
-    inv = np.linalg.inv(K2)
-    return float(inv[w.vacuum, w.vacuum].real)
+    block = next(b for b in coupling_blocks(K2) if w.vacuum in b)
+    vac = block == w.vacuum
+    col = np.linalg.solve(K2[np.ix_(block, block)], vac.astype(K2.dtype))
+    return float(col[vac][0].real)

@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConformalData, ModuliPoint, invert_positive, mul, trace_t
-from .gns import BasisWindow, quadratic_form_values, trace_kinv2_matrix_route
+from .gns import (
+    BasisWindow,
+    block_stacks,
+    coupling_blocks,
+    quadratic_form_values,
+    trace_kinv2_matrix_route,
+)
 from .symbols import GradedSymbol, finite_section_of_op, residue
 
 
@@ -177,6 +183,13 @@ def box_containment_ceiling(tau: ModuliPoint, band: int) -> float:
     return band * band / stretch
 
 
+def lattice_disk_eigenvalues(tau: ModuliPoint, q_max: float) -> np.ndarray:
+    """Sorted values Q <= q_max over the whole lattice, read off the smallest
+    index box whose containment ceiling reaches q_max."""
+    band = math.isqrt(int(q_max / box_containment_ceiling(tau, 1))) + 2
+    return lattice_eigenvalues(tau, band, q_max=q_max)
+
+
 def lattice_counting_data(tau: ModuliPoint, band: int,
                           margin: float = 0.95) -> CountingData:
     """Counting data for the analytic flat spectrum with the containment ceiling."""
@@ -257,8 +270,7 @@ def dixmier_estimate(dd: DixmierData, vanish_tol: float = 0.05) -> DixmierEstima
 
 def resolvent_mu_disk(c0: float, q_max: float, tau: ModuliPoint = ModuliPoint(0.0, 1.0)) -> np.ndarray:
     """Decreasing eigenvalues (c0 + Q(m,n))^{-1} over the lattice disk Q <= q_max."""
-    band = int(math.isqrt(int(q_max / min(1.0, tau.abs2 - tau.re ** 2))) + 2)
-    q = lattice_eigenvalues(tau, band, q_max=q_max)
+    q = lattice_disk_eigenvalues(tau, q_max)
     return np.sort(1.0 / (c0 + q))[::-1]
 
 
@@ -275,15 +287,14 @@ class ConnesReport:
 
 
 def singular_values_descending(mat: np.ndarray) -> np.ndarray:
-    """Singular values, cheap diagonal fast path, else via the Gram matrix."""
-    off = mat - np.diag(np.diag(mat))
-    if not np.any(off):
-        return np.sort(np.abs(np.diag(mat)))[::-1]
+    """Singular values via the Gram matrix of each coupling block of mat."""
     if np.iscomplexobj(mat) and not np.any(mat.imag):
         mat = np.ascontiguousarray(mat.real)
-    gram = mat.conj().T @ mat
-    ev = np.linalg.eigvalsh(gram)
-    return np.sqrt(np.clip(ev, 0.0, None))[::-1]
+    ev = np.concatenate([
+        np.linalg.eigvalsh(b.conj().swapaxes(1, 2) @ b).ravel()
+        for _, (b,) in block_stacks(coupling_blocks(mat), mat)
+    ])
+    return np.sqrt(np.clip(np.sort(ev), 0.0, None))[::-1]
 
 
 def connes_trace_check(p: GradedSymbol, w: BasisWindow,

@@ -268,3 +268,51 @@ def test_right_mult_matches_algebra():
         for idx in range(w.dim):
             p, q = w.pair_of(idx)
             assert col[idx] == pytest.approx(img.coeff(p, q), abs=1e-13)
+
+
+def _rel_gap(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def test_coupling_blocks_of_u_plus_u_star():
+    for N in (3, 6):
+        w = BasisWindow(N)
+        blocks = gns.coupling_blocks(left_mult_matrix(add(U, adjoint(U)), w).entries)
+        assert len(blocks) == 2 * N + 1
+        assert all(b.size == 2 * N + 1 for b in blocks)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(w.dim))
+        # each block is one row n = const of the window
+        assert all(len({w.pair_of(i)[1] for i in b}) == 1 for b in blocks)
+
+
+def test_block_path_matches_dense_reference(block_case):
+    import scipy.linalg as sla
+
+    cd, expect = block_case
+    N = 8
+    w = BasisWindow(N)
+    n_blocks, largest = expect(N)
+    P = perturbed_laplacian_matrix(cd, w)
+    assert (P.diagnostics["blocks"], P.diagnostics["max_block"]) == (n_blocks, largest)
+    K = left_mult_matrix(cd.k, w).entries
+    dense = K @ flat_laplacian_matrix(cd.tau, w).entries @ K
+    dense = (dense + dense.conj().T) / 2.0
+    assert _rel_gap(P.entries, dense) < 1e-10
+
+    spec = hermitian_spectrum(P)
+    assert (spec.diagnostics["blocks"], spec.diagnostics["max_block"]) == (n_blocks, largest)
+    assert _rel_gap(spec.eigenvalues, np.linalg.eigvalsh(dense)) < 1e-10
+
+    op, gm = gram_laplacian_matrix(cd, w)
+    pencil = generalized_spectrum(op, gm)
+    assert pencil.diagnostics["blocks"] == n_blocks
+    ref = sla.eigh(op.entries, gm.entries, eigvals_only=True)
+    assert _rel_gap(pencil.eigenvalues, ref) < 1e-10
+
+    k2 = mul(cd.k, cd.k).trimmed(1e-14)
+    w2 = BasisWindow(k2.support_bandwidth() + 8)
+    vacuum_col = np.linalg.solve(left_mult_matrix(k2, w2).entries,
+                                 np.eye(w2.dim)[:, w2.vacuum])
+    assert gns.trace_kinv2_matrix_route(cd, pad=8) == pytest.approx(
+        vacuum_col[w2.vacuum].real, rel=1e-10
+    )

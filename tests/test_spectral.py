@@ -16,7 +16,12 @@ from nctorus.algebra import (
     make_monomial,
     scale,
 )
-from nctorus.gns import BasisWindow, hermitian_spectrum, perturbed_laplacian_matrix
+from nctorus.gns import (
+    BasisWindow,
+    hermitian_spectrum,
+    perturbed_laplacian_matrix,
+    quadratic_form_values,
+)
 from nctorus.spectral import (
     CountingData,
     DixmierData,
@@ -27,6 +32,7 @@ from nctorus.spectral import (
     counting_function,
     dixmier_estimate,
     lattice_counting_data,
+    lattice_disk_eigenvalues,
     lattice_eigenvalues,
     perturbed_resolvent_check,
     resolvent_mu_disk,
@@ -173,6 +179,31 @@ def test_singular_values_diagonal_fast_path():
     m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     assert np.allclose(singular_values_descending(m),
                        np.linalg.svd(m, compute_uv=False), atol=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore::nctorus.symbols.OriginRegularization")
+def test_singular_values_block_path_matches_svd(block_case):
+    from nctorus.symbols import finite_section_of_op
+
+    cd, _ = block_case
+    p = GradedSymbol(GOLDEN, -2, 1, {-2: {0: cd.k_inv2.trimmed(1e-13)}})
+    mat = finite_section_of_op(p, BasisWindow(8)).entries
+    sv = singular_values_descending(mat)
+    ref = np.linalg.svd(mat, compute_uv=False)
+    # the Gram route resolves squares to rounding: a zero singular value
+    # reads as sqrt(eps) |mat|, on the block path as on the dense one
+    assert np.max(np.abs(sv ** 2 - ref ** 2)) < 1e-10 * ref[0] ** 2
+
+
+@pytest.mark.parametrize("tau", [ModuliPoint(0.0, 2.0), ModuliPoint(1.0, 1.0),
+                                 ModuliPoint(0.3, 0.8)])
+def test_lattice_disk_matches_brute_force_count(tau):
+    q_max = 1.0e4
+    ms = np.arange(-400, 401)
+    q = quadratic_form_values(tau, ms[:, None], ms[None, :])
+    count = int(np.count_nonzero(q <= q_max))
+    assert lattice_disk_eigenvalues(tau, q_max).size == count
+    assert resolvent_mu_disk(1.0, q_max, tau).size == count
 
 
 def test_connes_check_flat_resolvent():
