@@ -6,13 +6,11 @@ perturbed Laplacians are compressed to this window as dense matrices; a
 generalized eigenvalue pencil built from the weighted inner product provides
 an independent construction of the perturbed spectrum.
 
-A section couples the basis vector (m,n) only to (m,n) plus the lattice
-generated by the support of its coefficients; for h supported on Z x {0} the
-window splits into 2N+1 independent rows.  ``coupling_blocks`` finds these
-blocks as the connected components of the joint nonzero pattern, so every
-solve and the K D K product run block by block.  A connected pattern (generic
-h, whose support spans Z^2) is a single block: the dense solve on the whole
-window.  The matrices handed out stay dense and full-size.
+A section couples (m,n) only to (m,n) plus the lattice spanned by the support
+of its coefficients: for h on Z x {0}, 2N+1 independent rows.  Every solve and
+the K D K product run on the blocks ``coupling_blocks`` finds, the connected
+components of the joint nonzero pattern; a connected pattern (generic h) is one
+block, the dense solve on the whole window.  Matrices handed out stay dense.
 """
 
 from __future__ import annotations
@@ -171,13 +169,10 @@ def _as_real_if_possible(mat: np.ndarray) -> np.ndarray:
 
 
 def coupling_blocks(*mats) -> list:
-    """Index sets of the connected components of the joint nonzero pattern.
-
-    No matrix has a nonzero entry between two different sets, so all of them
-    are block diagonal under one common permutation.  Each set is ascending.
-    """
-    pattern = np.zeros(mats[0].shape, dtype=bool)
-    for m in mats:
+    """Index sets (ascending) of the connected components of the joint nonzero
+    pattern: every mat is block diagonal under one common permutation."""
+    pattern = mats[0] != 0
+    for m in mats[1:]:
         pattern |= m != 0
     count, labels = connected_components(sp.csr_matrix(pattern), directed=False)
     order = np.argsort(labels, kind="stable")
@@ -186,7 +181,11 @@ def coupling_blocks(*mats) -> list:
 
 def block_stacks(blocks, *mats):
     """Per block size, yield (sel, subs): mat[sel] stacks the diagonal blocks
-    of that size as a (count, size, size) array, subs holds them for each mat."""
+    of that size as a (count, size, size) array, subs holds them for each mat.
+    A single block is the whole window: sel is then (None, ...), a view."""
+    if len(blocks) == 1:
+        yield (None, Ellipsis), [m[None] for m in mats]
+        return
     by_size: dict = {}
     for b in blocks:
         by_size.setdefault(b.size, []).append(b)
@@ -213,13 +212,15 @@ def perturbed_laplacian_matrix(cd: ConformalData, w: BasisWindow) -> FiniteSecti
     mm, nn = w.index_grids()
     diag = quadratic_form_values(cd.tau, mm, nn)
     blocks = coupling_blocks(K)
-    M = np.zeros_like(K)
+    M = K  # zero off its blocks, so each block of K D K overwrites that of K
     asym = 0.0
     for sel, (Kb,) in block_stacks(blocks, K):
         Mb = (Kb * diag[sel[1]]) @ Kb
         MbH = Mb.conj().swapaxes(1, 2)
         asym = max(asym, float(np.max(np.abs(Mb - MbH))))
-        M[sel] = (Mb + MbH) / 2.0
+        Mb += MbH
+        Mb /= 2.0
+        M[sel] = Mb
     if asym > 1e-8:
         raise SectionError(
             f"perturbed Laplacian asymmetry {asym:.3e}; Weyl factor cache inconsistent"

@@ -287,7 +287,7 @@ class ConnesReport:
 
 
 def singular_values_descending(mat: np.ndarray) -> np.ndarray:
-    """Singular values via the Gram matrix of each coupling block of mat."""
+    """Singular values of square mat via the Gram matrix of each coupling block."""
     if np.iscomplexobj(mat) and not np.any(mat.imag):
         mat = np.ascontiguousarray(mat.real)
     ev = np.concatenate([
