@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,13 +227,14 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     lo, hi = 0.5 * (1.0 - half_tol), 0.5 * (1.0 + half_tol)
     kinv2 = ctx.cd.k_inv2.trimmed(1e-13)
     p = GradedSymbol(ctx.angle, -2, 1, {-2: {0: kinv2}})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rep = connes_trace_check(p, BasisWindow(ctx.bandwidth))
     ok = lo <= rep.ratio <= hi
     details = {"residue": rep.residue, "dixmier": rep.dixmier.value,
                "ratio": rep.ratio, "band": [lo, hi],
-               "drift": rep.dixmier.drift, "bandwidth": ctx.bandwidth}
+               "drift": rep.dixmier.drift, "bandwidth": ctx.bandwidth,
+               "warnings": dict(Counter(w.category.__name__ for w in caught))}
     return CriterionResult(7, "Connes trace theorem at desk scale", ok, details,
                            time.time() - t0)
 

@@ -268,41 +268,40 @@ def is_selfadjoint(a: NcElement, tol: float = DEFAULT_TOL) -> bool:
     return a.isclose(adjoint(a), tol)
 
 
-def _left_mult_sparse(a: NcElement, band: int) -> sp.csr_matrix:
-    """Sparse finite section of left multiplication on the band window.
+def _mult_section(theta: float, terms: dict, band: int, right: bool = False) -> sp.csr_matrix:
+    """Sparse finite section of a twisted multiplication on the band window.
 
-    Column (m,n) holds the coefficients of a * U^m V^n clipped to the window;
-    used internally for the exponential and for norm bounds.
+    terms maps a shift (p,q) to a scalar or to an array holding one
+    coefficient c per column (m,n); left multiplication puts
+    c e^{2 pi i theta q m} at row (m+p, n+q), right multiplication puts
+    c e^{2 pi i theta p n} there.  Images leaving the window are clipped.
     """
     side = 2 * band + 1
     dim = side * side
+    if not terms:
+        return sp.csr_matrix((dim, dim), dtype=complex)
     mm, nn = np.divmod(np.arange(dim), side)
     mm -= band
     nn -= band
-    rows, cols, vals = [], [], []
-    theta = a.theta
-    for (p, q), c in a.coeffs.items():
-        tm = mm + p
-        tn = nn + q
-        ok = (np.abs(tm) <= band) & (np.abs(tn) <= band)
-        r = (tm[ok] + band) * side + (tn[ok] + band)
-        phases = np.exp(2j * math.pi * theta * q * mm[ok])
-        rows.append(r)
-        cols.append(np.nonzero(ok)[0])
-        vals.append(c * phases)
-    if not rows:
-        return sp.csr_matrix((dim, dim), dtype=complex)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    )
+    p, q = np.array(list(terms)).T[:, :, None]
+    coef = np.array(list(terms.values()), dtype=complex).reshape(len(terms), -1)
+    tm = mm + p
+    tn = nn + q
+    ok = (np.abs(tm) <= band) & (np.abs(tn) <= band)
+    shift, grid = (p, nn) if right else (q, mm)
+    vals = (coef * np.exp(2j * math.pi * theta * shift * grid))[ok]
+    rows = (tm[ok] + band) * side + (tn[ok] + band)
+    cols = np.nonzero(ok)[1]
+    order = np.lexsort((cols, rows))  # row-major: the CSR arrays directly
+    indptr = np.searchsorted(rows[order], np.arange(dim + 1))
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
 
 
 def _exp_image(h: NcElement, scl: float, band: int) -> NcElement:
     """e^{scl*h} applied to the vacuum vector on the given window."""
     side = 2 * band + 1
     dim = side * side
-    mat = _left_mult_sparse(h, band) * scl
+    mat = _mult_section(h.theta, h.coeffs, band) * scl
     e0 = np.zeros(dim, dtype=complex)
     e0[(0 + band) * side + (0 + band)] = 1.0
     img = spla.expm_multiply(mat, e0)
@@ -404,11 +403,6 @@ def phi(a: NcElement, cd: ConformalData) -> complex:
     return trace_t(mul(a, cd.k_inv2))
 
 
-def phi_inner_product(a: NcElement, b: NcElement, cd: ConformalData) -> complex:
-    """Weighted inner product <a,b>_phi = phi(b* a)."""
-    return phi(mul(adjoint(b), a), cd)
-
-
 def modular(a: NcElement, cd: ConformalData) -> NcElement:
     """Modular automorphism e^{-h} a e^{h} via the cached exponentials."""
     k2 = mul(cd.k, cd.k)
@@ -425,7 +419,7 @@ def norm_bounds(a: NcElement, window_size: int = 8):
     upper = a.l1_norm()
     if not a.coeffs:
         return 0.0, 0.0
-    mat = _left_mult_sparse(a, window_size).toarray()
+    mat = _mult_section(a.theta, a.coeffs, window_size).toarray()
     lower = float(np.linalg.norm(mat, ord=2))
     return min(lower, upper), upper
 

@@ -12,6 +12,7 @@ import argparse
 import datetime
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -272,13 +273,14 @@ def run_connes_trace(cfg: cfgmod.ExperimentConfig) -> int:
                   "route": "analytic disk eigenvalues"}
     elif kind == "k_weighted":
         p = _build_symbol(cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rep = connes_trace_check(p, BasisWindow(cfg.bandwidth))
         ok = abs(rep.ratio - 0.5) <= 0.5 * tol
         report = {"residue": rep.residue, "dixmier": rep.dixmier.value,
                   "drift": rep.dixmier.drift, "ratio": rep.ratio,
-                  "passed": ok, "route": f"finite section N={cfg.bandwidth}"}
+                  "passed": ok, "route": f"finite section N={cfg.bandwidth}",
+                  "warnings": dict(Counter(w.category.__name__ for w in caught))}
     elif kind == "power":
         order = float(cfg.symbol[1])
         if order > -2.5:

@@ -10,12 +10,12 @@ A section couples (m,n) only to (m,n) plus the lattice spanned by the support
 of its coefficients: for h on Z x {0}, 2N+1 independent rows.  Every solve and
 the K D K product run on the blocks ``coupling_blocks`` finds, the connected
 components of the joint nonzero pattern; a connected pattern (generic h) is one
-block, the dense solve on the whole window.  Matrices handed out stay dense.
+block, the dense solve on the whole window.  The Weyl factor's section stays
+sparse; matrices handed out stay dense.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +28,7 @@ from .algebra import (
     ConformalData,
     ModuliPoint,
     NcElement,
+    _mult_section,
     mul,
 )
 
@@ -113,39 +114,15 @@ class SpectrumResult:
         object.__setattr__(self, "eigenvalues", ev)
 
 
-def _mult_matrix(a: NcElement, w: BasisWindow, side_left: bool) -> np.ndarray:
-    """Finite section of left (or right) multiplication by a.
-
-    Left:  entry[(m+p, n+q), (m, n)] = a_{p,q} e^{2 pi i theta q m}.
-    Right: entry[(m+p, n+q), (m, n)] = a_{p,q} e^{2 pi i theta n p}.
-    Columns whose image leaves the window are clipped.
-    """
-    N = w.bandwidth
-    mm, nn = w.index_grids()
-    cols = np.arange(w.dim)
-    out = np.zeros((w.dim, w.dim), dtype=complex)
-    theta = a.theta
-    for (p, q), c in a.coeffs.items():
-        tm = mm + p
-        tn = nn + q
-        ok = (np.abs(tm) <= N) & (np.abs(tn) <= N)
-        rows = (tm[ok] + N) * w.side + (tn[ok] + N)
-        if side_left:
-            phase = np.exp(2j * math.pi * theta * q * mm[ok])
-        else:
-            phase = np.exp(2j * math.pi * theta * p * nn[ok])
-        out[rows, cols[ok]] += c * phase
-    return out
-
-
 def left_mult_matrix(a: NcElement, w: BasisWindow) -> FiniteSectionOperator:
     """Finite section of the left regular action of a."""
-    return FiniteSectionOperator(w, _mult_matrix(a, w, side_left=True))
+    return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w.bandwidth).toarray())
 
 
 def right_mult_matrix(a: NcElement, w: BasisWindow) -> FiniteSectionOperator:
     """Finite section of right multiplication by a (used for weighted Grams)."""
-    return FiniteSectionOperator(w, _mult_matrix(a, w, side_left=False))
+    return FiniteSectionOperator(
+        w, _mult_section(a.theta, a.coeffs, w.bandwidth, right=True).toarray())
 
 
 def quadratic_form_values(tau: ModuliPoint, m, n):
@@ -170,7 +147,8 @@ def _as_real_if_possible(mat: np.ndarray) -> np.ndarray:
 
 def coupling_blocks(*mats) -> list:
     """Index sets (ascending) of the connected components of the joint nonzero
-    pattern: every mat is block diagonal under one common permutation."""
+    pattern of dense mats, or of one sparse mat: every mat is block diagonal
+    under one common permutation."""
     pattern = mats[0] != 0
     for m in mats[1:]:
         pattern |= m != 0
@@ -181,10 +159,11 @@ def coupling_blocks(*mats) -> list:
 
 def block_stacks(blocks, *mats):
     """Per block size, yield (sel, subs): mat[sel] stacks the diagonal blocks
-    of that size as a (count, size, size) array, subs holds them for each mat.
-    A single block is the whole window: sel is then (None, ...), a view."""
+    of that size as a (count, size, size) array, subs holds them for each mat,
+    dense also for a sparse mat.  A single block is the whole window: sel is
+    then (None, ...), a view of a dense mat."""
     if len(blocks) == 1:
-        yield (None, Ellipsis), [m[None] for m in mats]
+        yield (None, Ellipsis), [(m.toarray() if sp.issparse(m) else m)[None] for m in mats]
         return
     by_size: dict = {}
     for b in blocks:
@@ -192,7 +171,15 @@ def block_stacks(blocks, *mats):
     for group in by_size.values():
         idx = np.stack(group)
         sel = (idx[:, :, None], idx[:, None, :])
-        yield sel, [m[sel] for m in mats]
+        yield sel, [_take(m, sel) for m in mats]
+
+
+def _take(mat, sel):
+    """mat[sel] for a dense or a sparse mat."""
+    if not sp.issparse(mat):
+        return mat[sel]
+    rows, cols = np.broadcast_arrays(*sel)
+    return np.asarray(mat[rows.ravel(), cols.ravel()]).reshape(rows.shape)
 
 
 def _block_diagnostics(blocks) -> dict:
@@ -203,16 +190,18 @@ def _block_diagnostics(blocks) -> dict:
 def perturbed_laplacian_matrix(cd: ConformalData, w: BasisWindow) -> FiniteSectionOperator:
     """Finite section of the conformally perturbed Laplacian k (flat) k.
 
-    Assembled as K D K with K the left-multiplication section of the Weyl
-    factor and D the diagonal flat Laplacian, one coupling block of K at a
-    time, then symmetrized as (M+M^H)/2; the discarded asymmetry magnitude is
-    reported in diagnostics.
+    Assembled as K D K with K the sparse left-multiplication section of the
+    Weyl factor and D the diagonal flat Laplacian, one coupling block of K at
+    a time, then symmetrized as (M+M^H)/2; the discarded asymmetry magnitude
+    is reported in diagnostics.
     """
-    K = _as_real_if_possible(_mult_matrix(cd.k, w, side_left=True))
+    K = _mult_section(cd.k.theta, cd.k.coeffs, w.bandwidth)
+    if not np.any(K.data.imag):
+        K = K.real
     mm, nn = w.index_grids()
     diag = quadratic_form_values(cd.tau, mm, nn)
     blocks = coupling_blocks(K)
-    M = K  # zero off its blocks, so each block of K D K overwrites that of K
+    M = np.zeros(K.shape, dtype=K.dtype)
     asym = 0.0
     for sel, (Kb,) in block_stacks(blocks, K):
         Mb = (Kb * diag[sel[1]]) @ Kb
@@ -245,7 +234,8 @@ def gram_laplacian_matrix(cd: ConformalData, w: BasisWindow):
     d = mm + cd.tau.value.conjugate() * nn
     stiffness = np.diag(d.conj() * d)
     # G_phi is the transpose of the right-multiplication section of e^{-h}
-    gram = _mult_matrix(cd.k_inv2, w, side_left=False).T.copy()
+    k_inv2 = cd.k_inv2
+    gram = _mult_section(k_inv2.theta, k_inv2.coeffs, w.bandwidth, right=True).T.toarray()
     asym = float(np.max(np.abs(gram - gram.conj().T)))
     if asym > HERMITICITY_TOL:
         raise SectionError(f"weighted Gram asymmetry {asym:.3e}")
@@ -311,8 +301,8 @@ def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:
     """
     k2 = mul(cd.k, cd.k).trimmed(1e-14)
     w = BasisWindow(k2.support_bandwidth() + pad)
-    K2 = _mult_matrix(k2, w, side_left=True)
+    K2 = _mult_section(k2.theta, k2.coeffs, w.bandwidth)
     block = next(b for b in coupling_blocks(K2) if w.vacuum in b)
     vac = block == w.vacuum
-    col = np.linalg.solve(K2[np.ix_(block, block)], vac.astype(K2.dtype))
+    col = np.linalg.solve(K2[block][:, block].toarray(), vac.astype(K2.dtype))
     return float(col[vac][0].real)

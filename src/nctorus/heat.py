@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import ConformalData, ModuliPoint, NcElement, add, delta, mul, scale
 from .gns import BasisWindow, FiniteSectionOperator, left_mult_matrix
-from .symbols import SymbolError
+from .symbols import SymbolError, _leibniz
 
 
 class HeatError(RuntimeError):
@@ -318,32 +318,20 @@ def parametrix_terms(ls: LaplaceSymbolData, n_max: int = 2) -> ParametrixTerms:
     b_n = - sum 1/(l1! l2!) d^l(b_j) delta^l(a_k) b_0 over 2+j+l1+l2-k = n."""
     if n_max > 2:
         raise HeatError("parametrix terms beyond n = 2 are not supported")
-    bs = [B0]
+    da = [_leibniz(symbol_term_expr(ls, k), delta_expr, n_max, ls) for k in range(3)]
+    bs, db = [B0], []
     for n in range(1, n_max + 1):
+        # db[j] holds d_xi^l(b_j) for |l| <= n_max - j, all that b_n onwards use
+        db.append(_leibniz(bs[-1], xi_derivative_expr, n_max - len(db), ls))
         terms = []
-        for j in range(n):
-            for k in range(3):
-                rem = n - 2 - j + k
-                if rem < 0:
-                    continue
-                for l1 in range(rem + 1):
-                    l2 = rem - l1
-                    ak = symbol_term_expr(ls, k)
-                    for _ in range(l1):
-                        ak = delta_expr(ak, 1, ls)
-                    for _ in range(l2):
-                        ak = delta_expr(ak, 2, ls)
-                    if is_zero(ak):
+        for j, dbj in enumerate(db):
+            for k, dak in enumerate(da):
+                for l, (f, pb) in dbj.items():
+                    if sum(l) != n - 2 - j + k:
                         continue
-                    pb = bs[j]
-                    for _ in range(l1):
-                        pb = xi_derivative_expr(pb, 1, ls)
-                    for _ in range(l2):
-                        pb = xi_derivative_expr(pb, 2, ls)
-                    if is_zero(pb):
-                        continue
-                    f = -1.0 / (math.factorial(l1) * math.factorial(l2))
-                    terms.append(Scaled(f, _prod([pb, ak, B0])))
+                    ak = dak[l][1]
+                    if not (is_zero(ak) or is_zero(pb)):
+                        terms.append(Scaled(-f, _prod([pb, ak, B0])))
         bs.append(_sum(terms))
     return ParametrixTerms(tuple(bs), tuple(_leaf_count(b) for b in bs))
 
@@ -699,32 +687,22 @@ def parametrix_residual(ls: LaplaceSymbolData, lam: complex, window: BasisWindow
     if xi_samples is None:
         xi_samples = [(1.3, 0.4), (-0.7, 1.1), (0.9, -1.2)]
     bs = parametrix_terms(ls, 2).terms
+    da = [_leibniz(symbol_term_expr(ls, k), delta_expr, 2, ls) for k in range(3)]
+    db = [_leibniz(b, xi_derivative_expr, 2 - j, ls) for j, b in enumerate(bs)]
     out = {}
     dim = window.dim
     for g in (0, -1, -2):
         pieces = []
-        for j in range(3):
-            for k in range(3):
-                lsum = k - 2 - j - g
-                if lsum < 0:
-                    continue
-                for l1 in range(lsum + 1):
-                    l2 = lsum - l1
-                    ak = symbol_term_expr(ls, k)
-                    for _ in range(l1):
-                        ak = delta_expr(ak, 1, ls)
-                    for _ in range(l2):
-                        ak = delta_expr(ak, 2, ls)
-                    pb = bs[j]
-                    for _ in range(l1):
-                        pb = xi_derivative_expr(pb, 1, ls)
-                    for _ in range(l2):
-                        pb = xi_derivative_expr(pb, 2, ls)
+        for j, dbj in enumerate(db):
+            for k, dak in enumerate(da):
+                for l, (f, pb) in dbj.items():
+                    if sum(l) != k - 2 - j - g:
+                        continue
+                    ak = dak[l][1]
                     if is_zero(ak) or is_zero(pb):
                         continue
-                    f = 1.0 / (math.factorial(l1) * math.factorial(l2))
                     pieces.append(Scaled(f, _prod([pb, ak])))
-                    if k == 2 and l1 == 0 and l2 == 0:
+                    if k == 2 and l == (0, 0):
                         # leading symbol carries -lambda
                         pieces.append(Scaled(-lam * f, pb))
         expr = _sum(pieces)

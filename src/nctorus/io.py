@@ -1,52 +1,18 @@
-"""Binary matrix export, CSV and JSON report helpers.
+"""CSV and JSON report helpers.
 
-Matrices are serialized row-major as little-endian float64 interleaved
-(re, im) pairs behind a 16-byte header: the magic "NCT0", a u32 dimension,
-a u32 bandwidth and 4 reserved zero bytes.  CSV output follows RFC 4180
-(CRLF record separators, UTF-8); floats are written with shortest
-round-trip formatting so identical runs produce identical bytes.
+CSV output follows RFC 4180 (CRLF record separators, UTF-8); floats are
+written with shortest round-trip formatting so identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import struct
-from pathlib import Path
 
 import numpy as np
 
-from .gns import BasisWindow, FiniteSectionOperator, SectionError
-
-MAGIC = b"NCT0"
 SCHEMA_VERSION = 1
-
-
-def write_matrix(path, op: FiniteSectionOperator) -> None:
-    dim = op.window.dim
-    header = MAGIC + struct.pack("<II", dim, op.window.bandwidth) + b"\x00" * 4
-    mat = np.ascontiguousarray(op.entries, dtype=complex)
-    inter = np.empty((dim, dim, 2), dtype="<f8")
-    inter[:, :, 0] = mat.real
-    inter[:, :, 1] = mat.imag
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(inter.tobytes())
-
-
-def read_matrix(path) -> FiniteSectionOperator:
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise SectionError(f"bad magic in {path}")
-    dim, bandwidth = struct.unpack("<II", raw[4:12])
-    w = BasisWindow(bandwidth)
-    if w.dim != dim:
-        raise SectionError(f"dimension {dim} does not match bandwidth {bandwidth}")
-    data = np.frombuffer(raw[16:], dtype="<f8")
-    if data.size != 2 * dim * dim:
-        raise SectionError(f"truncated matrix payload in {path}")
-    inter = data.reshape(dim, dim, 2)
-    return FiniteSectionOperator(w, inter[:, :, 0] + 1j * inter[:, :, 1])
 
 
 def _fmt(value):

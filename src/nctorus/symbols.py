@@ -23,6 +23,7 @@ from .algebra import (
     DeformationAngle,
     ModuliPoint,
     NcElement,
+    _mult_section,
     adjoint,
     add,
     delta,
@@ -211,11 +212,6 @@ def _winding_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def poly_from_coeffs(angle: DeformationAngle, entries: dict) -> PolySymbol:
-    """entries maps (j1, j2) to NcElement coefficients."""
-    return PolySymbol(angle, dict(entries))
-
-
 def flat_laplacian_symbol(tau: ModuliPoint, angle: DeformationAngle) -> PolySymbol:
     """Symbol of the flat Laplacian: Q(xi) with scalar coefficients."""
     one = unit(angle)
@@ -286,34 +282,33 @@ def _graded_delta(s: GradedSymbol, axis: int) -> GradedSymbol:
 # ---------------------------------------------------------------------------
 # composition and adjoint
 
+def _leibniz(x, rule, n: int, *args) -> dict:
+    """Every mixed derivative rule_1^{l1} rule_2^{l2} x with l1 + l2 <= n, each
+    taken once from its predecessor: {(l1, l2): (1/(l1! l2!), derivative)},
+    ordered by l1, then l2.  rule(x, axis, *args) is one derivative along axis."""
+    out: dict = {}
+    for l1 in range(n + 1):
+        d = x if l1 == 0 else rule(out[(l1 - 1, 0)][1], 1, *args)
+        for l2 in range(n + 1 - l1):
+            if l2:
+                d = rule(d, 2, *args)
+            out[(l1, l2)] = (1.0 / (math.factorial(l1) * math.factorial(l2)), d)
+    return out
+
+
 def compose_poly(p: PolySymbol, q: PolySymbol) -> PolySymbol:
     """Exact product symbol of two differential operators:
     sum_l (1/l!) d_xi^l(p) delta^l(q); the sum terminates."""
     if p.angle != q.angle:
         raise SymbolError("deformation angles do not match")
     out: dict = {}
-    max1 = max((j1 for j1, _ in p.monomials), default=0)
-    max2 = max((j2 for _, j2 in p.monomials), default=0)
-    for l1 in range(max1 + 1):
-        for l2 in range(max2 + 1):
-            pd = p
-            for _ in range(l1):
-                pd = poly_xi_derivative(pd, 1)
-            for _ in range(l2):
-                pd = poly_xi_derivative(pd, 2)
-            if not pd.monomials:
-                continue
-            qd = q
-            for _ in range(l1):
-                qd = _poly_delta(qd, 1)
-            for _ in range(l2):
-                qd = _poly_delta(qd, 2)
-            f = 1.0 / (math.factorial(l1) * math.factorial(l2))
-            for (a1, a2), ca in pd.monomials.items():
-                for (b1, b2), cb in qd.monomials.items():
-                    key = (a1 + b1, a2 + b2)
-                    term = scale(f, mul(ca, cb))
-                    out[key] = add(out[key], term) if key in out else term
+    qd = _leibniz(q, _poly_delta, p.order)
+    for l, (f, pd) in _leibniz(p, poly_xi_derivative, p.order).items():
+        for (a1, a2), ca in pd.monomials.items():
+            for (b1, b2), cb in qd[l][1].monomials.items():
+                key = (a1 + b1, a2 + b2)
+                term = scale(f, mul(ca, cb))
+                out[key] = add(out[key], term) if key in out else term
     return PolySymbol(p.angle, out)
 
 
@@ -335,35 +330,21 @@ def compose(p: GradedSymbol, q: GradedSymbol, order_cutoff: int | None = None) -
     W = max(p.winding_cutoff, q.winding_cutoff)
     layers: dict = {}
     lost = 0.0
-    max_l = top - order_cutoff
-    for l1 in range(max_l + 1):
-        for l2 in range(max_l + 1 - l1):
-            pd = p
-            for _ in range(l1):
-                pd = xi_derivative(pd, 1)
-            for _ in range(l2):
-                pd = xi_derivative(pd, 2)
-            lost += pd.diagnostics.get("discarded_winding_mass", 0.0)
-            if not pd.layers:
-                continue
-            qd = q
-            for _ in range(l1):
-                qd = _graded_delta(qd, 1)
-            for _ in range(l2):
-                qd = _graded_delta(qd, 2)
-            f = 1.0 / (math.factorial(l1) * math.factorial(l2))
-            for dp, pspec in pd.layers.items():
-                for dq, qspec in qd.layers.items():
-                    dtot = dp + dq
-                    if dtot < order_cutoff:
-                        continue
-                    for wp, ep in pspec.items():
-                        for wq, eq in qspec.items():
-                            term = scale(f, mul(ep, eq))
-                            if abs(wp + wq) > W:
-                                lost += term.l1_norm()
-                                continue
-                            _layer_add(layers, dtot, wp + wq, term)
+    qd = _leibniz(q, _graded_delta, top - order_cutoff)
+    for l, (f, pd) in _leibniz(p, xi_derivative, top - order_cutoff).items():
+        lost += pd.diagnostics.get("discarded_winding_mass", 0.0)
+        for dp, pspec in pd.layers.items():
+            for dq, qspec in qd[l][1].layers.items():
+                dtot = dp + dq
+                if dtot < order_cutoff:
+                    continue
+                for wp, ep in pspec.items():
+                    for wq, eq in qspec.items():
+                        term = scale(f, mul(ep, eq))
+                        if abs(wp + wq) > W:
+                            lost += term.l1_norm()
+                            continue
+                        _layer_add(layers, dtot, wp + wq, term)
     diag = {"discarded_winding_mass": lost} if lost > 0.0 else {}
     return GradedSymbol(p.angle, top, top - order_cutoff + 1, layers, W,
                         diagnostics=diag)
@@ -375,28 +356,18 @@ def adjoint_symbol(p: GradedSymbol, order_cutoff: int | None = None) -> GradedSy
         order_cutoff = p.top_order - DEFAULT_EXTRA_LAYERS
     if order_cutoff > p.top_order:
         raise SymbolError("order_cutoff above the symbol's top order")
-    starred = p.star()
     layers: dict = {}
     lost = 0.0
-    max_l = p.top_order - order_cutoff
-    for l1 in range(max_l + 1):
-        for l2 in range(max_l + 1 - l1):
-            term = starred
-            for _ in range(l1):
-                term = _graded_delta(term, 1)
-            for _ in range(l2):
-                term = _graded_delta(term, 2)
-            for _ in range(l1):
-                term = xi_derivative(term, 1)
-            for _ in range(l2):
-                term = xi_derivative(term, 2)
-            lost += term.diagnostics.get("discarded_winding_mass", 0.0)
-            f = 1.0 / (math.factorial(l1) * math.factorial(l2))
-            for d, spectrum in term.layers.items():
-                if d < order_cutoff:
-                    continue
-                for w, elem in spectrum.items():
-                    _layer_add(layers, d, w, scale(f, elem))
+    # d_xi^l delta^l = (d_xi1 delta_1)^l1 (d_xi2 delta_2)^l2: the two commute
+    terms = _leibniz(p.star(), lambda s, ax: xi_derivative(_graded_delta(s, ax), ax),
+                     p.top_order - order_cutoff)
+    for f, term in terms.values():
+        lost += term.diagnostics.get("discarded_winding_mass", 0.0)
+        for d, spectrum in term.layers.items():
+            if d < order_cutoff:
+                continue
+            for w, elem in spectrum.items():
+                _layer_add(layers, d, w, scale(f, elem))
     diag = {"discarded_winding_mass": lost} if lost > 0.0 else {}
     return GradedSymbol(p.angle, p.top_order, p.top_order - order_cutoff + 1,
                         layers, p.winding_cutoff, diagnostics=diag)
@@ -406,23 +377,12 @@ def adjoint_poly(p: PolySymbol) -> PolySymbol:
     """Exact adjoint symbol of a differential operator."""
     starred = PolySymbol(p.angle, {k: adjoint(c) for k, c in p.monomials.items()})
     out: dict = {}
-    max1 = max((j1 for j1, _ in starred.monomials), default=0)
-    max2 = max((j2 for _, j2 in starred.monomials), default=0)
-    for l1 in range(max1 + 1):
-        for l2 in range(max2 + 1):
-            term = starred
-            for _ in range(l1):
-                term = _poly_delta(term, 1)
-            for _ in range(l2):
-                term = _poly_delta(term, 2)
-            for _ in range(l1):
-                term = poly_xi_derivative(term, 1)
-            for _ in range(l2):
-                term = poly_xi_derivative(term, 2)
-            f = 1.0 / (math.factorial(l1) * math.factorial(l2))
-            for key, c in term.monomials.items():
-                sc = scale(f, c)
-                out[key] = add(out[key], sc) if key in out else sc
+    terms = _leibniz(starred, lambda s, ax: poly_xi_derivative(_poly_delta(s, ax), ax),
+                     starred.order)
+    for f, term in terms.values():
+        for key, c in term.monomials.items():
+            sc = scale(f, c)
+            out[key] = add(out[key], sc) if key in out else sc
     return PolySymbol(p.angle, out)
 
 
@@ -445,32 +405,28 @@ def apply_op(p, a: NcElement) -> NcElement:
 def finite_section_of_op(p, w: BasisWindow) -> FiniteSectionOperator:
     """Column (m,n) holds the coefficients of the operator applied to U^m V^n,
     clipped to the window."""
-    angle = p.angle
-    theta = angle.theta
-    N = w.bandwidth
-    out = np.zeros((w.dim, w.dim), dtype=complex)
+    mm, nn = w.index_grids()
+    terms: dict = {}
     regularized = 0
     for col in range(w.dim):
-        m, n = w.pair_of(col)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", OriginRegularization)
-            val = p.eval_at(float(m), float(n))
+            val = p.eval_at(float(mm[col]), float(nn[col]))
         regularized += sum(
             1 for c in caught if issubclass(c.category, OriginRegularization)
         )
-        for (r, s), c in val.coeffs.items():
-            tm, tn = m + r, n + s
-            if abs(tm) <= N and abs(tn) <= N:
-                out[w.index_of(tm, tn), col] = c * cmath.exp(
-                    2j * math.pi * theta * s * m
-                )
+        for rs, c in val.coeffs.items():
+            if rs not in terms:
+                terms[rs] = np.zeros(w.dim, dtype=complex)
+            terms[rs][col] = c
     if regularized:
         warnings.warn(
             f"{regularized} column(s) used the origin regularization policy",
             OriginRegularization,
             stacklevel=2,
         )
-    return FiniteSectionOperator(w, out)
+    return FiniteSectionOperator(
+        w, _mult_section(p.angle.theta, terms, w.bandwidth).toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +510,6 @@ def ellipticity_check(p: GradedSymbol, grid: int = 64, window: int = 6,
     empirical ellipticity constant is sup over directions of the inverse norm
     scaled by (1+|xi|)^{top order} on the unit circle.
     """
-    w = BasisWindow(window)
     spectrum = p.layer(p.top_order)
     smin_all = math.inf
     c_emp = 0.0
@@ -566,16 +521,7 @@ def ellipticity_check(p: GradedSymbol, grid: int = 64, window: int = 6,
         if not val.coeffs:
             smin_all = 0.0
             break
-        mat = np.zeros((w.dim, w.dim), dtype=complex)
-        theta = p.angle.theta
-        for (r, s), c in val.coeffs.items():
-            mm, nn = w.index_grids()
-            tm, tn = mm + r, nn + s
-            ok = (np.abs(tm) <= window) & (np.abs(tn) <= window)
-            rows = (tm[ok] + window) * w.side + (tn[ok] + window)
-            mat[rows, np.nonzero(ok)[0]] += c * np.exp(
-                2j * math.pi * theta * s * mm[ok]
-            )
+        mat = _mult_section(p.angle.theta, val.coeffs, window).toarray()
         smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
         smin_all = min(smin_all, smin)
         if smin > 0.0:

@@ -4,14 +4,12 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from nctorus import config as cfgmod
 from nctorus import io as iomod
 from nctorus.algebra import GOLDEN, is_selfadjoint
 from nctorus.cli import main
-from nctorus.gns import BasisWindow, FiniteSectionOperator, left_mult_matrix
 from nctorus.symbols import classicalize_resolvent, symbol_to_json_dict
 from nctorus.algebra import ModuliPoint, make_monomial
 
@@ -55,21 +53,6 @@ def test_config_rejects_bad_input():
         cfgmod.from_dict({"nonsense_key": 1})
     with pytest.raises(cfgmod.ConfigError):
         cfgmod.default_config().tolerance("no_such_tolerance")
-
-
-def test_matrix_binary_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    w = BasisWindow(3)
-    mat = rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim))
-    op = FiniteSectionOperator(w, mat)
-    path = tmp_path / "op.nct"
-    iomod.write_matrix(path, op)
-    raw = path.read_bytes()
-    assert raw[:4] == b"NCT0"
-    assert len(raw) == 16 + 16 * w.dim * w.dim
-    back = iomod.read_matrix(path)
-    assert back.window.bandwidth == 3
-    assert np.array_equal(back.entries, mat)
 
 
 def test_csv_rfc4180_line_endings(tmp_path):
@@ -155,6 +138,15 @@ def test_cli_residue_and_compose(tmp_path):
     # leading layer of the square of the resolvent symbol is |xi|^{-4}
     lead = prod["layers"]["-4"]["0"]["coeffs"]
     assert lead[0][2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_connes_k_weighted_counts_warnings(tmp_path):
+    # the vacuum column drops the order -2 layer at xi = 0: one aggregated
+    # OriginRegularization warning, counted in the report instead of silenced
+    _run(["connes-trace", "--preset", "connes-k-weighted", "--bandwidth", "24",
+          "--out", str(tmp_path / "runs")])
+    report = iomod.read_report(tmp_path / "runs" / "connes_trace" / "connes_report.json")
+    assert report["warnings"] == {"OriginRegularization": 1}
 
 
 def test_cli_verify_subset(tmp_path, capsys):

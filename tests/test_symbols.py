@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus import algebra as alg
 from nctorus.algebra import (
@@ -270,6 +271,51 @@ def test_adjoint_graded_involution():
             assert twice.coefficient(d, w).isclose(p.coefficient(d, w), 1e-10)
 
 
+THETAS = (alg.GOLDEN_RATIO_THETA, 1.0 / 3.0, 0.5)
+
+
+@st.composite
+def elements(draw, angle):
+    """Elements of bandwidth 0-2 with up to four terms, the empty one included."""
+    band = draw(st.integers(0, 2))
+    idx = st.integers(-band, band)
+    coeffs = draw(st.dictionaries(
+        st.tuples(idx, idx),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        max_size=4,
+    ))
+    return NcElement(angle, band, coeffs)
+
+
+@st.composite
+def poly_symbols(draw, angle):
+    """Degree <= 2 symbols; empty coefficients are dropped by PolySymbol, so
+    the empty symbol occurs too."""
+    keys = draw(st.lists(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+                         min_size=1, max_size=3, unique=True))
+    return PolySymbol(angle, {key: draw(elements(angle)) for key in keys})
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), theta=st.sampled_from(THETAS))
+def test_poly_calculus_agrees_with_graded_calculus(data, theta):
+    angle = alg.DeformationAngle(theta)
+    p = data.draw(poly_symbols(angle))
+    q = data.draw(poly_symbols(angle))
+    pq = compose_poly(p, q)
+    p_adj = adjoint_poly(p)
+    graded = compose(p.to_graded(), q.to_graded(), order_cutoff=0)
+    assert symbols_match_pointwise(pq.to_graded(), graded, 1e-9)
+    graded_adj = adjoint_symbol(p.to_graded(), order_cutoff=0)
+    assert symbols_match_pointwise(p_adj.to_graded(), graded_adj, 1e-9)
+    # the operators themselves, which share no code with the Leibniz expansion
+    a = data.draw(elements(angle))
+    b = data.draw(elements(angle))
+    assert apply_op(pq, a).isclose(apply_op(p, apply_op(q, a)), 1e-9)
+    assert inner_product(apply_op(p, a), b) == pytest.approx(
+        inner_product(a, apply_op(p_adj, b)), abs=1e-9)
+
+
 def test_apply_op_diagonal_action():
     d1 = PolySymbol(GOLDEN, {(1, 0): ONE})
     for m, n in [(3, 1), (-2, 4), (0, 0)]:
@@ -299,6 +345,16 @@ def test_finite_section_scalar_symbol_diagonal():
         expect = 0.0 if (m, n) == (0, 0) else 1.0 / (m * m + n * n)
         assert M[idx, idx] == pytest.approx(expect)
     assert np.count_nonzero(M - np.diag(np.diag(M))) == 0
+
+
+@pytest.mark.parametrize("theta", [alg.GOLDEN_RATIO_THETA, 1.0 / 3.0])
+def test_zeroth_order_symbol_section_is_left_multiplication(theta):
+    # a symbol section twists its columns exactly as left multiplication does
+    angle = alg.DeformationAngle(theta)
+    a = alg.random_element(np.random.default_rng(23), 2, 6, angle=angle)
+    w = BasisWindow(4)
+    M = finite_section_of_op(PolySymbol(angle, {(0, 0): a}), w).entries
+    assert np.max(np.abs(M - left_mult_matrix(a, w).entries)) <= 1e-13
 
 
 def test_classicalize_resolvent_tau_i():
