@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +51,7 @@ from .spectral import (
     CountingData,
     DixmierData,
     adaptive_counting_ceiling,
-    connes_trace_check,
+    counted_connes_trace_check,
     dixmier_estimate,
     lattice_counting_data,
     resolvent_mu_disk,
@@ -227,14 +225,12 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     lo, hi = 0.5 * (1.0 - half_tol), 0.5 * (1.0 + half_tol)
     kinv2 = ctx.cd.k_inv2.trimmed(1e-13)
     p = GradedSymbol(ctx.angle, -2, 1, {-2: {0: kinv2}})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = connes_trace_check(p, BasisWindow(ctx.bandwidth))
+    rep, caught = counted_connes_trace_check(p, BasisWindow(ctx.bandwidth))
     ok = lo <= rep.ratio <= hi
     details = {"residue": rep.residue, "dixmier": rep.dixmier.value,
                "ratio": rep.ratio, "band": [lo, hi],
                "drift": rep.dixmier.drift, "bandwidth": ctx.bandwidth,
-               "warnings": dict(Counter(w.category.__name__ for w in caught))}
+               "warnings": caught}
     return CriterionResult(7, "Connes trace theorem at desk scale", ok, details,
                            time.time() - t0)
 

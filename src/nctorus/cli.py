@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import sys
-import warnings
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +29,7 @@ from .spectral import (
     CountingData,
     DixmierData,
     adaptive_counting_ceiling,
-    connes_trace_check,
+    counted_connes_trace_check,
     dixmier_estimate,
     lattice_counting_data,
     lattice_disk_eigenvalues,
@@ -273,14 +271,12 @@ def run_connes_trace(cfg: cfgmod.ExperimentConfig) -> int:
                   "route": "analytic disk eigenvalues"}
     elif kind == "k_weighted":
         p = _build_symbol(cfg)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rep = connes_trace_check(p, BasisWindow(cfg.bandwidth))
+        rep, caught = counted_connes_trace_check(p, BasisWindow(cfg.bandwidth))
         ok = abs(rep.ratio - 0.5) <= 0.5 * tol
         report = {"residue": rep.residue, "dixmier": rep.dixmier.value,
                   "drift": rep.dixmier.drift, "ratio": rep.ratio,
                   "passed": ok, "route": f"finite section N={cfg.bandwidth}",
-                  "warnings": dict(Counter(w.category.__name__ for w in caught))}
+                  "warnings": caught}
     elif kind == "power":
         order = float(cfg.symbol[1])
         if order > -2.5:

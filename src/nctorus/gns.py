@@ -139,16 +139,16 @@ def flat_laplacian_matrix(tau: ModuliPoint, w: BasisWindow) -> FiniteSectionOper
     return FiniteSectionOperator(w, np.diag(diag).astype(complex), selfadjoint=True)
 
 
-def _as_real_if_possible(mat: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(mat) and not np.any(mat.imag):
-        return np.ascontiguousarray(mat.real)
+def _as_real_if_possible(mat):
+    """mat, dense or sparse, with real entries if none has an imaginary part."""
+    if np.iscomplexobj(mat) and not (mat.imag != 0).sum():
+        return mat.real
     return mat
 
 
 def coupling_blocks(*mats) -> list:
     """Index sets (ascending) of the connected components of the joint nonzero
-    pattern of dense mats, or of one sparse mat: every mat is block diagonal
-    under one common permutation."""
+    pattern: every mat is block diagonal under one common permutation."""
     pattern = mats[0] != 0
     for m in mats[1:]:
         pattern |= m != 0
@@ -158,12 +158,14 @@ def coupling_blocks(*mats) -> list:
 
 
 def block_stacks(blocks, *mats):
-    """Per block size, yield (sel, subs): mat[sel] stacks the diagonal blocks
-    of that size as a (count, size, size) array, subs holds them for each mat,
-    dense also for a sparse mat.  A single block is the whole window: sel is
-    then (None, ...), a view of a dense mat."""
+    """Per block size, yield (sel, subs): the entries sel of a window matrix
+    stack the diagonal blocks of that size as a (count, size, size) array,
+    and subs holds these stacks of each mat, dense or sparse.  A single block
+    is the whole window: sel is then (None, ...) and subs the mats as
+    contiguous arrays, a view of a contiguous dense mat."""
     if len(blocks) == 1:
-        yield (None, Ellipsis), [(m.toarray() if sp.issparse(m) else m)[None] for m in mats]
+        yield (None, Ellipsis), [
+            (m.toarray() if sp.issparse(m) else np.ascontiguousarray(m))[None] for m in mats]
         return
     by_size: dict = {}
     for b in blocks:
@@ -171,15 +173,9 @@ def block_stacks(blocks, *mats):
     for group in by_size.values():
         idx = np.stack(group)
         sel = (idx[:, :, None], idx[:, None, :])
-        yield sel, [_take(m, sel) for m in mats]
-
-
-def _take(mat, sel):
-    """mat[sel] for a dense or a sparse mat."""
-    if not sp.issparse(mat):
-        return mat[sel]
-    rows, cols = np.broadcast_arrays(*sel)
-    return np.asarray(mat[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+        rows, cols = np.broadcast_arrays(*sel)
+        yield sel, [np.asarray(m[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+                    for m in mats]
 
 
 def _block_diagnostics(blocks) -> dict:
@@ -195,21 +191,23 @@ def perturbed_laplacian_matrix(cd: ConformalData, w: BasisWindow) -> FiniteSecti
     a time, then symmetrized as (M+M^H)/2; the discarded asymmetry magnitude
     is reported in diagnostics.
     """
-    K = _mult_section(cd.k.theta, cd.k.coeffs, w.bandwidth)
-    if not np.any(K.data.imag):
-        K = K.real
+    K = _as_real_if_possible(_mult_section(cd.k.theta, cd.k.coeffs, w.bandwidth))
     mm, nn = w.index_grids()
     diag = quadratic_form_values(cd.tau, mm, nn)
     blocks = coupling_blocks(K)
-    M = np.zeros(K.shape, dtype=K.dtype)
+    M = None if len(blocks) == 1 else np.zeros(K.shape, dtype=K.dtype)
     asym = 0.0
     for sel, (Kb,) in block_stacks(blocks, K):
         Mb = (Kb * diag[sel[1]]) @ Kb
+        del Kb  # a dense copy: free it before the symmetrization's temporaries
         MbH = Mb.conj().swapaxes(1, 2)
         asym = max(asym, float(np.max(np.abs(Mb - MbH))))
         Mb += MbH
         Mb /= 2.0
-        M[sel] = Mb
+        if M is None:  # the one block is the whole window
+            M = Mb[0]
+        else:
+            M[sel] = Mb
     if asym > 1e-8:
         raise SectionError(
             f"perturbed Laplacian asymmetry {asym:.3e}; Weyl factor cache inconsistent"

@@ -11,6 +11,8 @@ dyadic drift diagnostic standing in for the choice of limiting state.
 from __future__ import annotations
 
 import math
+import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from .algebra import ConformalData, ModuliPoint, invert_positive, mul, trace_t
 from .gns import (
     BasisWindow,
+    _as_real_if_possible,
     block_stacks,
     coupling_blocks,
     quadratic_form_values,
@@ -288,8 +291,7 @@ class ConnesReport:
 
 def singular_values_descending(mat: np.ndarray) -> np.ndarray:
     """Singular values of square mat via the Gram matrix of each coupling block."""
-    if np.iscomplexobj(mat) and not np.any(mat.imag):
-        mat = np.ascontiguousarray(mat.real)
+    mat = _as_real_if_possible(mat)
     ev = np.concatenate([
         np.linalg.eigvalsh(b.conj().swapaxes(1, 2) @ b).ravel()
         for _, (b,) in block_stacks(coupling_blocks(mat), mat)
@@ -316,6 +318,15 @@ def connes_trace_check(p: GradedSymbol, w: BasisWindow,
     est = dixmier_estimate(DixmierData(mu[:keep]))
     ratio = est.value / res if res != 0.0 else math.inf
     return ConnesReport(res, est, ratio, w.bandwidth, tail_fraction)
+
+
+def counted_connes_trace_check(p: GradedSymbol, w: BasisWindow):
+    """connes_trace_check, and the number of warnings it raised per category
+    name."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = connes_trace_check(p, w)
+    return rep, dict(Counter(c.category.__name__ for c in caught))
 
 
 def perturbed_resolvent_check(eigenvalues, cdata: ConformalData) -> dict:
