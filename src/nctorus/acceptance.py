@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,23 +24,21 @@ from .algebra import (
     delta,
     inner_product,
     make_monomial,
-    modular,
     mul,
     phi,
     scale,
     trace_t,
     unit,
 )
+from .config import DEFAULT_TOLERANCES
 from .gns import (
     BasisWindow,
     generalized_spectrum,
     gram_laplacian_matrix,
     hermitian_spectrum,
-    left_mult_matrix,
     perturbed_laplacian_matrix,
 )
 from .heat import (
-    ContourSpec,
     heat_coefficient,
     heat_trace_fit,
     laplace_symbol,
@@ -93,7 +91,10 @@ class AcceptanceContext:
         self._cd = None
         self._spectrum = None
 
-    def tol(self, value: float) -> float:
+    def tol(self, value: str | float) -> float:
+        """A DEFAULT_TOLERANCES entry by name, or a literal, times the scale."""
+        if isinstance(value, str):
+            value = DEFAULT_TOLERANCES[value]
         return value * self.tolerance_scale
 
     @property
@@ -124,7 +125,7 @@ def _flat_slope_case(tau: ModuliPoint, band: int, target: float, tol: float):
 
 def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    tol = ctx.tol(0.03)
+    tol = ctx.tol("weyl_flat")
     ok, details = _flat_slope_case(TAU_I, ctx.flat_band, math.pi, tol)
     details["tolerance"] = tol
     return CriterionResult(1, "flat Weyl law (tau = i)", ok, details, time.time() - t0)
@@ -132,7 +133,7 @@ def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    tol = ctx.tol(0.03)
+    tol = ctx.tol("weyl_flat")
     ok2, d2 = _flat_slope_case(ModuliPoint(0.0, 2.0), ctx.flat_band, math.pi / 2, tol)
     ok3, d3 = _flat_slope_case(ModuliPoint(1.0, 1.0), ctx.flat_band, math.pi, tol)
     details = {"tau_2i": d2, "tau_1_plus_i": d3, "tolerance": tol}
@@ -142,7 +143,7 @@ def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    tol = ctx.tol(0.10)
+    tol = ctx.tol("weyl_perturbed")
     wc = weyl_constant_closed_form(ctx.cd)
     spec = ctx.perturbed_spectrum
     base = CountingData(spec, ctx.bandwidth)
@@ -162,8 +163,8 @@ def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    tol_pair = ctx.tol(0.05)
-    tol_flat = ctx.tol(0.01)
+    tol_pair = ctx.tol("heat_pairwise")
+    tol_flat = ctx.tol("heat_flat_abs")
     # flat default: quadrature and fit both within 0.01 of pi
     flat_cd = ConformalData.build(TAU_I, alg.zero(ctx.angle), pad=2)
     flat_quad = heat_coefficient(0, laplace_symbol(flat_cd)).value
@@ -194,7 +195,7 @@ def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    tol = ctx.tol(1e-10)
+    tol = ctx.tol("residue_anchor")
     p = classicalize_resolvent(1.0, TAU_I, depth=3, angle=ctx.angle)
     err = abs(residue(p) - 2.0 * math.pi)
     details = {"residue": residue(p).real, "target": 2.0 * math.pi,
@@ -205,8 +206,8 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    tol_val = ctx.tol(0.05)
-    tol_drift = ctx.tol(0.02)
+    tol_val = ctx.tol("dixmier_anchor")
+    tol_drift = ctx.tol("dixmier_drift")
     mu = resolvent_mu_disk(1.0, 1.0e6)
     est = dixmier_estimate(DixmierData(mu))
     rel = abs(est.value - math.pi) / math.pi
@@ -221,7 +222,7 @@ def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    half_tol = ctx.tol(0.15)
+    half_tol = ctx.tol("connes_ratio")
     lo, hi = 0.5 * (1.0 - half_tol), 0.5 * (1.0 + half_tol)
     kinv2 = ctx.cd.k_inv2.trimmed(1e-13)
     p = GradedSymbol(ctx.angle, -2, 1, {-2: {0: kinv2}})
@@ -237,7 +238,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    tol = ctx.tol(1e-8)
+    tol = ctx.tol("parametrix_layers")
     ls = trimmed_symbol_data(laplace_symbol(ctx.cd), 1e-10)
     res = parametrix_residual(ls, lam=-1.0 + 3.0j, window=BasisWindow(6))
     ok = res[-1] <= tol and res[-2] <= tol

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, acceptance, config as cfgmod, io as iomod
-from .algebra import ConformalData
 from .gns import BasisWindow, hermitian_spectrum, perturbed_laplacian_matrix
 from .heat import (
     ContourSpec,
@@ -190,7 +189,7 @@ def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
     b2_quad = None
     if cfg.b2_quadrature:
         b2_quad = heat_coefficient(2, ls, contour=ContourSpec(alpha, beta, gamma, 64),
-                                   angular_nodes=cfg.angular_nodes).value
+                                   angular_nodes=cfg.angular_nodes)
     closed = wc.slope  # pi/Im(tau) t(k^{-2}) is also the heat coefficient
     gaps = {
         "quad_vs_closed": abs(quad.value - closed) / closed,
@@ -208,11 +207,13 @@ def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
         "b0_fit": fit.b0,
         "b0_closed_form": closed,
         "b2_fit": fit.b2,
-        "b2_quadrature": b2_quad,
+        "b2_quadrature": None if b2_quad is None else b2_quad.value,
         "pairwise_gaps": gaps,
         "tolerance": tol,
         "contour_gate_error": quad.contour_error,
         "quadrature_tail": quad.tail,
+        "b0_imag_residual": quad.imag_residual,
+        "b2_imag_residual": None if b2_quad is None else b2_quad.imag_residual,
         "quadrature_params": quad.params,
         "fit_t_window": list(fit.t_window),
         "passed": ok,

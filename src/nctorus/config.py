@@ -10,20 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from importlib import resources
-from pathlib import Path
 
 from .algebra import (
     GOLDEN_RATIO_THETA,
-    AlgebraError,
     ConformalData,
     DeformationAngle,
     ModuliPoint,
     NcElement,
-    add,
-    adjoint,
-    scale,
 )
 
 CONFIG_SCHEMA_VERSION = 1

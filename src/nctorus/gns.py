@@ -24,7 +24,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .algebra import (
-    AlgebraError,
     ConformalData,
     ModuliPoint,
     NcElement,
@@ -75,6 +74,12 @@ class BasisWindow:
         return self.index_of(0, 0)
 
 
+def _max_asymmetry(a: np.ndarray) -> float:
+    """max |a - a^H| over slabs of 256 rows: no temporary of the full size."""
+    return max(float(np.max(np.abs(a[i:i + 256] - a[:, i:i + 256].conj().T)))
+               for i in range(0, a.shape[0], 256))
+
+
 @dataclass
 class FiniteSectionOperator:
     """Dense matrix over a basis window, optionally flagged selfadjoint."""
@@ -91,7 +96,7 @@ class FiniteSectionOperator:
                 f"matrix shape {self.entries.shape} does not match window dim {d}"
             )
         if self.selfadjoint:
-            asym = float(np.max(np.abs(self.entries - self.entries.conj().T)))
+            asym = _max_asymmetry(self.entries)
             if asym > HERMITICITY_TOL:
                 raise SectionError(f"selfadjoint flag set but asymmetry {asym:.3e}")
 

@@ -19,11 +19,17 @@ import numpy as np
 
 from .algebra import ConformalData, ModuliPoint, NcElement, add, delta, mul, scale
 from .gns import BasisWindow, FiniteSectionOperator, left_mult_matrix
-from .symbols import SymbolError, _leibniz
+from .symbols import _leibniz
 
 
 class HeatError(RuntimeError):
     """Contour, quadrature or fit failure."""
+
+
+DIST_TOL = 1e-9   # least admissible distance from lambda to the section spectrum
+TAIL_EPS = 1e-14  # default radial cut: e^{-rmax^2 s_min} = TAIL_EPS
+TAIL_TOL = 1e-6   # largest admissible radial tail
+XI_SAMPLES = ((1.3, 0.4), (-0.7, 1.1), (0.9, -1.2))  # parametrix_residual's points
 
 
 # ---------------------------------------------------------------------------
@@ -221,63 +227,53 @@ def _q_poly(ls: LaplaceSymbolData) -> ScalarPoly:
     return ScalarPoly({(2, 0): c0, (1, 1): c1, (0, 2): c2})
 
 
-def _dq_poly(ls: LaplaceSymbolData, axis: int) -> ScalarPoly:
-    return _q_poly(ls).derivative(axis)
+def _derive(e: Expr, leaf) -> Expr:
+    """The one derivation walker: the Leibniz rule through Scaled, Sum and
+    Prod nodes, with leaf(atom) the derivative of each atom."""
+    if isinstance(e, Scaled):
+        inner = _derive(e.child, leaf)
+        return ZERO if is_zero(inner) else Scaled(e.c, inner)
+    if isinstance(e, Sum):
+        return _sum(_derive(c, leaf) for c in e.children)
+    if isinstance(e, Prod):
+        terms = []
+        for i, f in enumerate(e.factors):
+            d = _derive(f, leaf)
+            if not is_zero(d):
+                terms.append(_prod(e.factors[:i] + (d,) + e.factors[i + 1:]))
+        return _sum(terms)
+    if isinstance(e, (Resolvent, ElementAtom, ScalarPoly)):
+        return leaf(e)
+    raise HeatError(f"unknown expression node {e!r}")
 
 
 def xi_derivative_expr(e: Expr, axis: int, ls: LaplaceSymbolData) -> Expr:
     """Exact structural derivative; on the resolvent atom
     d_i B0 = -B0 (d_i Q) k^2 B0."""
-    if isinstance(e, Resolvent):
-        return Scaled(-1.0, _prod([B0, _dq_poly(ls, axis),
-                                   ElementAtom(ls.k2, "k2"), B0]))
-    if isinstance(e, ElementAtom):
+    def leaf(atom):
+        if isinstance(atom, Resolvent):
+            return Scaled(-1.0, _prod([B0, _q_poly(ls).derivative(axis),
+                                       ElementAtom(ls.k2, "k2"), B0]))
+        if isinstance(atom, ScalarPoly):
+            d = atom.derivative(axis)
+            return d if d.coeffs else ZERO
         return ZERO
-    if isinstance(e, ScalarPoly):
-        d = e.derivative(axis)
-        return d if d.coeffs else ZERO
-    if isinstance(e, Scaled):
-        inner = xi_derivative_expr(e.child, axis, ls)
-        return ZERO if is_zero(inner) else Scaled(e.c, inner)
-    if isinstance(e, Sum):
-        return _sum(xi_derivative_expr(c, axis, ls) for c in e.children)
-    if isinstance(e, Prod):
-        terms = []
-        for i in range(len(e.factors)):
-            d = xi_derivative_expr(e.factors[i], axis, ls)
-            if is_zero(d):
-                continue
-            terms.append(_prod(list(e.factors[:i]) + [d] + list(e.factors[i + 1:])))
-        return _sum(terms)
-    raise HeatError(f"unknown expression node {e!r}")
+    return _derive(e, leaf)
 
 
 def delta_expr(e: Expr, axis: int, ls: LaplaceSymbolData) -> Expr:
     """Torus derivation applied to the algebra content of an expression."""
-    if isinstance(e, Resolvent):
-        dk2 = ls.k2_d1 if axis == 1 else ls.k2_d2
-        if not dk2.coeffs:
-            return ZERO
-        return Scaled(-1.0, _prod([B0, _q_poly(ls), ElementAtom(dk2, f"d{axis}k2"), B0]))
-    if isinstance(e, ElementAtom):
-        d = delta(axis, e.elem)
-        return ElementAtom(d, f"d{axis}({e.label})") if d.coeffs else ZERO
-    if isinstance(e, ScalarPoly):
+    def leaf(atom):
+        if isinstance(atom, Resolvent):
+            dk2 = ls.k2_d1 if axis == 1 else ls.k2_d2
+            if not dk2.coeffs:
+                return ZERO
+            return Scaled(-1.0, _prod([B0, _q_poly(ls), ElementAtom(dk2, f"d{axis}k2"), B0]))
+        if isinstance(atom, ElementAtom):
+            d = delta(axis, atom.elem)
+            return ElementAtom(d, f"d{axis}({atom.label})") if d.coeffs else ZERO
         return ZERO
-    if isinstance(e, Scaled):
-        inner = delta_expr(e.child, axis, ls)
-        return ZERO if is_zero(inner) else Scaled(e.c, inner)
-    if isinstance(e, Sum):
-        return _sum(delta_expr(c, axis, ls) for c in e.children)
-    if isinstance(e, Prod):
-        terms = []
-        for i in range(len(e.factors)):
-            d = delta_expr(e.factors[i], axis, ls)
-            if is_zero(d):
-                continue
-            terms.append(_prod(list(e.factors[:i]) + [d] + list(e.factors[i + 1:])))
-        return _sum(terms)
-    raise HeatError(f"unknown expression node {e!r}")
+    return _derive(e, leaf)
 
 
 def symbol_term_expr(ls: LaplaceSymbolData, k: int) -> Expr:
@@ -313,26 +309,35 @@ def _leaf_count(e: Expr) -> int:
     return 1
 
 
+def _pairings(db, da, order: int):
+    """The nonzero products 1/l! d^l(b_j) delta^l(a_k) of relative order
+    k - 2 - j - |l| = order, as (k, l, 1/l!, d^l(b_j), delta^l(a_k))."""
+    for j, dbj in enumerate(db):
+        for k, dak in enumerate(da):
+            for l, (f, pb) in dbj.items():
+                ak = dak[l][1]
+                if sum(l) == k - 2 - j - order and not (is_zero(ak) or is_zero(pb)):
+                    yield k, l, f, pb, ak
+
+
+def _expansion(ls: LaplaceSymbolData, n_max: int):
+    """b_0 .. b_n_max, the xi-derivatives d^l(b_j) with |l| <= n_max - j for
+    j < n_max, and the delta-derivatives of the three symbol terms."""
+    da = [_leibniz(symbol_term_expr(ls, k), delta_expr, n_max, ls) for k in range(3)]
+    bs, db = [B0], []
+    for n in range(1, n_max + 1):
+        db.append(_leibniz(bs[-1], xi_derivative_expr, n_max - len(db), ls))
+        bs.append(_sum(Scaled(-f, _prod([pb, ak, B0]))
+                       for _, _, f, pb, ak in _pairings(db, da, -n)))
+    return bs, db, da
+
+
 def parametrix_terms(ls: LaplaceSymbolData, n_max: int = 2) -> ParametrixTerms:
     """Structural expansion of the recursion
     b_n = - sum 1/(l1! l2!) d^l(b_j) delta^l(a_k) b_0 over 2+j+l1+l2-k = n."""
     if n_max > 2:
         raise HeatError("parametrix terms beyond n = 2 are not supported")
-    da = [_leibniz(symbol_term_expr(ls, k), delta_expr, n_max, ls) for k in range(3)]
-    bs, db = [B0], []
-    for n in range(1, n_max + 1):
-        # db[j] holds d_xi^l(b_j) for |l| <= n_max - j, all that b_n onwards use
-        db.append(_leibniz(bs[-1], xi_derivative_expr, n_max - len(db), ls))
-        terms = []
-        for j, dbj in enumerate(db):
-            for k, dak in enumerate(da):
-                for l, (f, pb) in dbj.items():
-                    if sum(l) != n - 2 - j + k:
-                        continue
-                    ak = dak[l][1]
-                    if not (is_zero(ak) or is_zero(pb)):
-                        terms.append(Scaled(-f, _prod([pb, ak, B0])))
-        bs.append(_sum(terms))
+    bs, _, _ = _expansion(ls, n_max)
     return ParametrixTerms(tuple(bs), tuple(_leaf_count(b) for b in bs))
 
 
@@ -402,54 +407,67 @@ def normal_terms(e: Expr):
 
 
 # ---------------------------------------------------------------------------
-# pointwise matrix evaluation
+# the one word evaluator: the k^2 section in its eigenbasis
 
-def _poly_eval(poly: dict, x1: float, x2: float) -> complex:
-    return sum(c * (x1 ** e1) * (x2 ** e2) for (e1, e2), c in poly.items())
+class _EigenEngine:
+    """The k^2 section diagonalized once: in its eigenbasis the resolvent is
+    the diagonal 1/(Q(xi) s_i - lambda), so a word is a chain of diagonal
+    scalings and cached atom matrices."""
+
+    def __init__(self, ls: LaplaceSymbolData, window: BasisWindow):
+        self.ls = ls
+        self.window = window
+        k2m = left_mult_matrix(ls.k2, window).entries
+        k2m = (k2m + k2m.conj().T) / 2.0
+        self.svals, self.basis = np.linalg.eigh(k2m)
+        if self.svals.min() <= 0:
+            raise HeatError("k^2 section is not positive definite")
+        self.vac = np.conj(self.basis[window.vacuum, :])
+        self._atoms: dict = {}
+
+    def atom(self, elem: NcElement) -> np.ndarray:
+        key = _elem_key(elem)
+        if key not in self._atoms:
+            m = left_mult_matrix(elem, self.window).entries
+            self._atoms[key] = self.basis.conj().T @ m @ self.basis
+        return self._atoms[key]
+
+    def _apply(self, word, V: np.ndarray, rdiag: np.ndarray) -> np.ndarray:
+        """Rows of V times the transposed word product; rdiag (the resolvent
+        diagonal) broadcasts against V."""
+        for node in reversed(word):
+            V = V * rdiag if isinstance(node, Resolvent) else V @ self.atom(node.elem).T
+        return V
+
+    def word_vacuum(self, word, rdiag: np.ndarray) -> np.ndarray:
+        """w^H (product of word factors) w, batched over the lambda axis of
+        rdiag (n_lambda, dim); returns shape (n_lambda,)."""
+        return self._apply(word, np.broadcast_to(self.vac, rdiag.shape), rdiag) @ np.conj(self.vac)
+
+    def matrix(self, terms, xi, lam: complex) -> np.ndarray:
+        """The normal-form terms [(poly, word)] at (xi, lambda) as a window
+        matrix in the standard basis; lambda near the spectrum is refused."""
+        x1, x2 = float(xi[0]), float(xi[1])
+        qs = _q_poly(self.ls).eval(x1, x2).real * self.svals
+        dist = float(np.min(np.abs(qs - lam)))
+        if dist < DIST_TOL:
+            raise HeatError(f"lambda {lam:g} within {dist:.2e} of the section spectrum")
+        rdiag = 1.0 / (qs - lam)
+        eye = np.eye(self.window.dim)
+        total = np.zeros_like(eye, dtype=complex)
+        for poly, word in terms:
+            val = ScalarPoly(poly).eval(x1, x2)
+            if val != 0.0:
+                total += val * self._apply(word, eye, rdiag)
+        return self.basis @ total.T @ self.basis.conj().T
 
 
-def eval_expr(e: Expr, xi, lam: complex, w: BasisWindow, ls: LaplaceSymbolData,
-              dist_tol: float = 1e-9) -> FiniteSectionOperator:
-    """Evaluate an expression to a dense matrix at the point (xi, lambda).
-
-    The resolvent atom is realized by a dense solve; the distance from lambda
-    to the spectrum of Q(xi) k^2 is checked first and a near-singular solve is
-    refused.
-    """
-    x1, x2 = float(xi[0]), float(xi[1])
-    k2m = left_mult_matrix(ls.k2, w).entries
-    qv = _q_poly(ls).eval(x1, x2).real
-    svals = np.linalg.eigvalsh((k2m + k2m.conj().T) / 2.0)
-    dist = float(np.min(np.abs(qv * svals - lam)))
-    if dist < dist_tol:
-        raise HeatError(
-            f"lambda {lam:g} within {dist:.2e} of the section spectrum"
-        )
-    dim = w.dim
-    b0m = np.linalg.inv(qv * k2m - lam * np.eye(dim))
-    atom_cache: dict = {}
-
-    def matrix_of(node) -> np.ndarray:
-        if isinstance(node, Resolvent):
-            return b0m
-        key = _elem_key(node.elem)
-        if key not in atom_cache:
-            atom_cache[key] = left_mult_matrix(node.elem, w).entries
-        return atom_cache[key]
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for poly, word in normal_terms(e):
-        val = _poly_eval(poly, x1, x2)
-        if val == 0.0:
-            continue
-        acc = None
-        for node in word:
-            m = matrix_of(node)
-            acc = m.copy() if acc is None else acc @ m
-        if acc is None:
-            acc = np.eye(dim, dtype=complex)
-        total += val * acc
-    return FiniteSectionOperator(w, total)
+def eval_expr(e: Expr, xi, lam: complex, w: BasisWindow,
+              ls: LaplaceSymbolData) -> FiniteSectionOperator:
+    """Evaluate an expression to a dense matrix at the point (xi, lambda),
+    through the eigenbasis of the k^2 section; lambda within DIST_TOL of the
+    spectrum of Q(xi) k^2 is refused."""
+    return FiniteSectionOperator(w, _EigenEngine(ls, w).matrix(normal_terms(e), xi, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +480,13 @@ class ContourSpec:
     lambda(v) = alpha v^2 - beta + i gamma v with v = sinh(u) on a uniform u
     grid (double-exponential decay of the integrand), traversed from the lower
     to the upper branch so that (1/2 pi i) contour-int e^{-lambda}/(s-lambda)
-    equals e^{-s} for s >= 0.
+    equals e^{-s} for s >= 0.  The grid ends where alpha v^2 = 45.
     """
 
     alpha: float = 1.0
     beta: float = 1.0
     gamma: float = 4.0
     nodes: int = 96
-    truncation: float | None = None
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
@@ -480,9 +497,7 @@ class ContourSpec:
     def points(self):
         """(lambda nodes, quadrature weights) with weights absorbing
         dlambda/du, the trapezoid step and the 1/(2 pi i) prefactor."""
-        U = self.truncation
-        if U is None:
-            U = math.asinh(math.sqrt(45.0 / self.alpha))
+        U = math.asinh(math.sqrt(45.0 / self.alpha))
         u = np.linspace(-U, U, self.nodes)
         du = u[1] - u[0]
         v = np.sinh(u)
@@ -526,42 +541,6 @@ class HeatCoefficientResult:
     params: dict = field(default_factory=dict)
 
 
-class _EigenEngine:
-    """Shared spectral data of the k^2 section for fast repeated evaluation."""
-
-    def __init__(self, ls: LaplaceSymbolData, window: BasisWindow):
-        self.ls = ls
-        self.window = window
-        k2m = left_mult_matrix(ls.k2, window).entries
-        k2m = (k2m + k2m.conj().T) / 2.0
-        self.svals, self.basis = np.linalg.eigh(k2m)
-        if self.svals.min() <= 0:
-            raise HeatError("k^2 section is not positive definite")
-        self.vac = np.conj(self.basis[window.vacuum, :])
-        self._atoms: dict = {}
-
-    def atom(self, elem: NcElement) -> np.ndarray:
-        key = _elem_key(elem)
-        if key not in self._atoms:
-            m = left_mult_matrix(elem, self.window).entries
-            self._atoms[key] = self.basis.conj().T @ m @ self.basis
-        return self._atoms[key]
-
-    def word_vacuum(self, word, rdiag: np.ndarray) -> np.ndarray:
-        """w^H (product of word factors) w batched over the lambda axis.
-
-        rdiag has shape (n_lambda, dim) and holds the resolvent diagonal in
-        the eigenbasis; returns shape (n_lambda,).
-        """
-        V = np.broadcast_to(self.vac, rdiag.shape).copy()
-        for node in reversed(word):
-            if isinstance(node, Resolvent):
-                V = V * rdiag
-            else:
-                V = V @ self.atom(node.elem).T
-        return V @ np.conj(self.vac)
-
-
 def _radial_rule(n: int, rmax: float):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * rmax * (x + 1.0), 0.5 * rmax * w
@@ -570,17 +549,15 @@ def _radial_rule(n: int, rmax: float):
 def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None = None,
                      radial_nodes: int | None = None, rmax: float | None = None,
                      angular_nodes: int = 32, window_pad: int | None = None,
-                     tail_eps: float = 1e-14, tail_tol: float = 1e-6,
                      element_trim: float | None = None) -> HeatCoefficientResult:
     """Heat trace coefficient by the double integral of the parametrix trace,
     lambda over the contour and xi over the sheared polar grid.
 
-    n = 0 integrates the bare resolvent trace (angle-independent in the polar
-    coordinates, where the quadratic form is exactly r^2); n = 2 integrates
-    the second parametrix term, whose angular content is a trigonometric
-    polynomial handled exactly by the angular rule.  The radial truncation
-    tail of the n = 0 integrand is added in closed form from the spectral
-    decay e^{-r^2 s_i} and reported.
+    n = 0 integrates the bare resolvent B0, n = 2 the second parametrix term;
+    each normal-form word is paired with the angular integral of its
+    polynomial (a trigonometric polynomial, exact on the angular rule).  The
+    radial truncation tail of the n = 0 integrand is added in closed form from
+    the spectral decay e^{-r^2 s_i} and reported.
     """
     if n not in (0, 2):
         raise HeatError("only the coefficients n = 0 and n = 2 are built")
@@ -592,125 +569,84 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
         element_trim = 1e-7
     if element_trim is not None:
         ls = trimmed_symbol_data(ls, element_trim)
-    bw = ls.k2.support_bandwidth()
-    engine = _EigenEngine(ls, BasisWindow(bw + window_pad))
+    engine = _EigenEngine(ls, BasisWindow(ls.k2.support_bandwidth() + window_pad))
     s = engine.svals
     smin = float(s.min())
     if rmax is None:
-        rmax = math.sqrt(math.log(1.0 / tail_eps) / smin)
+        rmax = math.sqrt(math.log(1.0 / TAIL_EPS) / smin)
     if contour is None:
         contour = ContourSpec()
     cerr = contour_gate(contour, s_max=float(s.max()) * rmax * rmax)
-    lam, wq = contour.points()
-    rs, wr = _radial_rule(radial_nodes, rmax)
     im_tau = ls.tau.im
-    w0sq = np.abs(engine.vac) ** 2
-
-    if n == 0:
-        total = 0.0 + 0.0j
-        for r, wgt in zip(rs, wr):
-            # trace of the resolvent summed over the contour, then radial weight
-            denom = (r * r) * s[np.newaxis, :] - lam[:, np.newaxis]
-            heat_diag = np.sum(wq[:, np.newaxis] * np.exp(-lam)[:, np.newaxis] / denom, axis=0)
-            total += wgt * r * np.dot(heat_diag, w0sq)
-        total *= 2.0 * math.pi / im_tau
-        tail = math.pi / im_tau * float(np.sum(w0sq * np.exp(-rmax * rmax * s) / s))
-        if tail > tail_tol:
-            raise HeatError(
-                f"radial tail bound {tail:.3e} exceeds tolerance {tail_tol:.1e}; "
-                f"increase rmax"
-            )
-        value = total.real + tail
-        return HeatCoefficientResult(
-            value=value, tail=tail, contour_error=cerr,
-            imag_residual=abs(total.imag),
-            params={"radial_nodes": radial_nodes, "rmax": rmax,
-                    "window": engine.window.bandwidth, "contour_nodes": contour.nodes},
-        )
-
-    b2 = parametrix_terms(ls, 2).terms[2]
-    terms = normal_terms(b2)
+    params = {"radial_nodes": radial_nodes, "rmax": rmax,
+              "window": engine.window.bandwidth, "contour_nodes": contour.nodes}
+    terms = normal_terms(B0 if n == 0 else parametrix_terms(ls, 2).terms[2])
     if not terms:
         return HeatCoefficientResult(
             value=0.0, tail=0.0, contour_error=cerr, imag_residual=0.0,
             params={"note": "second parametrix term vanishes identically"},
         )
+    if n == 2:
+        params.update(angular_nodes=angular_nodes, terms=len(terms))
+    # n = 0 adds its radial tail in closed form; n = 2 bounds it by the decay scale
+    w0sq = np.abs(engine.vac) ** 2
+    tail = math.pi / im_tau * float(np.sum(w0sq * np.exp(-rmax * rmax * s) / s)) if n == 0 else 0.0
+    bound = tail if n == 0 else math.exp(-rmax * rmax * smin)
+    if bound > TAIL_TOL:
+        raise HeatError(f"radial tail {'bound' if n == 0 else 'scale'} {bound:.3e} exceeds "
+                        f"tolerance {TAIL_TOL:.1e}; increase rmax")
+    lam, wq = contour.points()
+    rs, wr = _radial_rule(radial_nodes, rmax)
     # angular rule: xi(r, a) = r * (cos a - (Re tau / Im tau) sin a, sin a / Im tau)
-    tail_scale = math.exp(-rmax * rmax * smin)
-    if tail_scale > tail_tol:
-        raise HeatError(
-            f"radial tail scale {tail_scale:.3e} exceeds tolerance {tail_tol:.1e}; "
-            f"increase rmax"
-        )
     angs = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
-    shear = ls.tau.re / im_tau
-    dir1 = np.cos(angs) - shear * np.sin(angs)
+    dir1 = np.cos(angs) - ls.tau.re / im_tau * np.sin(angs)
     dir2 = np.sin(angs) / im_tau
     w_ang = 2.0 * math.pi / angular_nodes
     exp_lam = np.exp(-lam)
+    polys = [(ScalarPoly(poly), word) for poly, word in terms]
     total = 0.0 + 0.0j
-    imag_acc = 0.0
     for r, wgt in zip(rs, wr):
         rdiag = 1.0 / ((r * r) * s[np.newaxis, :] - lam[:, np.newaxis])
-        for poly, word in terms:
-            # angular integral of the scalar polynomial factor at radius r
-            pvals = np.zeros(angular_nodes, dtype=complex)
-            for (e1, e2), pc in poly.items():
-                pvals += pc * (r * dir1) ** e1 * (r * dir2) ** e2
-            ang_int = w_ang * np.sum(pvals)
+        for poly, word in polys:
+            ang_int = w_ang * np.sum(poly.eval(r * dir1, r * dir2))
             if abs(ang_int) < 1e-300:
                 continue
-            vac = engine.word_vacuum(word, rdiag)
-            lam_int = np.sum(wq * exp_lam * vac)
+            lam_int = np.sum(wq * exp_lam * engine.word_vacuum(word, rdiag))
             total += wgt * r * ang_int * lam_int
     total /= im_tau
-    imag_acc = abs(total.imag)
     return HeatCoefficientResult(
-        value=total.real, tail=0.0, contour_error=cerr, imag_residual=imag_acc,
-        params={"radial_nodes": radial_nodes, "rmax": rmax,
-                "angular_nodes": angular_nodes, "terms": len(terms),
-                "window": engine.window.bandwidth, "contour_nodes": contour.nodes},
+        value=total.real + tail, tail=tail, contour_error=cerr,
+        imag_residual=abs(total.imag), params=params,
     )
 
 
 # ---------------------------------------------------------------------------
 # parametrix identity at fixed lambda (graded composition residual)
 
-def parametrix_residual(ls: LaplaceSymbolData, lam: complex, window: BasisWindow,
-                        xi_samples=None, dist_tol: float = 1e-9) -> dict:
+def parametrix_residual(ls: LaplaceSymbolData, lam: complex, window: BasisWindow) -> dict:
     """Magnitude of the graded composition of (b0+b1+b2) with the full symbol.
 
     For each relative order g = 0, -1, -2 the terms 1/l! d^l(b_j) delta^l(a_k)
-    with k - 2 - j - |l| = g are evaluated at the sample points and summed; at
-    order 0 the identity is subtracted.  Returns {order: max matrix entry}.
+    with k - 2 - j - |l| = g are evaluated at XI_SAMPLES and summed; at order
+    0 the identity is subtracted.  Returns {order: max matrix entry}.
     """
-    if xi_samples is None:
-        xi_samples = [(1.3, 0.4), (-0.7, 1.1), (0.9, -1.2)]
-    bs = parametrix_terms(ls, 2).terms
-    da = [_leibniz(symbol_term_expr(ls, k), delta_expr, 2, ls) for k in range(3)]
-    db = [_leibniz(b, xi_derivative_expr, 2 - j, ls) for j, b in enumerate(bs)]
+    bs, db, da = _expansion(ls, 2)
+    db.append(_leibniz(bs[2], xi_derivative_expr, 0, ls))
+    engine = _EigenEngine(ls, window)
     out = {}
-    dim = window.dim
     for g in (0, -1, -2):
         pieces = []
-        for j, dbj in enumerate(db):
-            for k, dak in enumerate(da):
-                for l, (f, pb) in dbj.items():
-                    if sum(l) != k - 2 - j - g:
-                        continue
-                    ak = dak[l][1]
-                    if is_zero(ak) or is_zero(pb):
-                        continue
-                    pieces.append(Scaled(f, _prod([pb, ak])))
-                    if k == 2 and l == (0, 0):
-                        # leading symbol carries -lambda
-                        pieces.append(Scaled(-lam * f, pb))
-        expr = _sum(pieces)
+        for k, l, f, pb, ak in _pairings(db, da, g):
+            pieces.append(Scaled(f, _prod([pb, ak])))
+            if k == 2 and l == (0, 0):
+                # leading symbol carries -lambda
+                pieces.append(Scaled(-lam * f, pb))
+        terms = normal_terms(_sum(pieces))
         worst = 0.0
-        for xi in xi_samples:
-            m = eval_expr(expr, xi, lam, window, ls, dist_tol).entries
+        for xi in XI_SAMPLES:
+            m = engine.matrix(terms, xi, lam)
             if g == 0:
-                m = m - np.eye(dim)
+                m = m - np.eye(window.dim)
             worst = max(worst, float(np.max(np.abs(m))))
         out[g] = worst
     return out

@@ -14,12 +14,11 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    AlgebraError,
     DeformationAngle,
     ModuliPoint,
     NcElement,

@@ -109,6 +109,8 @@ def test_cli_heat_flat(tmp_path):
     report = iomod.read_report(tmp_path / "runs" / "heat" / "heat_report.json")
     assert abs(report["b0_quadrature"] - math.pi) < 1e-4
     assert report["b2_quadrature"] == 0.0
+    for key in ("b0_imag_residual", "b2_imag_residual"):
+        assert report[key] < 1e-10
     trace = (tmp_path / "runs" / "heat" / "heat_trace.csv").read_text()
     assert trace.splitlines()[0] == "t,t_times_trace"
 

@@ -19,13 +19,14 @@ from nctorus.algebra import (
     scale,
     unit,
 )
-from nctorus.gns import BasisWindow
+from nctorus.gns import BasisWindow, left_mult_matrix
 from nctorus import heat
 from nctorus.heat import (
     B0,
     ContourSpec,
     HeatError,
     contour_gate,
+    delta_expr,
     eval_expr,
     heat_coefficient,
     heat_trace_fit,
@@ -111,20 +112,49 @@ def test_resolvent_times_symbol_is_identity(ls_default):
     xi = (1.2, -0.7)
     b0m = eval_expr(B0, xi, lam, w, ls_default).entries
     qv = xi[0] ** 2 + xi[1] ** 2
-    from nctorus.gns import left_mult_matrix
-
     a2m = qv * left_mult_matrix(ls_default.k2, w).entries - lam * np.eye(w.dim)
     assert np.max(np.abs(b0m @ a2m - np.eye(w.dim))) < 1e-12
 
 
 def test_eval_rejects_near_singular(ls_default):
     w = BasisWindow(4)
-    from nctorus.gns import left_mult_matrix
-
     k2m = left_mult_matrix(ls_default.k2, w).entries
     lam = float(np.linalg.eigvalsh((k2m + k2m.conj().T) / 2.0)[3])
     with pytest.raises(HeatError):
         eval_expr(B0, (1.0, 0.0), lam + 0.0j, w, ls_default)
+
+
+def test_eval_expr_matches_dense_inverse(block_case):
+    """The eigenbasis evaluator against the dense route: inv(Q(xi) L_{k^2} - lambda)
+    multiplied out over the normal-form words in the standard basis."""
+    cd, _ = block_case
+    ls = laplace_symbol(cd)
+    w = BasisWindow(3)
+    xi, lam = (0.8, -0.5), -1.0 + 2.0j
+    c0, c1, c2 = ls.a2_q
+    q = c0 * xi[0] ** 2 + c1 * xi[0] * xi[1] + c2 * xi[1] ** 2
+    b0m = np.linalg.inv(q * left_mult_matrix(ls.k2, w).entries - lam * np.eye(w.dim))
+
+    def dense(e):
+        total = np.zeros((w.dim, w.dim), dtype=complex)
+        for poly, word in normal_terms(e):
+            m = np.eye(w.dim)
+            for f in word:
+                m = m @ (b0m if isinstance(f, heat.Resolvent) else
+                         left_mult_matrix(f.elem, w).entries)
+            total += sum(c * xi[0] ** e1 * xi[1] ** e2 for (e1, e2), c in poly.items()) * m
+        return total
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    for b in parametrix_terms(ls, 2).terms[1:]:
+        assert_close(eval_expr(b, xi, lam, w, ls).entries, dense(b))
+    # the resolvent's delta leaf against delta(A^{-1}) = -A^{-1} delta(A) A^{-1}
+    for axis in (1, 2):
+        dk2 = left_mult_matrix(alg.delta(axis, ls.k2), w).entries
+        assert_close(eval_expr(delta_expr(B0, axis, ls), xi, lam, w, ls).entries,
+                     -b0m @ (q * dk2) @ b0m)
 
 
 def test_xi_derivative_matches_finite_differences(ls_default):
