@@ -442,7 +442,7 @@ class _EigenEngine:
     def word_vacuum(self, word, rdiag: np.ndarray) -> np.ndarray:
         """w^H (product of word factors) w, batched over the lambda axis of
         rdiag (n_lambda, dim); returns shape (n_lambda,)."""
-        return self._apply(word, np.broadcast_to(self.vac, rdiag.shape), rdiag) @ np.conj(self.vac)
+        return self._apply(word, self.vac, rdiag) @ np.conj(self.vac)
 
     def matrix(self, terms, xi, lam: complex) -> np.ndarray:
         """The normal-form terms [(poly, word)] at (xi, lambda) as a window
