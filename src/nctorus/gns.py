@@ -75,9 +75,11 @@ class BasisWindow:
 
 
 def _max_asymmetry(a: np.ndarray) -> float:
-    """max |a - a^H| over slabs of 256 rows: no temporary of the full size."""
-    return max(float(np.max(np.abs(a[i:i + 256] - a[:, i:i + 256].conj().T)))
-               for i in range(0, a.shape[0], 256))
+    """max |a - a^H| over slabs of rows with at most 2^22 entries, so that no
+    temporary of the full size is made; a smaller matrix is one slab."""
+    rows = max(1, 2 ** 22 // a.shape[0])
+    return max(float(np.max(np.abs(a[i:i + rows] - a[:, i:i + rows].conj().T)))
+               for i in range(0, a.shape[0], rows))
 
 
 @dataclass
