@@ -190,20 +190,51 @@ def scale(c: complex, a: NcElement) -> NcElement:
     return NcElement(a.angle, a.bandwidth, {mn: c * v for mn, v in a.coeffs.items()})
 
 
+def _box(a: NcElement):
+    """(corner (m0, n0), array): the coefficients of a nonempty element on
+    the smallest box holding its support, entry [m - m0, n - n0]."""
+    keys = np.array(list(a.coeffs))
+    lo = keys.min(axis=0)
+    box = np.zeros(keys.max(axis=0) - lo + 1, dtype=complex)
+    box[tuple((keys - lo).T)] = list(a.coeffs.values())
+    return lo, box
+
+
+def _from_box(angle: DeformationAngle, bandwidth: int, lo, box: np.ndarray) -> NcElement:
+    """The element whose coefficient at (m, n) is box[m - lo[0], n - lo[1]]."""
+    i, j = np.nonzero(box)
+    keys = zip((i + lo[0]).tolist(), (j + lo[1]).tolist())
+    return NcElement(angle, bandwidth, dict(zip(keys, box[i, j].tolist())))
+
+
 def mul(a: NcElement, b: NcElement) -> NcElement:
     """Exact twisted product; bandwidth grows to a.bandwidth + b.bandwidth.
 
-    (U^m V^n)(U^p V^q) = e^{2*pi*i*theta*n*p} U^{m+p} V^{n+q}.
+    (U^m V^n)(U^p V^q) = e^{2*pi*i*theta*n*p} U^{m+p} V^{n+q}.  Each
+    coefficient of the operand with fewer terms adds one shifted block of the
+    other operand's coefficient box, phased by one row of the table
+    e^{2 pi i theta n p} over the n of a's box and the p of b's box.
     """
     _check_same_angle(a, b)
-    theta = a.theta
-    out: dict = {}
-    for (m, n), ca in a.coeffs.items():
-        for (p, q), cb in b.coeffs.items():
-            w = ca * cb * _phase(theta, n * p)
-            key = (m + p, n + q)
-            out[key] = out.get(key, 0.0) + w
-    return NcElement(a.angle, a.bandwidth + b.bandwidth, out)
+    bw = a.bandwidth + b.bandwidth
+    if not a.coeffs or not b.coeffs:
+        return NcElement(a.angle, bw, {})
+    (am, an), abox = _box(a)
+    (bm, bn), bbox = _box(b)
+    phase = np.exp(2j * math.pi * a.theta * np.outer(
+        np.arange(an, an + abox.shape[1]), np.arange(bm, bm + bbox.shape[0])))
+    out = np.zeros(np.add(abox.shape, bbox.shape) - 1, dtype=complex)
+    if len(a.coeffs) <= len(b.coeffs):
+        bp, bq = bbox.shape
+        for (m, n), c in a.coeffs.items():
+            i, j = m - am, n - an
+            out[i:i + bp, j:j + bq] += (c * phase[j])[:, None] * bbox
+    else:
+        ap, aq = abox.shape
+        for (p, q), c in b.coeffs.items():
+            i, j = p - bm, q - bn
+            out[i:i + ap, j:j + aq] += (c * phase[:, i]) * abox
+    return _from_box(a.angle, bw, (am + bm, an + bn), out)
 
 
 def adjoint(a: NcElement) -> NcElement:
@@ -242,7 +273,7 @@ def trace_of_product(a: NcElement, b: NcElement) -> complex:
 
 def inner_product(a: NcElement, b: NcElement) -> complex:
     """GNS inner product <a,b> = trace(b* a)."""
-    return trace_t(mul(adjoint(b), a))
+    return trace_of_product(adjoint(b), a)
 
 
 def delta(axis: int, a: NcElement) -> NcElement:
@@ -400,7 +431,7 @@ class ConformalData:
 def phi(a: NcElement, cd: ConformalData) -> complex:
     """The conformal weight phi(a) = trace(a e^{-h})."""
     _check_same_angle(a, cd.h)
-    return trace_t(mul(a, cd.k_inv2))
+    return trace_of_product(a, cd.k_inv2)
 
 
 def modular(a: NcElement, cd: ConformalData) -> NcElement:

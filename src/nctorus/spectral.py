@@ -26,7 +26,7 @@ from .gns import (
     quadratic_form_values,
     trace_kinv2_matrix_route,
 )
-from .symbols import GradedSymbol, finite_section_of_op, residue
+from .symbols import GradedSymbol, _op_section, residue
 
 
 class SpectralError(ValueError):
@@ -289,8 +289,9 @@ class ConnesReport:
     tail_fraction: float
 
 
-def singular_values_descending(mat: np.ndarray) -> np.ndarray:
-    """Singular values of square mat via the Gram matrix of each coupling block."""
+def singular_values_descending(mat) -> np.ndarray:
+    """Singular values of square mat, dense or sparse, via the Gram matrix of
+    each coupling block."""
     mat = _as_real_if_possible(mat)
     ev = np.concatenate([
         np.linalg.eigvalsh(b.conj().swapaxes(1, 2) @ b).ravel()
@@ -312,8 +313,7 @@ def connes_trace_check(p: GradedSymbol, w: BasisWindow,
     if p.top_order != -2:
         raise SpectralError("the trace comparison needs a symbol of order -2")
     res = residue(p).real
-    mat = finite_section_of_op(p, w).entries
-    mu = singular_values_descending(mat)
+    mu = singular_values_descending(_op_section(p, w))
     keep = max(1000, int(mu.size * (1.0 - tail_fraction)))
     est = dixmier_estimate(DixmierData(mu[:keep]))
     ratio = est.value / res if res != 0.0 else math.inf

@@ -22,12 +22,12 @@ from .algebra import (
     DeformationAngle,
     ModuliPoint,
     NcElement,
+    _from_box,
     _mult_section,
     adjoint,
     add,
     delta,
     from_json_dict,
-    make_monomial,
     mul,
     scale,
     to_json_dict,
@@ -71,7 +71,9 @@ class GradedSymbol:
     Retained degrees run from top_order down to top_order - depth + 1.  An
     optional exact evaluator (callable (x1, x2) -> NcElement) represents the
     full symbol when one is available in closed form; it takes precedence in
-    pointwise evaluation, the layers being its classical expansion.
+    pointwise evaluation, the layers being its classical expansion.  Finite
+    sections and apply_op read it on index grids, which needs the scalar
+    kind (_ScalarEval) that classicalize_resolvent attaches.
     """
 
     __slots__ = ("angle", "top_order", "depth", "layers", "winding_cutoff",
@@ -157,6 +159,18 @@ class GradedSymbol:
         degs = sorted(self.layers, reverse=True)
         return (f"GradedSymbol(top={self.top_order}, depth={self.depth}, "
                 f"degrees={degs})")
+
+
+@dataclass(frozen=True)
+class _ScalarEval:
+    """Exact evaluator xi -> f(xi1, xi2) elem of a GradedSymbol, with a scalar
+    f that reads index arrays too (finite sections evaluate it on grids)."""
+
+    f: object
+    elem: NcElement
+
+    def __call__(self, x1: float, x2: float) -> NcElement:
+        return scale(self.f(x1, x2), self.elem)
 
 
 @dataclass
@@ -388,44 +402,74 @@ def adjoint_poly(p: PolySymbol) -> PolySymbol:
 # ---------------------------------------------------------------------------
 # operator action
 
+def _column_terms(p, mm, nn) -> dict:
+    """{shift (r, s): coefficient of U^r V^s in p(mm[i], nn[i]), for each i}.
+
+    The symbol is expanded once into (weights over the grid, element) pairs.
+    A GradedSymbol without exact evaluator keeps only its (0, 0) layer at the
+    origin, as eval_at does, with one warning for all such grid points."""
+    mm = np.asarray(mm, dtype=float)
+    nn = np.asarray(nn, dtype=float)
+    if isinstance(p, PolySymbol):
+        pairs = [(mm ** j1 * nn ** j2, c) for (j1, j2), c in p.monomials.items()]
+    elif p.exact_eval is not None:
+        if not isinstance(p.exact_eval, _ScalarEval):
+            raise SymbolError("only a scalar exact evaluator can be read on index grids")
+        pairs = [(p.exact_eval.f(mm, nn), p.exact_eval.elem)]
+    else:
+        origin = (mm == 0.0) & (nn == 0.0)
+        r = np.where(origin, 1.0, np.sqrt(mm * mm + nn * nn))
+        ang = np.arctan2(nn, mm)
+        pairs = [(np.where(origin, float(d == 0 and w == 0), r ** d * np.exp(1j * w * ang)), e)
+                 for d, spectrum in p.layers.items() for w, e in spectrum.items()]
+        if origin.any() and any(d < 0 for d in p.layers):
+            warnings.warn(
+                f"{int(origin.sum())} column(s) used the origin regularization policy",
+                OriginRegularization,
+                stacklevel=4,
+            )
+    terms: dict = {}
+    for weights, elem in pairs:
+        for rs, c in elem.coeffs.items():
+            terms[rs] = terms.get(rs, 0.0) + weights * c
+    return terms
+
+
 def apply_op(p, a: NcElement) -> NcElement:
     """Apply the pseudodifferential operator of p to an algebra element.
 
     On monomials the action is diagonal in the Fourier index: the operator
-    sends U^m V^n to p(m, n) U^m V^n, extended linearly.
+    sends U^m V^n to p(m, n) U^m V^n, extended linearly; a coefficient v of
+    U^r V^s in p(m, n) lands at (r + m, s + n) as v e^{2 pi i theta s m}.
     """
-    out = zero(a.angle)
-    for (m, n), c in a.coeffs.items():
-        val = p.eval_at(float(m), float(n))
-        out = add(out, scale(c, mul(val, make_monomial(m, n, 1.0, a.angle))))
-    return out
+    if not a.coeffs:
+        return zero(a.angle)
+    m, n = np.array(list(a.coeffs)).T
+    vals = np.array(list(a.coeffs.values()))
+    terms = _column_terms(p, m, n)
+    if not terms:
+        return zero(a.angle)
+    shifts = np.array(list(terms))
+    lo = np.array([m.min(), n.min()]) + shifts.min(axis=0)
+    out = np.zeros(np.array([m.max(), n.max()]) + shifts.max(axis=0) - lo + 1, dtype=complex)
+    for (r, s), coef in terms.items():
+        out[m + r - lo[0], n + s - lo[1]] += (
+            vals * coef * np.exp(2j * math.pi * a.theta * s * m))
+    bw = a.support_bandwidth() + int(np.abs(shifts).max())
+    return _from_box(a.angle, bw, lo, out)
+
+
+def _op_section(p, w: BasisWindow):
+    """Sparse section of the operator of p on the window: column (m,n) holds
+    the coefficients of the operator applied to U^m V^n, clipped to the
+    window."""
+    mm, nn = w.index_grids()
+    return _mult_section(p.angle.theta, _column_terms(p, mm, nn), w.bandwidth)
 
 
 def finite_section_of_op(p, w: BasisWindow) -> FiniteSectionOperator:
-    """Column (m,n) holds the coefficients of the operator applied to U^m V^n,
-    clipped to the window."""
-    mm, nn = w.index_grids()
-    terms: dict = {}
-    regularized = 0
-    for col in range(w.dim):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", OriginRegularization)
-            val = p.eval_at(float(mm[col]), float(nn[col]))
-        regularized += sum(
-            1 for c in caught if issubclass(c.category, OriginRegularization)
-        )
-        for rs, c in val.coeffs.items():
-            if rs not in terms:
-                terms[rs] = np.zeros(w.dim, dtype=complex)
-            terms[rs][col] = c
-    if regularized:
-        warnings.warn(
-            f"{regularized} column(s) used the origin regularization policy",
-            OriginRegularization,
-            stacklevel=2,
-        )
-    return FiniteSectionOperator(
-        w, _mult_section(p.angle.theta, terms, w.bandwidth).toarray())
+    """Dense finite section of the operator of p (see _op_section)."""
+    return FiniteSectionOperator(w, _op_section(p, w).toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +517,13 @@ def classicalize_resolvent(c0: float, tau: ModuliPoint, depth: int,
         )
     qq = [1.0, 2.0 * tau.re, tau.abs2]
 
-    def exact(x1: float, x2: float) -> NcElement:
+    def exact(x1, x2):
         qval = qq[0] * x1 * x1 + qq[1] * x1 * x2 + qq[2] * x2 * x2
-        return scale(1.0 / (qval + c0), one)
+        return 1.0 / (qval + c0)
 
     diag = {"discarded_winding_mass": lost} if lost > 0.0 else {}
     return GradedSymbol(angle, -2, 2 * depth - 1, layers, W,
-                        exact_eval=exact, diagnostics=diag)
+                        exact_eval=_ScalarEval(exact, one), diagnostics=diag)
 
 
 def residue(p: GradedSymbol) -> complex:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nctorus import algebra as alg
 from nctorus.algebra import (
@@ -41,7 +42,7 @@ V = make_monomial(0, 1)
 ONE = unit()
 
 
-def word_product_oracle(*factors):
+def word_product_oracle(*factors, theta=THETA):
     """Independent product oracle: rewrite generator words letter by letter.
 
     Each factor is a pair (m, n) standing for U^m V^n.  The word is flattened
@@ -59,7 +60,7 @@ def word_product_oracle(*factors):
         for i in range(len(letters) - 1):
             (g1, s), (g2, t) = letters[i], letters[i + 1]
             if g1 == "V" and g2 == "U":
-                phase *= cmath.exp(2j * math.pi * THETA * s * t)
+                phase *= cmath.exp(2j * math.pi * theta * s * t)
                 letters[i], letters[i + 1] = letters[i + 1], letters[i]
                 changed = True
     m = sum(s for g, s in letters if g == "U")
@@ -90,6 +91,81 @@ def test_mul_against_word_oracle():
         (m, n), phase = word_product_oracle(f1, f2)
         assert a.coeff(m, n) == pytest.approx(phase, abs=1e-13)
         assert len(a.coeffs) == 1
+
+
+def pairwise_product_oracle(a, b):
+    """{(m, n): (coefficient, l1 mass of its terms)} of a b, one coefficient
+    pair at a time through word_product_oracle."""
+    out = {}
+    for (m, n), ca in a.coeffs.items():
+        for (p, q), cb in b.coeffs.items():
+            key, phase = word_product_oracle((m, n), (p, q), theta=a.theta)
+            c, mass = out.get(key, (0.0, 0.0))
+            out[key] = (c + ca * cb * phase, mass + abs(ca * cb))
+    return out
+
+
+def assert_matches_pairwise_oracle(a, b):
+    prod = mul(a, b)
+    ref = pairwise_product_oracle(a, b)
+    assert prod.bandwidth == a.bandwidth + b.bandwidth
+    for key, (c, mass) in ref.items():
+        assert abs(prod.coeff(*key) - c) <= 1e-12 * mass
+        if key not in prod.coeffs:
+            assert abs(c) < 1e-15 * max(mass, 1.0)
+    for key, c in prod.coeffs.items():
+        if key not in ref:
+            assert abs(c) < 1e-15
+
+
+MUL_THETAS = (alg.GOLDEN_RATIO_THETA, 1.0 / 3.0, 0.5)
+
+
+@st.composite
+def boxed_elements(draw, angle):
+    """Elements whose support lies in a random sub-box of the bandwidth box,
+    so that two draws may have disjoint support boxes; the empty element
+    and bandwidth 0 occur too."""
+    band = draw(st.integers(0, 3))
+    m0, m1 = sorted(draw(st.lists(st.integers(-band, band), min_size=2, max_size=2)))
+    n0, n1 = sorted(draw(st.lists(st.integers(-band, band), min_size=2, max_size=2)))
+    coeffs = draw(st.dictionaries(
+        st.tuples(st.integers(m0, m1), st.integers(n0, n1)),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        max_size=12,
+    ))
+    return NcElement(angle, band, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), theta=st.sampled_from(MUL_THETAS))
+def test_mul_matches_pairwise_oracle(data, theta):
+    angle = DeformationAngle(theta)
+    assert_matches_pairwise_oracle(data.draw(boxed_elements(angle)),
+                                   data.draw(boxed_elements(angle)))
+
+
+@pytest.mark.parametrize("theta", MUL_THETAS)
+def test_mul_edge_cases_match_pairwise_oracle(theta):
+    angle = DeformationAngle(theta)
+    rng = np.random.default_rng(31)
+
+    def elem(band, terms, shift=(0, 0)):
+        a = alg.random_element(rng, band, terms, angle=angle)
+        return NcElement(angle, band + max(map(abs, shift)), {
+            (m + shift[0], n + shift[1]): c for (m, n), c in a.coeffs.items()})
+
+    empty = NcElement(angle, 2, {})
+    cases = [
+        (empty, elem(2, 5)), (elem(2, 5), empty), (empty, empty),
+        (elem(0, 1), elem(0, 1)),                    # bandwidth 0
+        (elem(1, 2), elem(3, 20)),                   # len(a) < len(b)
+        (elem(3, 20), elem(1, 2)),                   # len(a) > len(b)
+        (elem(1, 4, (3, -3)), elem(1, 6, (-3, 3))),  # disjoint support boxes
+        (elem(2, 9, (0, 4)), elem(1, 3, (4, 0))),
+    ]
+    for a, b in cases:
+        assert_matches_pairwise_oracle(a, b)
 
 
 def test_mul_angle_mismatch_raises():

@@ -1,6 +1,8 @@
 """Tests for the graded symbol calculus, residue and ellipticity."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +334,70 @@ def test_apply_resolvent_exact_rational():
     for m, n in [(2, 1), (0, 0), (-3, 2)]:
         img = apply_op(p, make_monomial(m, n))
         assert img.coeff(m, n) == pytest.approx(1.0 / (1.0 + m * m + n * n))
+
+
+def section_by_columns(p, w):
+    """Reference section: p.eval_at on one column at a time, each coefficient
+    v of U^r V^s placed at (r + m, s + n) as v e^{2 pi i theta s m}."""
+    mat = np.zeros((w.dim, w.dim), dtype=complex)
+    for col in range(w.dim):
+        m, n = w.pair_of(col)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OriginRegularization)
+            val = p.eval_at(float(m), float(n))
+        for (r, s), v in val.coeffs.items():
+            if abs(r + m) <= w.bandwidth and abs(s + n) <= w.bandwidth:
+                mat[w.index_of(r + m, s + n), col] = (
+                    v * cmath.exp(2j * math.pi * p.angle.theta * s * m))
+    return mat
+
+
+def section_symbols():
+    rng = np.random.default_rng(37)
+    angle = alg.DeformationAngle(1.0 / 3.0)
+
+    def elem(band=2, terms=3, a=GOLDEN):
+        return alg.random_element(rng, band, terms, angle=a)
+
+    poly = PolySymbol(GOLDEN, {(2, 0): elem(), (1, 1): elem(), (0, 0): elem()})
+    graded = GradedSymbol(angle, 1, 4, {
+        1: {1: elem(a=angle), -1: elem(a=angle)},
+        0: {0: elem(a=angle), 2: elem(a=angle)},
+        -1: {3: elem(a=angle)},
+        -2: {0: elem(a=angle), -2: elem(a=angle)},
+    })
+    resolvent = classicalize_resolvent(0.7, ModuliPoint(0.3, 0.8), depth=2, angle=GOLDEN)
+    return {"poly": poly, "graded": graded, "resolvent": resolvent}
+
+
+@pytest.mark.parametrize("kind", ["poly", "graded", "resolvent"])
+def test_finite_section_matches_column_evaluation(kind):
+    p = section_symbols()[kind]
+    w = BasisWindow(5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        M = finite_section_of_op(p, w).entries
+    ref = section_by_columns(p, w)
+    assert np.allclose(M, ref, rtol=1e-12, atol=1e-13 * np.max(np.abs(ref)))
+    regularized = [c for c in caught if issubclass(c.category, OriginRegularization)]
+    if kind == "graded":
+        # only the origin column drops its negative-order layers, in one warning
+        assert len(regularized) == 1
+        assert str(regularized[0].message).startswith("1 column(s)")
+    else:
+        assert not regularized
+    # the operator on an element whose images stay inside the window
+    a = alg.random_element(np.random.default_rng(41), 2, 8, angle=p.angle)
+    vec = np.zeros(w.dim, dtype=complex)
+    for (m, n), c in a.coeffs.items():
+        vec[w.index_of(m, n)] = c
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OriginRegularization)
+        img = apply_op(p, a)
+    out = ref @ vec
+    assert all(abs(img.coeff(*w.pair_of(i)) - out[i]) <= 1e-12 * np.max(np.abs(out))
+               for i in range(w.dim))
+    assert all(abs(m) <= w.bandwidth and abs(n) <= w.bandwidth for m, n in img.coeffs)
 
 
 def test_finite_section_scalar_symbol_diagonal():
