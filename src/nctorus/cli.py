@@ -50,7 +50,7 @@ from .symbols import (
 
 
 def _resolve_config(args) -> cfgmod.ExperimentConfig:
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = cfgmod.preset(args.preset)
     elif args.config:
         cfg = cfgmod.load(args.config)
@@ -356,9 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", type=str, default=None, help="config JSON (or a run manifest)")
-        p.add_argument("--preset", type=str, default=None,
-                       choices=sorted(cfgmod.PRESETS), help="named preset config")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", type=str, default=None,
+                            help="config JSON (or a run manifest)")
+        source.add_argument("--preset", type=str, default=None,
+                            choices=sorted(cfgmod.PRESETS), help="named preset config")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--bandwidth", type=int, default=None, help="window bandwidth N")
         p.add_argument("--tolerance-scale", type=float, default=None,

@@ -1,11 +1,12 @@
 """Parametrix terms, contour calculus and heat coefficients.
 
-The resolvent parametrix of the perturbed Laplacian is represented as an
-expression DAG over a handful of atoms: the resolvent (Q(xi) k^2 - lambda)^{-1},
-fixed algebra elements acting by left multiplication, and numeric xi-monomials.
-Differentiation in xi acts structurally on the DAG, so every term of the
-recursion for the subleading symbols is exact.  Heat coefficients come from a
-nested quadrature: lambda over a parabolic contour around the positive axis
+A term of the resolvent parametrix of the perturbed Laplacian is a sum of
+xi-polynomials times ordered words over two kinds of factor: the resolvent
+(Q(xi) k^2 - lambda)^{-1} and fixed algebra elements acting by left
+multiplication.  The xi-derivative and the torus derivation act on that
+normal form by the Leibniz rule, so every term of the recursion for the
+subleading symbols is exact.  Heat coefficients come from a nested
+quadrature: lambda over a parabolic contour around the positive axis
 (validated against the matrix exponential before every run) and xi over the
 sheared polar grid in which the leading quadratic form is exactly r^2.
 """
@@ -101,212 +102,163 @@ def laplace_symbol(cd: ConformalData) -> LaplaceSymbolData:
 
 
 # ---------------------------------------------------------------------------
-# expression DAG
+# parametrix expressions in normal form
+#
+# An expression is a tuple of (poly, word) terms: poly a xi-polynomial
+# {(e1, e2): complex} and word an ordered tuple of Resolvent and ElementAtom
+# factors.  There is one term per word, words compared by coefficient value,
+# and no zero coefficient; the empty tuple is zero.
 
-class Expr:
+class Resolvent:
+    """The factor (Q(xi) k^2 - lambda)^{-1}; lambda lives only here."""
+
     __slots__ = ()
-
-
-class Resolvent(Expr):
-    """The atom (Q(xi) k^2 - lambda)^{-1}; lambda lives only here."""
-
-    __slots__ = ()
+    key = "B0"
 
     def __repr__(self):
         return "B0"
 
 
-class ElementAtom(Expr):
-    """Left multiplication by a fixed algebra element."""
+class ElementAtom:
+    """Left multiplication by a fixed algebra element; its key (the
+    coefficients by value) is taken once, when the factor is built."""
 
-    __slots__ = ("elem", "label")
+    __slots__ = ("elem", "label", "key")
 
     def __init__(self, elem: NcElement, label: str = ""):
         self.elem = elem
         self.label = label
+        self.key = _elem_key(elem)
 
     def __repr__(self):
         return self.label or "elem"
 
 
-class ScalarPoly(Expr):
-    """Numeric polynomial in (xi1, xi2): {(e1, e2): complex}."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {k: complex(v) for k, v in coeffs.items() if v != 0.0}
-
-    def eval(self, x1: float, x2: float) -> complex:
-        return sum(c * (x1 ** e1) * (x2 ** e2) for (e1, e2), c in self.coeffs.items())
-
-    def derivative(self, axis: int) -> "ScalarPoly":
-        out: dict = {}
-        for (e1, e2), c in self.coeffs.items():
-            if axis == 1 and e1 > 0:
-                out[(e1 - 1, e2)] = out.get((e1 - 1, e2), 0.0) + e1 * c
-            if axis == 2 and e2 > 0:
-                out[(e1, e2 - 1)] = out.get((e1, e2 - 1), 0.0) + e2 * c
-        return ScalarPoly(out)
-
-    def __repr__(self):
-        return f"poly{self.coeffs}"
+def _elem_key(elem: NcElement):
+    return tuple(sorted(elem.coeffs.items()))
 
 
-class Scaled(Expr):
-    __slots__ = ("c", "child")
-
-    def __init__(self, c: complex, child: Expr):
-        self.c = complex(c)
-        self.child = child
-
-    def __repr__(self):
-        return f"({self.c:g})*{self.child!r}"
+def _word_key(word):
+    return tuple(f.key for f in word)
 
 
-class Sum(Expr):
-    __slots__ = ("children",)
-
-    def __init__(self, children):
-        self.children = tuple(children)
-
-    def __repr__(self):
-        return "(" + " + ".join(map(repr, self.children)) + ")" if self.children else "0"
+_RES = Resolvent()
+B0 = (({(0, 0): 1.0 + 0.0j}, (_RES,)),)
 
 
-class Prod(Expr):
-    __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-
-    def __repr__(self):
-        return "*".join(map(repr, self.factors))
+def _poly(coeffs: dict) -> dict:
+    return {m: complex(c) for m, c in coeffs.items() if c != 0.0}
 
 
-ZERO = Sum(())
-B0 = Resolvent()
+def _poly_eval(poly: dict, x1, x2):
+    return sum(c * (x1 ** e1) * (x2 ** e2) for (e1, e2), c in poly.items())
 
 
-def is_zero(e: Expr) -> bool:
-    return isinstance(e, Sum) and not e.children
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (a1, a2), ca in p.items():
+        for (b1, b2), cb in q.items():
+            key = (a1 + b1, a2 + b2)
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
 
 
-def _sum(children) -> Expr:
-    flat = []
-    for c in children:
-        if is_zero(c):
-            continue
-        if isinstance(c, Sum):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if not flat:
-        return ZERO
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(flat)
+def _poly_derivative(poly: dict, axis: int) -> dict:
+    out: dict = {}
+    for (e1, e2), c in poly.items():
+        e = e1 if axis == 1 else e2
+        if e:
+            key = (e1 - 1, e2) if axis == 1 else (e1, e2 - 1)
+            out[key] = out.get(key, 0.0) + e * c
+    return _poly(out)
 
 
-def _prod(factors) -> Expr:
-    flat = []
-    for f in factors:
-        if is_zero(f):
-            return ZERO
-        if isinstance(f, Prod):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    if len(flat) == 1:
-        return flat[0]
-    return Prod(flat)
-
-
-def _q_poly(ls: LaplaceSymbolData) -> ScalarPoly:
+def _q_poly(ls: LaplaceSymbolData) -> dict:
     c0, c1, c2 = ls.a2_q
-    return ScalarPoly({(2, 0): c0, (1, 1): c1, (0, 2): c2})
+    return _poly({(2, 0): c0, (1, 1): c1, (0, 2): c2})
 
 
-def _derive(e: Expr, leaf) -> Expr:
-    """The one derivation walker: the Leibniz rule through Scaled, Sum and
-    Prod nodes, with leaf(atom) the derivative of each atom."""
-    if isinstance(e, Scaled):
-        inner = _derive(e.child, leaf)
-        return ZERO if is_zero(inner) else Scaled(e.c, inner)
-    if isinstance(e, Sum):
-        return _sum(_derive(c, leaf) for c in e.children)
-    if isinstance(e, Prod):
-        terms = []
-        for i, f in enumerate(e.factors):
-            d = _derive(f, leaf)
-            if not is_zero(d):
-                terms.append(_prod(e.factors[:i] + (d,) + e.factors[i + 1:]))
-        return _sum(terms)
-    if isinstance(e, (Resolvent, ElementAtom, ScalarPoly)):
-        return leaf(e)
-    raise HeatError(f"unknown expression node {e!r}")
+def _merge(terms) -> tuple:
+    """Sum (poly, word) terms into normal form."""
+    grouped: dict = {}
+    for poly, word in terms:
+        acc = grouped.setdefault(_word_key(word), ({}, word))[0]
+        for mono, c in poly.items():
+            acc[mono] = acc.get(mono, 0.0) + c
+    merged = ((_poly(acc), word) for acc, word in grouped.values())
+    return tuple(t for t in merged if t[0])
 
 
-def xi_derivative_expr(e: Expr, axis: int, ls: LaplaceSymbolData) -> Expr:
-    """Exact structural derivative; on the resolvent atom
-    d_i B0 = -B0 (d_i Q) k^2 B0."""
-    def leaf(atom):
-        if isinstance(atom, Resolvent):
-            return Scaled(-1.0, _prod([B0, _q_poly(ls).derivative(axis),
-                                       ElementAtom(ls.k2, "k2"), B0]))
-        if isinstance(atom, ScalarPoly):
-            d = atom.derivative(axis)
-            return d if d.coeffs else ZERO
-        return ZERO
-    return _derive(e, leaf)
+def _sum(exprs) -> tuple:
+    return _merge(t for e in exprs for t in e)
 
 
-def delta_expr(e: Expr, axis: int, ls: LaplaceSymbolData) -> Expr:
-    """Torus derivation applied to the algebra content of an expression."""
-    def leaf(atom):
-        if isinstance(atom, Resolvent):
-            dk2 = ls.k2_d1 if axis == 1 else ls.k2_d2
-            if not dk2.coeffs:
-                return ZERO
-            return Scaled(-1.0, _prod([B0, _q_poly(ls), ElementAtom(dk2, f"d{axis}k2"), B0]))
-        if isinstance(atom, ElementAtom):
-            d = delta(axis, atom.elem)
-            return ElementAtom(d, f"d{axis}({atom.label})") if d.coeffs else ZERO
-        return ZERO
-    return _derive(e, leaf)
+def _prod(*factors) -> tuple:
+    """Product of expressions: words concatenate and polynomials multiply."""
+    out = (({(0, 0): 1.0 + 0.0j}, ()),)
+    for f in factors:
+        out = _merge((_poly_mul(p, q), w + v) for p, w in out for q, v in f)
+    return out
 
 
-def symbol_term_expr(ls: LaplaceSymbolData, k: int) -> Expr:
+def _const(c: complex) -> tuple:
+    return (({(0, 0): complex(c)}, ()),)
+
+
+def _atom(elem: NcElement, label: str, poly: dict | None = None) -> tuple:
+    """poly (default 1) times left multiplication by elem; zero if either is."""
+    poly = _poly({(0, 0): 1.0} if poly is None else poly)
+    return ((poly, (ElementAtom(elem, label),)),) if poly and elem.coeffs else ()
+
+
+def _derive(e: tuple, dpoly, dfactor) -> tuple:
+    """The one derivation: the Leibniz rule over each term, with dpoly(poly)
+    the derivative of its polynomial and dfactor(f), an expression, that of
+    each word factor."""
+    out = []
+    for poly, word in e:
+        out.append((dpoly(poly), word))
+        for i, f in enumerate(word):
+            out.extend((_poly_mul(poly, q), word[:i] + v + word[i + 1:]) for q, v in dfactor(f))
+    return _merge(out)
+
+
+def xi_derivative_expr(e: tuple, axis: int, ls: LaplaceSymbolData) -> tuple:
+    """Exact derivative in xi_axis; on the resolvent d_i B0 = -B0 (d_i Q) k^2 B0."""
+    dq = _poly_derivative(_q_poly(ls), axis)
+    dres = _prod(B0, _atom(ls.k2, "k2", {m: -c for m, c in dq.items()}), B0)
+    return _derive(e, lambda p: _poly_derivative(p, axis),
+                   lambda f: dres if isinstance(f, Resolvent) else ())
+
+
+def delta_expr(e: tuple, axis: int, ls: LaplaceSymbolData) -> tuple:
+    """Torus derivation of the algebra content: delta_j B0 = -B0 Q delta_j(k^2) B0,
+    and delta_j of an element factor is delta(j, elem)."""
+    dk2 = ls.k2_d1 if axis == 1 else ls.k2_d2
+    dres = _prod(B0, _atom(dk2, f"d{axis}k2", {m: -c for m, c in _q_poly(ls).items()}), B0)
+    return _derive(e, lambda p: {}, lambda f: dres if isinstance(f, Resolvent)
+                   else _atom(delta(axis, f.elem), f"d{axis}({f.label})"))
+
+
+def symbol_term_expr(ls: LaplaceSymbolData, k: int) -> tuple:
     """The order-k part of the Laplacian symbol as an expression (without
     the -lambda of the leading term)."""
     if k == 0:
-        return ElementAtom(ls.a0, "a0") if ls.a0.coeffs else ZERO
+        return _atom(ls.a0, "a0")
     if k == 1:
-        parts = []
-        if ls.a1_1.coeffs:
-            parts.append(_prod([ScalarPoly({(1, 0): 1.0}), ElementAtom(ls.a1_1, "a1_1")]))
-        if ls.a1_2.coeffs:
-            parts.append(_prod([ScalarPoly({(0, 1): 1.0}), ElementAtom(ls.a1_2, "a1_2")]))
-        return _sum(parts)
+        return _sum([_atom(ls.a1_1, "a1_1", {(1, 0): 1.0}), _atom(ls.a1_2, "a1_2", {(0, 1): 1.0})])
     if k == 2:
-        return _prod([_q_poly(ls), ElementAtom(ls.k2, "k2")])
+        return _atom(ls.k2, "k2", _q_poly(ls))
     raise HeatError("symbol order k must be 0, 1 or 2")
 
 
 @dataclass(frozen=True)
 class ParametrixTerms:
-    """Resolvent parametrix terms b_0 .. b_n with leaf-term counts."""
+    """Resolvent parametrix terms b_0 .. b_n in normal form, with their
+    term (word) counts."""
 
     terms: tuple
     term_counts: tuple
-
-
-def _leaf_count(e: Expr) -> int:
-    if is_zero(e):
-        return 0
-    if isinstance(e, Sum):
-        return sum(_leaf_count(c) for c in e.children)
-    return 1
 
 
 def _pairings(db, da, order: int):
@@ -316,7 +268,7 @@ def _pairings(db, da, order: int):
         for k, dak in enumerate(da):
             for l, (f, pb) in dbj.items():
                 ak = dak[l][1]
-                if sum(l) == k - 2 - j - order and not (is_zero(ak) or is_zero(pb)):
+                if sum(l) == k - 2 - j - order and ak and pb:
                     yield k, l, f, pb, ak
 
 
@@ -327,83 +279,18 @@ def _expansion(ls: LaplaceSymbolData, n_max: int):
     bs, db = [B0], []
     for n in range(1, n_max + 1):
         db.append(_leibniz(bs[-1], xi_derivative_expr, n_max - len(db), ls))
-        bs.append(_sum(Scaled(-f, _prod([pb, ak, B0]))
+        bs.append(_sum(_prod(_const(-f), pb, ak, B0)
                        for _, _, f, pb, ak in _pairings(db, da, -n)))
     return bs, db, da
 
 
 def parametrix_terms(ls: LaplaceSymbolData, n_max: int = 2) -> ParametrixTerms:
-    """Structural expansion of the recursion
+    """Expansion of the recursion
     b_n = - sum 1/(l1! l2!) d^l(b_j) delta^l(a_k) b_0 over 2+j+l1+l2-k = n."""
     if n_max > 2:
         raise HeatError("parametrix terms beyond n = 2 are not supported")
     bs, _, _ = _expansion(ls, n_max)
-    return ParametrixTerms(tuple(bs), tuple(_leaf_count(b) for b in bs))
-
-
-# ---------------------------------------------------------------------------
-# normal form: scalar xi-polynomial times an ordered word of matrix factors
-
-def _elem_key(elem: NcElement):
-    return tuple(sorted(elem.coeffs.items()))
-
-
-def _word_key(word):
-    return tuple(
-        "B0" if isinstance(f, Resolvent) else _elem_key(f.elem) for f in word
-    )
-
-
-def _raw_terms(e: Expr):
-    if is_zero(e):
-        return []
-    if isinstance(e, (Resolvent, ElementAtom)):
-        return [(1.0 + 0.0j, {(0, 0): 1.0 + 0.0j}, (e,))]
-    if isinstance(e, ScalarPoly):
-        return [(1.0 + 0.0j, dict(e.coeffs), ())]
-    if isinstance(e, Scaled):
-        return [(c * e.c, p, wds) for c, p, wds in _raw_terms(e.child)]
-    if isinstance(e, Sum):
-        out = []
-        for ch in e.children:
-            out.extend(_raw_terms(ch))
-        return out
-    if isinstance(e, Prod):
-        out = [(1.0 + 0.0j, {(0, 0): 1.0 + 0.0j}, ())]
-        for f in e.factors:
-            nxt = []
-            for c1, p1, w1 in out:
-                for c2, p2, w2 in _raw_terms(f):
-                    p = {}
-                    for (a1, a2), ca in p1.items():
-                        for (b1, b2), cb in p2.items():
-                            key = (a1 + b1, a2 + b2)
-                            p[key] = p.get(key, 0.0) + ca * cb
-                    nxt.append((c1 * c2, p, w1 + w2))
-            out = nxt
-        return out
-    raise HeatError(f"unknown expression node {e!r}")
-
-
-def normal_terms(e: Expr):
-    """Expand into [(poly, word)] pairs, poly a xi-monomial dict and word an
-    ordered tuple of Resolvent / ElementAtom factors; terms sharing the same
-    word (by coefficient value) are merged into a single polynomial."""
-    grouped: dict = {}
-    for c, poly, word in _raw_terms(e):
-        key = _word_key(word)
-        if key in grouped:
-            acc_poly, _ = grouped[key]
-            for mono, pc in poly.items():
-                acc_poly[mono] = acc_poly.get(mono, 0.0) + c * pc
-        else:
-            grouped[key] = ({mono: c * pc for mono, pc in poly.items()}, word)
-    out = []
-    for poly, word in grouped.values():
-        poly = {mono: pc for mono, pc in poly.items() if pc != 0.0}
-        if poly:
-            out.append((poly, word))
-    return out
+    return ParametrixTerms(tuple(bs), tuple(len(b) for b in bs))
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +312,17 @@ class _EigenEngine:
         self.vac = np.conj(self.basis[window.vacuum, :])
         self._atoms: dict = {}
 
-    def atom(self, elem: NcElement) -> np.ndarray:
-        key = _elem_key(elem)
-        if key not in self._atoms:
-            m = left_mult_matrix(elem, self.window).entries
-            self._atoms[key] = self.basis.conj().T @ m @ self.basis
-        return self._atoms[key]
+    def atom(self, f: ElementAtom) -> np.ndarray:
+        if f.key not in self._atoms:
+            m = left_mult_matrix(f.elem, self.window).entries
+            self._atoms[f.key] = self.basis.conj().T @ m @ self.basis
+        return self._atoms[f.key]
 
     def _apply(self, word, V: np.ndarray, rdiag: np.ndarray) -> np.ndarray:
         """Rows of V times the transposed word product; rdiag (the resolvent
         diagonal) broadcasts against V."""
         for node in reversed(word):
-            V = V * rdiag if isinstance(node, Resolvent) else V @ self.atom(node.elem).T
+            V = V * rdiag if isinstance(node, Resolvent) else V @ self.atom(node).T
         return V
 
     def word_vacuum(self, word, rdiag: np.ndarray) -> np.ndarray:
@@ -444,30 +330,30 @@ class _EigenEngine:
         rdiag (n_lambda, dim); returns shape (n_lambda,)."""
         return self._apply(word, self.vac, rdiag) @ np.conj(self.vac)
 
-    def matrix(self, terms, xi, lam: complex) -> np.ndarray:
-        """The normal-form terms [(poly, word)] at (xi, lambda) as a window
-        matrix in the standard basis; lambda near the spectrum is refused."""
+    def matrix(self, e: tuple, xi, lam: complex) -> np.ndarray:
+        """The expression e at (xi, lambda) as a window matrix in the
+        standard basis; lambda near the spectrum is refused."""
         x1, x2 = float(xi[0]), float(xi[1])
-        qs = _q_poly(self.ls).eval(x1, x2).real * self.svals
+        qs = _poly_eval(_q_poly(self.ls), x1, x2).real * self.svals
         dist = float(np.min(np.abs(qs - lam)))
         if dist < DIST_TOL:
             raise HeatError(f"lambda {lam:g} within {dist:.2e} of the section spectrum")
         rdiag = 1.0 / (qs - lam)
         eye = np.eye(self.window.dim)
         total = np.zeros_like(eye, dtype=complex)
-        for poly, word in terms:
-            val = ScalarPoly(poly).eval(x1, x2)
+        for poly, word in e:
+            val = _poly_eval(poly, x1, x2)
             if val != 0.0:
                 total += val * self._apply(word, eye, rdiag)
         return self.basis @ total.T @ self.basis.conj().T
 
 
-def eval_expr(e: Expr, xi, lam: complex, w: BasisWindow,
+def eval_expr(e: tuple, xi, lam: complex, w: BasisWindow,
               ls: LaplaceSymbolData) -> FiniteSectionOperator:
     """Evaluate an expression to a dense matrix at the point (xi, lambda),
     through the eigenbasis of the k^2 section; lambda within DIST_TOL of the
     spectrum of Q(xi) k^2 is refused."""
-    return FiniteSectionOperator(w, _EigenEngine(ls, w).matrix(normal_terms(e), xi, lam))
+    return FiniteSectionOperator(w, _EigenEngine(ls, w).matrix(e, xi, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +466,7 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     im_tau = ls.tau.im
     params = {"radial_nodes": radial_nodes, "rmax": rmax,
               "window": engine.window.bandwidth, "contour_nodes": contour.nodes}
-    terms = normal_terms(B0 if n == 0 else parametrix_terms(ls, 2).terms[2])
+    terms = B0 if n == 0 else parametrix_terms(ls, 2).terms[2]
     if not terms:
         return HeatCoefficientResult(
             value=0.0, tail=0.0, contour_error=cerr, imag_residual=0.0,
@@ -603,12 +489,11 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     dir2 = np.sin(angs) / im_tau
     w_ang = 2.0 * math.pi / angular_nodes
     exp_lam = np.exp(-lam)
-    polys = [(ScalarPoly(poly), word) for poly, word in terms]
     total = 0.0 + 0.0j
     for r, wgt in zip(rs, wr):
         rdiag = 1.0 / ((r * r) * s[np.newaxis, :] - lam[:, np.newaxis])
-        for poly, word in polys:
-            ang_int = w_ang * np.sum(poly.eval(r * dir1, r * dir2))
+        for poly, word in terms:
+            ang_int = w_ang * np.sum(_poly_eval(poly, r * dir1, r * dir2))
             if abs(ang_int) < 1e-300:
                 continue
             lam_int = np.sum(wq * exp_lam * engine.word_vacuum(word, rdiag))
@@ -637,11 +522,11 @@ def parametrix_residual(ls: LaplaceSymbolData, lam: complex, window: BasisWindow
     for g in (0, -1, -2):
         pieces = []
         for k, l, f, pb, ak in _pairings(db, da, g):
-            pieces.append(Scaled(f, _prod([pb, ak])))
+            pieces.append(_prod(_const(f), pb, ak))
             if k == 2 and l == (0, 0):
                 # leading symbol carries -lambda
-                pieces.append(Scaled(-lam * f, pb))
-        terms = normal_terms(_sum(pieces))
+                pieces.append(_prod(_const(-lam * f), pb))
+        terms = _sum(pieces)
         worst = 0.0
         for xi in XI_SAMPLES:
             m = engine.matrix(terms, xi, lam)

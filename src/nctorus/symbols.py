@@ -147,14 +147,6 @@ class GradedSymbol:
         return GradedSymbol(self.angle, self.top_order, self.depth, out,
                             self.winding_cutoff)
 
-    def scaled(self, c: complex) -> "GradedSymbol":
-        out = {
-            d: {w: scale(c, e) for w, e in spec.items()}
-            for d, spec in self.layers.items()
-        }
-        return GradedSymbol(self.angle, self.top_order, self.depth, out,
-                            self.winding_cutoff, self.exact_eval)
-
     def __repr__(self):
         degs = sorted(self.layers, reverse=True)
         return (f"GradedSymbol(top={self.top_order}, depth={self.depth}, "

@@ -103,6 +103,14 @@ def test_cli_weyl_negative_control(tmp_path):
     assert _run(["weyl", "--config", str(cfg_path)]) == 1
 
 
+def test_cli_preset_and_config_are_exclusive(tmp_path, capsys):
+    cfg_path = small_flat_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--preset", "flat", "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_cli_heat_flat(tmp_path):
     cfg_path = small_flat_config(tmp_path, flat_band=120)
     assert _run(["heat", "--config", str(cfg_path)]) == 0

@@ -31,7 +31,6 @@ from nctorus.heat import (
     heat_coefficient,
     heat_trace_fit,
     laplace_symbol,
-    normal_terms,
     parametrix_residual,
     parametrix_terms,
     trimmed_symbol_data,
@@ -98,7 +97,7 @@ def test_parametrix_b1_contains_first_order_term(ls_default):
     # leaving the -b0 a1 b0 leaf and one derivative leaf
     pt = parametrix_terms(ls_default, 1)
     assert pt.term_counts[1] == 2
-    terms = normal_terms(pt.terms[1])
+    terms = pt.terms[1]
     # the -b0 a1 b0 contribution: word (B0, a1_1, B0) with polynomial -xi1
     keys = {heat._word_key(w): p for p, w in terms}
     want = ("B0", heat._elem_key(ls_default.a1_1), "B0")
@@ -137,7 +136,7 @@ def test_eval_expr_matches_dense_inverse(block_case):
 
     def dense(e):
         total = np.zeros((w.dim, w.dim), dtype=complex)
-        for poly, word in normal_terms(e):
+        for poly, word in e:
             m = np.eye(w.dim)
             for f in word:
                 m = m @ (b0m if isinstance(f, heat.Resolvent) else
@@ -161,24 +160,41 @@ def test_xi_derivative_matches_finite_differences(ls_default):
     w = BasisWindow(5)
     lam = -1.0 + 2.0j
     xi = (0.9, 0.6)
-    errs = []
-    for hstep in (1e-3, 5e-4):
-        for axis, e1 in ((1, (hstep, 0.0)), (2, (0.0, hstep))):
-            plus = eval_expr(B0, (xi[0] + e1[0], xi[1] + e1[1]), lam, w, ls_default).entries
-            minus = eval_expr(B0, (xi[0] - e1[0], xi[1] - e1[1]), lam, w, ls_default).entries
-            fd = (plus - minus) / (2 * hstep)
-            exact = eval_expr(
-                xi_derivative_expr(B0, axis, ls_default), xi, lam, w, ls_default
-            ).entries
-            errs.append((hstep, float(np.max(np.abs(fd - exact)))))
-    # second-order convergence: halving h divides the error by about four
-    by_h = {}
-    for hstep, err in errs:
-        by_h.setdefault(hstep, []).append(err)
-    e1 = max(by_h[1e-3])
-    e2 = max(by_h[5e-4])
-    order = math.log(e1 / e2) / math.log(2.0)
-    assert order > 1.9
+    for b in parametrix_terms(ls_default, 2).terms:
+        errs = []
+        for hstep in (1e-3, 5e-4):
+            for axis, e1 in ((1, (hstep, 0.0)), (2, (0.0, hstep))):
+                plus = eval_expr(b, (xi[0] + e1[0], xi[1] + e1[1]), lam, w, ls_default).entries
+                minus = eval_expr(b, (xi[0] - e1[0], xi[1] - e1[1]), lam, w, ls_default).entries
+                fd = (plus - minus) / (2 * hstep)
+                exact = eval_expr(
+                    xi_derivative_expr(b, axis, ls_default), xi, lam, w, ls_default
+                ).entries
+                errs.append((hstep, float(np.max(np.abs(fd - exact)))))
+        # second-order convergence: halving h divides the error by about four
+        by_h = {}
+        for hstep, err in errs:
+            by_h.setdefault(hstep, []).append(err)
+        e1 = max(by_h[1e-3])
+        e2 = max(by_h[5e-4])
+        order = math.log(e1 / e2) / math.log(2.0)
+        assert order > 1.9
+
+
+def test_delta_is_commutator_on_parametrix_terms(block_case):
+    """delta_j of each of b0, b1, b2 evaluates to the commutator with
+    D_j = diag(m) or diag(n) of the window: the Leibniz rule over the words,
+    the resolvent rule and the element rule together."""
+    cd, _ = block_case
+    ls = laplace_symbol(cd)
+    w = BasisWindow(3)
+    xi, lam = (0.8, -0.5), -1.0 + 2.0j
+    for b in parametrix_terms(ls, 2).terms:
+        m = eval_expr(b, xi, lam, w, ls).entries
+        for axis, grid in zip((1, 2), w.index_grids()):
+            d = np.diag(grid.astype(float))
+            got = eval_expr(delta_expr(b, axis, ls), xi, lam, w, ls).entries
+            assert np.max(np.abs(got - (d @ m - m @ d))) <= 1e-12 * np.max(np.abs(m))
 
 
 def test_contour_matches_matrix_exponential():

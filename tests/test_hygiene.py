@@ -1,12 +1,16 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every function, class and method of the library is referenced somewhere."""
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nctorus"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nctorus"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+CALLERS = ("src", "tests", "perfbench")
 
 
 def _unused_imports(tree: ast.AST):
@@ -22,6 +26,40 @@ def _unused_imports(tree: ast.AST):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+@lru_cache(maxsize=None)
+def _references():
+    """(names read or imported, attributes accessed) over every caller file."""
+    names, attrs = set(), set()
+    for d in CALLERS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+                elif isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+    return names, attrs
+
+
+def _unreferenced(tree: ast.Module):
+    """Top-level functions and classes that no caller names, and methods
+    (dunders aside) that no caller reaches as an attribute."""
+    names, attrs = _references()
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    known, dead = names | attrs, []
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        if node.name not in known:
+            dead.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            dead.extend((item.lineno, f"{node.name}.{item.name}") for item in node.body
+                        if isinstance(item, defs[:2]) and not item.name.startswith("__")
+                        and item.name not in attrs)
+    return dead
+
+
 def test_scan_sees_modules():
     assert len(MODULES) >= 8
 
@@ -30,3 +68,9 @@ def test_scan_sees_modules():
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_definitions(path):
+    dead = _unreferenced(ast.parse(path.read_text(encoding="utf-8")))
+    assert not dead, ", ".join(f"{path.name}:{line} {name}" for line, name in dead)
