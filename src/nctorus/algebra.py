@@ -253,15 +253,16 @@ def trace_t(a: NcElement) -> complex:
 
 def trace_of_product(a: NcElement, b: NcElement) -> complex:
     """trace(a b) as a sparse pairing, without materializing the product:
-    sum over (m,n) of a_{m,n} b_{-m,-n} e^{-2 pi i theta m n}.  The summand is
-    even under (m,n) -> (-m,-n), so one loop over the smaller operand serves."""
+    sum over (m,n) of a_{m,n} b_{-m,-n} e^{-2 pi i theta m n}.  The phase is
+    the same at (m,n) and (-m,-n), so the sum runs over the smaller support."""
     _check_same_angle(a, b)
+    theta = a.theta
     small, big = (a, b) if len(a.coeffs) <= len(b.coeffs) else (b, a)
     out = 0.0 + 0.0j
     for (m, n), c in small.coeffs.items():
         other = big.coeffs.get((-m, -n))
         if other is not None:
-            out += c * other * _phase(a.theta, -m * n)
+            out += c * other * _phase(theta, -m * n)
     return out
 
 
