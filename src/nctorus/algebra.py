@@ -201,10 +201,17 @@ def _box(a: NcElement):
 
 
 def _from_box(angle: DeformationAngle, bandwidth: int, lo, box: np.ndarray) -> NcElement:
-    """The element whose coefficient at (m, n) is box[m - lo[0], n - lo[1]]."""
+    """The element whose coefficient at (m, n) is box[m - lo[0], n - lo[1]].
+
+    The caller guarantees that the box lies inside the bandwidth box, so the
+    slots are set directly, without NcElement's per-key checks."""
     i, j = np.nonzero(box)
     keys = zip((i + lo[0]).tolist(), (j + lo[1]).tolist())
-    return NcElement(angle, bandwidth, dict(zip(keys, box[i, j].tolist())))
+    out = NcElement.__new__(NcElement)
+    out.angle = angle
+    out.bandwidth = bandwidth
+    out.coeffs = dict(zip(keys, box[i, j].tolist()))
+    return out
 
 
 def mul(a: NcElement, b: NcElement) -> NcElement:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -68,12 +69,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.theta < 1.0:
             raise ConfigError(f"theta must be in (0,1), got {self.theta}")
+        object.__setattr__(self, "tau", _finite_reals("tau", self.tau, 2))
         if self.tau[1] <= 0.0:
             raise ConfigError("tau must lie in the upper half-plane")
+        for name in INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.bandwidth < 1 or self.pad < 1:
             raise ConfigError("bandwidth and pad must be positive")
-        object.__setattr__(self, "tau", tuple(float(v) for v in self.tau))
+        for row in self.h_spec:
+            m, n, _, _ = _finite_reals("h_spec row [m, n, re, im]", row, 4)
+            if not (m.is_integer() and n.is_integer()):
+                raise ConfigError(f"h_spec row needs integer m, n, got {list(row)}")
         object.__setattr__(self, "h_spec", _symmetrize_h(self.h_spec, self.theta))
+        contour = _finite_reals("contour [alpha, beta, gamma, nodes]", self.contour, 4)
+        if not contour[3].is_integer():
+            raise ConfigError(f"contour nodes must be an integer, got {self.contour[3]!r}")
         object.__setattr__(self, "contour", tuple(self.contour))
         if self.weyl_fit_window is not None:
             object.__setattr__(
@@ -130,6 +142,22 @@ class ExperimentConfig:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+INTEGER_FIELDS = ("bandwidth", "pad", "flat_band", "radial_nodes", "angular_nodes",
+                  "window_pad", "t_points")
+
+
+def _finite_reals(name: str, values, length: int) -> tuple:
+    """values as a tuple of floats, or ConfigError unless they are exactly
+    length finite numbers."""
+    try:
+        out = tuple(float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be {length} numbers, got {values!r}") from None
+    if len(out) != length or not all(math.isfinite(v) for v in out):
+        raise ConfigError(f"{name} must be {length} finite numbers, got {list(values)}")
+    return out
 
 
 def _symmetrize_h(h_spec, theta: float) -> tuple:

@@ -2,16 +2,17 @@
 
 The monomial basis U^m V^n with |m|,|n| <= N is enumerated row-major (m outer,
 n inner).  Left/right multiplication operators and the flat and conformally
-perturbed Laplacians are compressed to this window as dense matrices; a
+perturbed Laplacians are compressed to this window as sparse CSR matrices; a
 generalized eigenvalue pencil built from the weighted inner product provides
 an independent construction of the perturbed spectrum.
 
 A section couples (m,n) only to (m,n) plus the lattice spanned by the support
-of its coefficients: for h on Z x {0}, 2N+1 independent rows.  Every solve and
-the K D K product run on the blocks ``coupling_blocks`` finds, the connected
-components of the joint nonzero pattern; a connected pattern (generic h) is one
-block, the dense solve on the whole window.  The Weyl factor's section stays
-sparse; matrices handed out stay dense.
+of its coefficients: for h on Z x {0}, 2N+1 independent rows.  Every solve
+runs on the blocks ``coupling_blocks`` finds, the connected components of the
+joint nonzero pattern; a connected pattern (generic h) is one block, the dense
+solve on the whole window.  A section stays sparse from assembly to solve;
+only the blocks handed to LAPACK, and ``FiniteSectionOperator.entries``, are
+dense.
 """
 
 from __future__ import annotations
@@ -74,33 +75,37 @@ class BasisWindow:
         return self.index_of(0, 0)
 
 
-def _max_asymmetry(a: np.ndarray) -> float:
-    """max |a - a^H| over slabs of rows with at most 2^22 entries, so that no
-    temporary of the full size is made; a smaller matrix is one slab."""
-    rows = max(1, 2 ** 22 // a.shape[0])
-    return max(float(np.max(np.abs(a[i:i + rows] - a[:, i:i + rows].conj().T)))
-               for i in range(0, a.shape[0], rows))
-
-
 @dataclass
 class FiniteSectionOperator:
-    """Dense matrix over a basis window, optionally flagged selfadjoint."""
+    """Sparse matrix over a basis window, optionally flagged selfadjoint.
+
+    matrix is kept as a canonical CSR matrix (sorted indices, no duplicates):
+    the real and imaginary parts of a CSR matrix share its index arrays, and
+    some scipy operations sort them in place.  A dense array is accepted and
+    converted; entries is the dense matrix, built on each read.
+    """
 
     window: BasisWindow
-    entries: np.ndarray
+    matrix: sp.csr_matrix
     selfadjoint: bool = False
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.matrix = sp.csr_matrix(self.matrix)
+        self.matrix.sum_duplicates()
         d = self.window.dim
-        if self.entries.shape != (d, d):
+        if self.matrix.shape != (d, d):
             raise SectionError(
-                f"matrix shape {self.entries.shape} does not match window dim {d}"
+                f"matrix shape {self.matrix.shape} does not match window dim {d}"
             )
         if self.selfadjoint:
-            asym = _max_asymmetry(self.entries)
+            asym = float(abs(self.matrix - self.matrix.conj().T).max())
             if asym > HERMITICITY_TOL:
                 raise SectionError(f"selfadjoint flag set but asymmetry {asym:.3e}")
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.matrix.toarray()
 
     @property
     def dim(self) -> int:
@@ -123,13 +128,12 @@ class SpectrumResult:
 
 def left_mult_matrix(a: NcElement, w: BasisWindow) -> FiniteSectionOperator:
     """Finite section of the left regular action of a."""
-    return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w.bandwidth).toarray())
+    return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w.bandwidth))
 
 
 def right_mult_matrix(a: NcElement, w: BasisWindow) -> FiniteSectionOperator:
     """Finite section of right multiplication by a (used for weighted Grams)."""
-    return FiniteSectionOperator(
-        w, _mult_section(a.theta, a.coeffs, w.bandwidth, right=True).toarray())
+    return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w.bandwidth, right=True))
 
 
 def quadratic_form_values(tau: ModuliPoint, m, n):
@@ -143,46 +147,42 @@ def flat_laplacian_matrix(tau: ModuliPoint, w: BasisWindow) -> FiniteSectionOper
     """Diagonal section of the flat Laplacian for the modulus tau."""
     mm, nn = w.index_grids()
     diag = quadratic_form_values(tau, mm, nn)
-    return FiniteSectionOperator(w, np.diag(diag).astype(complex), selfadjoint=True)
+    return FiniteSectionOperator(w, sp.diags(diag.astype(complex)), selfadjoint=True)
 
 
-def _as_real_if_possible(mat):
-    """mat, dense or sparse, with real entries if none has an imaginary part."""
-    if np.iscomplexobj(mat) and not (mat.imag != 0).sum():
+def _as_real_if_possible(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """mat with real entries if none has an imaginary part."""
+    if np.iscomplexobj(mat) and not mat.imag.count_nonzero():
         return mat.real
     return mat
 
 
 def coupling_blocks(*mats) -> list:
     """Index sets (ascending) of the connected components of the joint nonzero
-    pattern: every mat is block diagonal under one common permutation."""
-    pattern = mats[0] != 0
+    pattern of the mats, dense or sparse: every mat is block diagonal under
+    one common permutation."""
+    pattern = sp.csr_matrix(mats[0]) != 0
     for m in mats[1:]:
-        pattern |= m != 0
-    count, labels = connected_components(sp.csr_matrix(pattern), directed=False)
+        pattern = pattern + (sp.csr_matrix(m) != 0)
+    count, labels = connected_components(pattern, directed=False)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
 def block_stacks(blocks, *mats):
-    """Per block size, yield (sel, subs): the entries sel of a window matrix
-    stack the diagonal blocks of that size as a (count, size, size) array,
-    and subs holds these stacks of each mat, dense or sparse.  A single block
-    is the whole window: sel is then (None, ...) and subs the mats as
-    contiguous arrays, a view of a contiguous dense mat."""
+    """Per block size, yield the diagonal blocks of that size of each sparse
+    mat, stacked as a dense (count, size, size) array.  A single block is the
+    whole window."""
     if len(blocks) == 1:
-        yield (None, Ellipsis), [
-            (m.toarray() if sp.issparse(m) else np.ascontiguousarray(m))[None] for m in mats]
+        yield [m.toarray()[None] for m in mats]
         return
     by_size: dict = {}
     for b in blocks:
         by_size.setdefault(b.size, []).append(b)
     for group in by_size.values():
         idx = np.stack(group)
-        sel = (idx[:, :, None], idx[:, None, :])
-        rows, cols = np.broadcast_arrays(*sel)
-        yield sel, [np.asarray(m[rows.ravel(), cols.ravel()]).reshape(rows.shape)
-                    for m in mats]
+        rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
+        yield [np.asarray(m[rows.ravel(), cols.ravel()]).reshape(rows.shape) for m in mats]
 
 
 def _block_diagnostics(blocks) -> dict:
@@ -193,35 +193,23 @@ def _block_diagnostics(blocks) -> dict:
 def perturbed_laplacian_matrix(cd: ConformalData, w: BasisWindow) -> FiniteSectionOperator:
     """Finite section of the conformally perturbed Laplacian k (flat) k.
 
-    Assembled as K D K with K the sparse left-multiplication section of the
-    Weyl factor and D the diagonal flat Laplacian, one coupling block of K at
-    a time, then symmetrized as (M+M^H)/2; the discarded asymmetry magnitude
-    is reported in diagnostics.
+    Assembled as the sparse product K D K with K the left-multiplication
+    section of the Weyl factor and D the diagonal flat Laplacian, then
+    symmetrized as (M+M^H)/2; the discarded asymmetry magnitude and the
+    coupling blocks of K are reported in diagnostics.
     """
     K = _as_real_if_possible(_mult_section(cd.k.theta, cd.k.coeffs, w.bandwidth))
     mm, nn = w.index_grids()
-    diag = quadratic_form_values(cd.tau, mm, nn)
-    blocks = coupling_blocks(K)
-    M = None if len(blocks) == 1 else np.zeros(K.shape, dtype=K.dtype)
-    asym = 0.0
-    for sel, (Kb,) in block_stacks(blocks, K):
-        Mb = (Kb * diag[sel[1]]) @ Kb
-        del Kb  # a dense copy: free it before the symmetrization's temporaries
-        MbH = Mb.conj().swapaxes(1, 2)
-        asym = max(asym, float(np.max(np.abs(Mb - MbH))))
-        Mb += MbH
-        Mb /= 2.0
-        if M is None:  # the one block is the whole window
-            M = Mb[0]
-        else:
-            M[sel] = Mb
+    M = K @ sp.diags(quadratic_form_values(cd.tau, mm, nn)) @ K
+    MH = M.conj().T
+    asym = float(abs(M - MH).max())
     if asym > 1e-8:
         raise SectionError(
             f"perturbed Laplacian asymmetry {asym:.3e}; Weyl factor cache inconsistent"
         )
     return FiniteSectionOperator(
-        w, M, selfadjoint=True,
-        diagnostics={"asymmetry": asym, **_block_diagnostics(blocks)},
+        w, (M + MH) / 2.0, selfadjoint=True,
+        diagnostics={"asymmetry": asym, **_block_diagnostics(coupling_blocks(K))},
     )
 
 
@@ -237,16 +225,16 @@ def gram_laplacian_matrix(cd: ConformalData, w: BasisWindow):
     """
     mm, nn = w.index_grids()
     d = mm + cd.tau.value.conjugate() * nn
-    stiffness = np.diag(d.conj() * d)
+    stiffness = sp.diags(d.conj() * d)
     # G_phi is the transpose of the right-multiplication section of e^{-h}
     k_inv2 = cd.k_inv2
-    gram = _mult_section(k_inv2.theta, k_inv2.coeffs, w.bandwidth, right=True).T.toarray()
-    asym = float(np.max(np.abs(gram - gram.conj().T)))
+    gram = _mult_section(k_inv2.theta, k_inv2.coeffs, w.bandwidth, right=True).T
+    gram_h = gram.conj().T
+    asym = float(abs(gram - gram_h).max())
     if asym > HERMITICITY_TOL:
         raise SectionError(f"weighted Gram asymmetry {asym:.3e}")
-    gram = (gram + gram.conj().T) / 2.0
     op = FiniteSectionOperator(w, stiffness, selfadjoint=True)
-    gm = FiniteSectionOperator(w, gram, selfadjoint=True)
+    gm = FiniteSectionOperator(w, (gram + gram_h) / 2.0, selfadjoint=True)
     return op, gm
 
 
@@ -258,11 +246,11 @@ def hermitian_spectrum(op: FiniteSectionOperator, positive: bool = False) -> Spe
     """
     if not op.selfadjoint:
         raise SectionError("hermitian_spectrum requires the selfadjoint flag")
-    mat = _as_real_if_possible(op.entries)
+    mat = _as_real_if_possible(op.matrix)
     blocks = coupling_blocks(mat)
     try:
         ev = np.concatenate([np.linalg.eigvalsh(sub).ravel()
-                             for _, (sub,) in block_stacks(blocks, mat)])
+                             for (sub,) in block_stacks(blocks, mat)])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
         raise SectionError(f"eigensolver failed: {exc}") from exc
     ev = np.sort(ev)
@@ -277,11 +265,11 @@ def hermitian_spectrum(op: FiniteSectionOperator, positive: bool = False) -> Spe
 def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator) -> SpectrumResult:
     """Ascending generalized eigenvalues of the pencil (op, gram), solved on
     the coupling blocks of their joint pattern."""
-    blocks = coupling_blocks(op.entries, gram.entries)
+    blocks = coupling_blocks(op.matrix, gram.matrix)
     try:
         ev = np.concatenate([
             sla.eigh(a, b, eigvals_only=True)
-            for _, stacks in block_stacks(blocks, op.entries, gram.entries)
+            for stacks in block_stacks(blocks, op.matrix, gram.matrix)
             for a, b in zip(*stacks)
         ])
     except np.linalg.LinAlgError as exc:
@@ -294,7 +282,7 @@ def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator)
 def vacuum_expectation(op: FiniteSectionOperator) -> complex:
     """Matrix entry at the vacuum basis vector; the trace of g(k^2) routes."""
     v = op.window.vacuum
-    return complex(op.entries[v, v])
+    return complex(op.matrix[v, v])
 
 
 def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .algebra import ConformalData, ModuliPoint, invert_positive, mul, trace_t
 from .gns import (
@@ -26,7 +27,7 @@ from .gns import (
     quadratic_form_values,
     trace_kinv2_matrix_route,
 )
-from .symbols import GradedSymbol, _op_section, residue
+from .symbols import GradedSymbol, finite_section_of_op, residue
 
 
 class SpectralError(ValueError):
@@ -292,10 +293,10 @@ class ConnesReport:
 def singular_values_descending(mat) -> np.ndarray:
     """Singular values of square mat, dense or sparse, via the Gram matrix of
     each coupling block."""
-    mat = _as_real_if_possible(mat)
+    mat = _as_real_if_possible(sp.csr_matrix(mat))
     ev = np.concatenate([
         np.linalg.eigvalsh(b.conj().swapaxes(1, 2) @ b).ravel()
-        for _, (b,) in block_stacks(coupling_blocks(mat), mat)
+        for (b,) in block_stacks(coupling_blocks(mat), mat)
     ])
     return np.sqrt(np.clip(np.sort(ev), 0.0, None))[::-1]
 
@@ -313,7 +314,7 @@ def connes_trace_check(p: GradedSymbol, w: BasisWindow,
     if p.top_order != -2:
         raise SpectralError("the trace comparison needs a symbol of order -2")
     res = residue(p).real
-    mu = singular_values_descending(_op_section(p, w))
+    mu = singular_values_descending(finite_section_of_op(p, w).matrix)
     keep = max(1000, int(mu.size * (1.0 - tail_fraction)))
     est = dixmier_estimate(DixmierData(mu[:keep]))
     ratio = est.value / res if res != 0.0 else math.inf

@@ -451,17 +451,13 @@ def apply_op(p, a: NcElement) -> NcElement:
     return _from_box(a.angle, bw, lo, out)
 
 
-def _op_section(p, w: BasisWindow):
-    """Sparse section of the operator of p on the window: column (m,n) holds
-    the coefficients of the operator applied to U^m V^n, clipped to the
+def finite_section_of_op(p, w: BasisWindow) -> FiniteSectionOperator:
+    """Sparse finite section of the operator of p on the window: column (m,n)
+    holds the coefficients of the operator applied to U^m V^n, clipped to the
     window."""
     mm, nn = w.index_grids()
-    return _mult_section(p.angle.theta, _column_terms(p, mm, nn), w.bandwidth)
-
-
-def finite_section_of_op(p, w: BasisWindow) -> FiniteSectionOperator:
-    """Dense finite section of the operator of p (see _op_section)."""
-    return FiniteSectionOperator(w, _op_section(p, w).toarray())
+    return FiniteSectionOperator(
+        w, _mult_section(p.angle.theta, _column_terms(p, mm, nn), w.bandwidth))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,10 @@ def test_config_rejects_bad_input():
         cfgmod.from_dict({"nonsense_key": 1})
     with pytest.raises(cfgmod.ConfigError):
         cfgmod.default_config().tolerance("no_such_tolerance")
+    for bad in ({"tau": [1.0]}, {"tau": [0.0, math.nan]}, {"contour": [1, 1, 4]},
+                {"h_spec": [[1, 0, 0.4]]}, {"bandwidth": 2.5}):
+        with pytest.raises(cfgmod.ConfigError):
+            cfgmod.from_dict(bad)
 
 
 def test_csv_rfc4180_line_endings(tmp_path):

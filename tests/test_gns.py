@@ -1,6 +1,7 @@
 """Tests for finite sections, Laplacian matrices and spectra."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -316,3 +317,69 @@ def test_block_path_matches_dense_reference(block_case):
     assert gns.trace_kinv2_matrix_route(cd, pad=8) == pytest.approx(
         vacuum_col[w2.vacuum].real, rel=1e-10
     )
+
+
+def test_noncanonical_csr_section_keeps_its_spectrum():
+    """A CSR input with unsorted column indices and duplicate entries is
+    canonicalized on construction: the real and imaginary parts of a CSR
+    matrix share its index arrays, so sorting them in place would scramble a
+    non-canonical matrix."""
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(14)
+    w = BasisWindow(1)
+    a = rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim))
+    a[np.abs(a) < 0.8] = 0.0
+    a = a + a.conj().T
+    r, c = np.nonzero(a)
+    # every entry stored twice as two halves, columns descending within a row
+    rows, cols = np.concatenate([r, r]), np.concatenate([c, c])
+    vals = np.concatenate([a[r, c], a[r, c]]) / 2.0
+    order = np.lexsort((-cols, rows))
+    indptr = np.searchsorted(rows[order], np.arange(w.dim + 1))
+    mat = sp.csr_matrix((vals[order], cols[order], indptr), shape=a.shape)
+    assert not mat.has_sorted_indices
+    dense = mat.toarray()
+    assert np.allclose(dense, a)
+    op = gns.FiniteSectionOperator(w, mat, selfadjoint=True)
+    assert np.array_equal(op.entries, dense)
+    assert _rel_gap(hermitian_spectrum(op).eigenvalues, np.linalg.eigvalsh(dense)) < 1e-13
+
+
+def test_perturbed_section_stays_sparse(cd_default):
+    """At N = 48 the rank-1 K D K holds no more entries than its coupling
+    blocks of K can carry."""
+    w = BasisWindow(48)
+    P = perturbed_laplacian_matrix(cd_default, w)
+    K = left_mult_matrix(cd_default.k, w).matrix
+    bound = sum(b.size ** 2 for b in gns.coupling_blocks(K))
+    assert P.matrix.nnz <= bound < w.dim ** 2 // 50
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_verify_criteria_3_and_10_memory(tmp_path):
+    """`nctorus verify --criteria 3,10` on one BLAS thread peaks below 300 MB.
+
+    The peak is the child's own VmHWM: its ru_maxrss would carry over the
+    peak of the launching process (here pytest) across exec."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nctorus
+
+    src = str(Path(nctorus.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from nctorus.cli import main\n"
+            "rc = main(['verify', '--criteria', '3,10', '--out', sys.argv[1]])\n"
+            "print(next(line for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')).split()[1])\n"
+            "sys.exit(rc)\n")
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    peak_mb = int(run.stdout.split()[-1]) / 1024.0
+    assert peak_mb < 300.0

@@ -529,3 +529,30 @@ def test_winding_overflow_reported():
         p = classicalize_resolvent(1.0, ModuliPoint(0.9, 0.35), depth=1, angle=GOLDEN,
                                    winding_cutoff=8, insufficiency_tol=1e-12)
     assert p.diagnostics.get("discarded_winding_mass", 0.0) > 0.0
+
+
+def _assert_well_formed(e: NcElement):
+    """What NcElement's constructor checks: every key inside the declared
+    bandwidth box, integer keys, nonzero complex coefficients."""
+    assert type(e.bandwidth) is int
+    assert all(type(m) is int and type(n) is int for m, n in e.coeffs)
+    assert all(max(abs(m), abs(n)) <= e.bandwidth for m, n in e.coeffs)
+    assert all(type(c) is complex and c != 0 for c in e.coeffs.values())
+
+
+def test_mul_and_apply_op_results_are_well_formed():
+    # (1 + U)(1 - U) = 1 - U^2: the U coefficients cancel exactly
+    prod = mul(add(ONE, U), add(ONE, scale(-1.0, U)))
+    assert set(prod.coeffs) == {(0, 0), (2, 0)}
+    _assert_well_formed(prod)
+    # xi_1 sends every column with m = 0 to zero
+    d1 = PolySymbol(GOLDEN, {(1, 0): ONE})
+    img = apply_op(d1, add(make_monomial(0, 2), make_monomial(1, 1)))
+    assert set(img.coeffs) == {(1, 1)}
+    _assert_well_formed(img)
+    rng = np.random.default_rng(52)
+    for _ in range(20):
+        a = alg.random_element(rng, 3, 6)
+        b = alg.random_element(rng, 2, 5)
+        _assert_well_formed(mul(a, b))
+        _assert_well_formed(apply_op(PolySymbol(GOLDEN, {(1, 0): b, (0, 2): ONE}), a))
