@@ -9,13 +9,17 @@ wall-clock content, so replaying a manifest reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import __version__, acceptance, config as cfgmod, io as iomod
+from .algebra import unit
 from .gns import BasisWindow, hermitian_spectrum, perturbed_laplacian_matrix
 from .heat import (
     ContourSpec,
@@ -48,6 +52,9 @@ from .symbols import (
     symbol_to_json_dict,
 )
 
+# the lattice disk Q(m, n) <= DISK_QMAX behind the analytic Dixmier estimates
+DISK_QMAX = 1.0e6
+
 
 def _resolve_config(args) -> cfgmod.ExperimentConfig:
     if args.preset:
@@ -63,12 +70,7 @@ def _resolve_config(args) -> cfgmod.ExperimentConfig:
         overrides["tolerance_scale"] = args.tolerance_scale
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if overrides:
-        d = cfg.to_dict()
-        d.pop("config_schema_version", None)
-        d.update(overrides)
-        cfg = cfgmod.from_dict(d)
-    return cfg
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _out_dir(cfg: cfgmod.ExperimentConfig, sub: str) -> Path:
@@ -102,23 +104,15 @@ def run_weyl(cfg: cfgmod.ExperimentConfig) -> int:
     if cfg.is_flat:
         counting = lattice_counting_data(cfg.moduli, cfg.flat_band)
         tol = cfg.tolerance("weyl_flat")
-        ceiling_note = counting.note
     else:
         spec = hermitian_spectrum(
             perturbed_laplacian_matrix(cdata_conf, BasisWindow(cfg.bandwidth))
         ).eigenvalues
-        base = CountingData(spec, cfg.bandwidth, ceiling_fraction=cfg.ceiling_fraction)
-        if cfg.adaptive_ceiling:
-            ceiling = adaptive_counting_ceiling(base)
-            counting = CountingData(spec, cfg.bandwidth, cfg.ceiling_fraction,
-                                    explicit_ceiling=ceiling,
-                                    note="adaptive trusted ceiling")
-            ceiling_note = counting.note
-        else:
-            counting = base
-            ceiling_note = f"fraction {cfg.ceiling_fraction} of the largest eigenvalue"
+        ceiling = adaptive_counting_ceiling(CountingData(spec, cfg.bandwidth))
+        counting = CountingData(spec, cfg.bandwidth, explicit_ceiling=ceiling,
+                                note="adaptive trusted ceiling")
         tol = cfg.tolerance("weyl_perturbed")
-    fit = weyl_slope(counting, fit_window=cfg.weyl_fit_window)
+    fit = weyl_slope(counting)
     rel = abs(fit.slope - wc.slope) / wc.slope
     iomod.write_eigenvalues_csv(out / "spectrum.csv", counting.eigenvalues)
     iomod.write_csv(out / "staircase.csv", ["lambda", "count"],
@@ -133,7 +127,7 @@ def run_weyl(cfg: cfgmod.ExperimentConfig) -> int:
         "tolerance": tol,
         "fit_window": list(fit.window),
         "ceiling": counting.lambda_max,
-        "ceiling_note": ceiling_note,
+        "ceiling_note": counting.note,
         "passed": rel <= tol,
     }
     iomod.write_report(out / "weyl_report.json", report)
@@ -145,11 +139,8 @@ def run_weyl(cfg: cfgmod.ExperimentConfig) -> int:
 
 def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
     out = _out_dir(cfg, "heat")
-    alpha, beta, gamma, nodes = cfg.contour
-    contour = ContourSpec(alpha, beta, gamma, int(nodes))
+    contour = ContourSpec()
     if cfg.symbol[0] == "contour_sanity":
-        import scipy.linalg as sla
-
         gate_err = contour_gate(contour, s_max=200.0, tol=cfg.tolerance("contour_gate"))
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 6))
@@ -172,24 +163,20 @@ def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
     cdata = cfg.conformal_data()
     ls = laplace_symbol(cdata)
     wc = weyl_constant_closed_form(cdata)
-    quad = heat_coefficient(0, ls, contour=contour, radial_nodes=cfg.radial_nodes,
-                            window_pad=cfg.window_pad)
+    quad = heat_coefficient(0, ls)
     if cfg.is_flat:
         eigs = lattice_eigenvalues(cfg.moduli, cfg.flat_band)
     else:
         eigs = hermitian_spectrum(
             perturbed_laplacian_matrix(cdata, BasisWindow(cfg.bandwidth))
         ).eigenvalues
-    fit = heat_trace_fit(eigs, n_points=cfg.t_points)
-    ts = np.geomspace(fit.t_window[0], fit.t_window[1], cfg.t_points)
+    fit = heat_trace_fit(eigs)
+    ts = np.geomspace(fit.t_window[0], fit.t_window[1], 40)
     trace_rows = [
         (float(t), float(t * np.sum(np.exp(-t * eigs)))) for t in ts
     ]
     iomod.write_csv(out / "heat_trace.csv", ["t", "t_times_trace"], trace_rows)
-    b2_quad = None
-    if cfg.b2_quadrature:
-        b2_quad = heat_coefficient(2, ls, contour=ContourSpec(alpha, beta, gamma, 64),
-                                   angular_nodes=cfg.angular_nodes)
+    b2_quad = heat_coefficient(2, ls, contour=ContourSpec(nodes=64))
     closed = wc.slope  # pi/Im(tau) t(k^{-2}) is also the heat coefficient
     gaps = {
         "quad_vs_closed": abs(quad.value - closed) / closed,
@@ -207,13 +194,13 @@ def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
         "b0_fit": fit.b0,
         "b0_closed_form": closed,
         "b2_fit": fit.b2,
-        "b2_quadrature": None if b2_quad is None else b2_quad.value,
+        "b2_quadrature": b2_quad.value,
         "pairwise_gaps": gaps,
         "tolerance": tol,
         "contour_gate_error": quad.contour_error,
         "quadrature_tail": quad.tail,
         "b0_imag_residual": quad.imag_residual,
-        "b2_imag_residual": None if b2_quad is None else b2_quad.imag_residual,
+        "b2_imag_residual": b2_quad.imag_residual,
         "quadrature_params": quad.params,
         "fit_t_window": list(fit.t_window),
         "passed": ok,
@@ -235,8 +222,6 @@ def _build_symbol(cfg: cfgmod.ExperimentConfig):
         kinv2 = cdata.k_inv2.trimmed(1e-13)
         return GradedSymbol(cfg.angle, -2, 1, {-2: {0: kinv2}})
     if kind == "power":
-        from .algebra import unit
-
         order = int(par)
         return GradedSymbol(cfg.angle, order, 1, {order: {0: unit(cfg.angle)}})
     raise cfgmod.ConfigError(f"no graded symbol for kind {kind!r}")
@@ -263,7 +248,7 @@ def run_connes_trace(cfg: cfgmod.ExperimentConfig) -> int:
         c0 = float(cfg.symbol[1])
         p = _build_symbol(cfg)
         res = residue(p).real
-        mu = resolvent_mu_disk(c0, cfg.dixmier_qmax, cfg.moduli)
+        mu = resolvent_mu_disk(c0, DISK_QMAX, cfg.moduli)
         est = dixmier_estimate(DixmierData(mu))
         ratio = est.value / res
         ok = abs(ratio - 0.5) <= 0.5 * tol
@@ -282,7 +267,7 @@ def run_connes_trace(cfg: cfgmod.ExperimentConfig) -> int:
         order = float(cfg.symbol[1])
         if order > -2.5:
             raise cfgmod.ConfigError("power preset expects order <= -3 (trace class)")
-        q = lattice_disk_eigenvalues(cfg.moduli, cfg.dixmier_qmax)
+        q = lattice_disk_eigenvalues(cfg.moduli, DISK_QMAX)
         mu = np.sort((1.0 + q) ** (order / 2.0))[::-1]
         est = dixmier_estimate(DixmierData(mu))
         ok = est.vanishing
@@ -334,8 +319,6 @@ def run_verify(cfg: cfgmod.ExperimentConfig, selection=None) -> int:
 
 def run_compose(args) -> int:
     with open(args.left, encoding="utf-8") as fh:
-        import json
-
         p = symbol_from_json_dict(json.load(fh))
     with open(args.right, encoding="utf-8") as fh:
         q = symbol_from_json_dict(json.load(fh))
@@ -345,6 +328,20 @@ def run_compose(args) -> int:
     if args.out_file:
         iomod.write_report(args.out_file, symbol_to_json_dict(prod))
     return 0
+
+
+def _criteria(text: str) -> list:
+    """The --criteria value: comma-separated criterion numbers, each in 1..10."""
+    count = len(acceptance.ALL_CRITERIA)
+    try:
+        chosen = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        chosen = []
+    if not chosen or not all(1 <= i <= count for i in chosen):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers from 1 to {count}, got {text!r}"
+        )
+    return chosen
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         common(p)
         if name == "verify":
-            p.add_argument("--criteria", type=str, default=None,
+            p.add_argument("--criteria", type=_criteria, default=None,
                            help="comma-separated criterion numbers, e.g. 1,2,5")
 
     pc = sub.add_parser("compose", help="compose two graded symbols from JSON files")
@@ -387,25 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+RUNNERS = {"weyl": run_weyl, "heat": run_heat, "residue": run_residue,
+           "connes-trace": run_connes_trace}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "compose":
         return run_compose(args)
-    cfg = _resolve_config(args)
-    if args.command == "weyl":
-        return run_weyl(cfg)
-    if args.command == "heat":
-        return run_heat(cfg)
-    if args.command == "residue":
-        return run_residue(cfg)
-    if args.command == "connes-trace":
-        return run_connes_trace(cfg)
-    if args.command == "verify":
-        selection = None
-        if args.criteria:
-            selection = [int(tok) for tok in args.criteria.split(",") if tok.strip()]
-        return run_verify(cfg, selection)
-    raise SystemExit(f"unknown command {args.command}")
+    try:
+        cfg = _resolve_config(args)
+        if args.command == "verify":
+            return run_verify(cfg, args.criteria)
+        return RUNNERS[args.command](cfg)
+    except cfgmod.ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

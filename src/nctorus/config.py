@@ -1,9 +1,15 @@
-"""Experiment configuration: JSON round-trip, defaults and presets.
+"""Experiment configuration: the values a run varies, JSON round-trip, presets.
 
-A config captures every discretization knob of a run.  Loading symmetrizes
-the Weyl exponent coefficients (the element must be selfadjoint) and fills
-unspecified fields from the shipped defaults; emitting writes the fully
-resolved dictionary, so load(emit(cfg)) is the identity.
+A config holds only what the presets, the CLI flags and the tests set: the
+deformation angle, the modulus tau, the Weyl exponent h, the two window
+bandwidths, the symbol of a residue or Connes-trace run, the tolerance scale
+and the output directory.  Every other discretization setting is the default
+of the library function that uses it (or a constant of the CLI runner), and
+every tolerance is a DEFAULT_TOLERANCES entry times the scale, the same table
+`verify` reads.  The defaults are those of ExperimentConfig; a loaded dict
+fills the fields it omits from them.  Each field is checked on construction
+(ConfigError) and h is symmetrized (the element must be selfadjoint);
+emitting writes the fully resolved dictionary that load reads back.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from importlib import resources
 
 from .algebra import (
     GOLDEN_RATIO_THETA,
@@ -20,9 +25,10 @@ from .algebra import (
     DeformationAngle,
     ModuliPoint,
     NcElement,
+    adjoint,
 )
 
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -46,56 +52,45 @@ DEFAULT_TOLERANCES = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     theta: float = GOLDEN_RATIO_THETA
-    tau: tuple = (0.0, 1.0)
-    h_spec: tuple = ()
-    bandwidth: int = 48
-    pad: int = 16
-    flat_band: int = 400
-    contour: tuple = (1.0, 1.0, 4.0, 96)  # alpha, beta, gamma, nodes
-    radial_nodes: int = 64
-    angular_nodes: int = 32
-    window_pad: int = 8
-    b2_quadrature: bool = True
-    ceiling_fraction: float = 0.25
-    adaptive_ceiling: bool = True
-    weyl_fit_window: tuple | None = None
-    t_points: int = 40
-    dixmier_qmax: float = 1.0e6
+    tau: tuple = (0.0, 1.0)  # Re, Im of the modulus
+    h_spec: tuple = ()  # rows [m, n, re, im] of the Weyl exponent h; () is flat
+    bandwidth: int = 48  # window N of the perturbed finite sections
+    flat_band: int = 400  # index box of the analytic flat spectrum
     symbol: tuple = ("flat_resolvent", 1.0, 3)  # kind, c0/order, depth
     tolerance_scale: float = 1.0
-    tolerances: tuple = tuple(sorted(DEFAULT_TOLERANCES.items()))
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError(f"theta must be in (0,1), got {self.theta}")
+        if not (_is_real(self.theta) and 0.0 < self.theta < 1.0):
+            raise ConfigError(f"theta must be a number in (0,1), got {self.theta!r}")
         object.__setattr__(self, "tau", _finite_reals("tau", self.tau, 2))
         if self.tau[1] <= 0.0:
             raise ConfigError("tau must lie in the upper half-plane")
-        for name in INTEGER_FIELDS:
+        for name in ("bandwidth", "flat_band"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.bandwidth < 1 or self.pad < 1:
-            raise ConfigError("bandwidth and pad must be positive")
-        for row in self.h_spec:
-            m, n, _, _ = _finite_reals("h_spec row [m, n, re, im]", row, 4)
+            if not (_is_integer(value) and value >= 1):
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        rows = _items(self.h_spec)
+        if rows is None:
+            raise ConfigError(f"h_spec must be a list of [m, n, re, im] rows, got {self.h_spec!r}")
+        rows = [_finite_reals("h_spec row [m, n, re, im]", row, 4) for row in rows]
+        for m, n, _, _ in rows:
             if not (m.is_integer() and n.is_integer()):
-                raise ConfigError(f"h_spec row needs integer m, n, got {list(row)}")
-        object.__setattr__(self, "h_spec", _symmetrize_h(self.h_spec, self.theta))
-        contour = _finite_reals("contour [alpha, beta, gamma, nodes]", self.contour, 4)
-        if not contour[3].is_integer():
-            raise ConfigError(f"contour nodes must be an integer, got {self.contour[3]!r}")
-        object.__setattr__(self, "contour", tuple(self.contour))
-        if self.weyl_fit_window is not None:
-            object.__setattr__(
-                self, "weyl_fit_window", tuple(float(v) for v in self.weyl_fit_window)
+                raise ConfigError(f"h_spec row needs integer m, n, got {[m, n]}")
+        object.__setattr__(self, "h_spec", _symmetrize_h(rows, self.theta))
+        symbol = _items(self.symbol)
+        if not (symbol is not None and len(symbol) == 3 and isinstance(symbol[0], str)
+                and _is_real(symbol[1]) and _is_integer(symbol[2])):
+            raise ConfigError(
+                f"symbol must be [kind, finite number, integer depth], got {self.symbol!r}"
             )
-        object.__setattr__(self, "symbol", tuple(self.symbol))
-        object.__setattr__(
-            self, "tolerances",
-            tuple(sorted((str(k), float(v)) for k, v in dict(self.tolerances).items())),
-        )
+        object.__setattr__(self, "symbol", (symbol[0], float(symbol[1]), int(symbol[2])))
+        if not (_is_real(self.tolerance_scale) and self.tolerance_scale > 0.0):
+            raise ConfigError(
+                f"tolerance_scale must be a positive finite number, got {self.tolerance_scale!r}"
+            )
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {self.out_dir!r}")
 
     @property
     def angle(self) -> DeformationAngle:
@@ -106,10 +101,10 @@ class ExperimentConfig:
         return ModuliPoint(self.tau[0], self.tau[1])
 
     def tolerance(self, name: str) -> float:
-        table = dict(self.tolerances)
-        if name not in table:
+        """The DEFAULT_TOLERANCES entry times tolerance_scale."""
+        if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {name!r}")
-        return table[name] * self.tolerance_scale
+        return DEFAULT_TOLERANCES[name] * self.tolerance_scale
 
     def h_element(self) -> NcElement:
         coeffs = {}
@@ -119,7 +114,7 @@ class ExperimentConfig:
         return NcElement(self.angle, bw, coeffs)
 
     def conformal_data(self) -> ConformalData:
-        return ConformalData.build(self.moduli, self.h_element(), pad=self.pad)
+        return ConformalData.build(self.moduli, self.h_element())
 
     @property
     def is_flat(self) -> bool:
@@ -128,14 +123,9 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["config_schema_version"] = CONFIG_SCHEMA_VERSION
-        d["tolerances"] = {k: v for k, v in self.tolerances}
         d["h_spec"] = [list(row) for row in self.h_spec]
-        d["contour"] = list(self.contour)
         d["tau"] = list(self.tau)
         d["symbol"] = list(self.symbol)
-        d["weyl_fit_window"] = (
-            list(self.weyl_fit_window) if self.weyl_fit_window is not None else None
-        )
         return d
 
     def emit(self, path) -> None:
@@ -144,71 +134,59 @@ class ExperimentConfig:
             fh.write("\n")
 
 
-INTEGER_FIELDS = ("bandwidth", "pad", "flat_band", "radial_nodes", "angular_nodes",
-                  "window_pad", "t_points")
+def _is_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _items(value) -> tuple | None:
+    """value as a tuple, or None when it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        return None
 
 
 def _finite_reals(name: str, values, length: int) -> tuple:
     """values as a tuple of floats, or ConfigError unless they are exactly
     length finite numbers."""
-    try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be {length} numbers, got {values!r}") from None
-    if len(out) != length or not all(math.isfinite(v) for v in out):
-        raise ConfigError(f"{name} must be {length} finite numbers, got {list(values)}")
-    return out
+    items = _items(values)
+    if items is None or len(items) != length or not all(map(_is_real, items)):
+        raise ConfigError(f"{name} must be {length} finite numbers, got {values!r}")
+    return tuple(float(v) for v in items)
 
 
-def _symmetrize_h(h_spec, theta: float) -> tuple:
+def _symmetrize_h(rows, theta: float) -> tuple:
     """Enforce selfadjointness of the Weyl exponent.
 
-    A missing mirror coefficient at (-m,-n) is set to the adjoint-rule image
-    conj(c) e^{2 pi i theta m n}; when both mirrors are listed they are
-    averaged with each other's image (the Hermitian projection)."""
-    if not h_spec:
-        return ()
-    import cmath
-
+    A missing mirror coefficient at (-m,-n) is the adjoint image of (m,n);
+    when both mirrors are listed (a listed 0 included) each is averaged with
+    the other's image (the Hermitian projection)."""
     raw = {}
-    for m, n, re, im in h_spec:
+    for m, n, re, im in rows:
         raw[(int(m), int(n))] = raw.get((int(m), int(n)), 0.0) + complex(re, im)
-    keys = set(raw) | {(-m, -n) for (m, n) in raw}
-    out = {}
-    for m, n in keys:
-        ph = cmath.exp(2j * math.pi * theta * m * n)
-        direct = raw.get((m, n))
-        mirrored = raw.get((-m, -n))
-        from_mirror = mirrored.conjugate() * ph if mirrored is not None else None
-        if direct is not None and from_mirror is not None:
-            out[(m, n)] = (direct + from_mirror) / 2.0
-        elif direct is not None:
-            out[(m, n)] = direct
-        else:
-            out[(m, n)] = from_mirror
+    bw = max((max(abs(m), abs(n)) for (m, n) in raw), default=0)
+    image = adjoint(NcElement(DeformationAngle(theta), bw, raw)).coeffs
+    out = dict(image)
+    for (m, n), c in raw.items():
+        out[(m, n)] = (c + image.get((m, n), 0j)) / 2.0 if (-m, -n) in raw else c
     return tuple(
         (m, n, c.real, c.imag) for (m, n), c in sorted(out.items()) if c != 0.0
     )
 
 
 def from_dict(d: dict) -> ExperimentConfig:
+    if not isinstance(d, dict):
+        raise ConfigError(f"a config is a JSON object, got {type(d).__name__}")
     d = dict(d)
     d.pop("config_schema_version", None)
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(d) - known
+    unknown = set(d) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "tolerances" in d and isinstance(d["tolerances"], dict):
-        merged = dict(DEFAULT_TOLERANCES)
-        merged.update(d["tolerances"])
-        d["tolerances"] = tuple(sorted(merged.items()))
-    if "h_spec" in d:
-        d["h_spec"] = tuple(tuple(row) for row in d["h_spec"])
-    for key in ("tau", "contour", "symbol"):
-        if key in d and d[key] is not None:
-            d[key] = tuple(d[key])
-    if d.get("weyl_fit_window") is not None:
-        d["weyl_fit_window"] = tuple(d["weyl_fit_window"])
     return ExperimentConfig(**d)
 
 
@@ -217,14 +195,13 @@ def load(path) -> ExperimentConfig:
     the "config" key) is accepted for replay."""
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
-    if "config" in d and isinstance(d["config"], dict):
+    if isinstance(d, dict) and isinstance(d.get("config"), dict):
         d = d["config"]
     return from_dict(d)
 
 
 def default_config() -> ExperimentConfig:
-    text = resources.files("nctorus").joinpath("data/default_config.json").read_text()
-    return from_dict(json.loads(text))
+    return ExperimentConfig()
 
 
 PRESETS = {
@@ -246,7 +223,4 @@ PRESETS = {
 def preset(name: str) -> ExperimentConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    base = default_config().to_dict()
-    base.pop("config_schema_version", None)
-    base.update(PRESETS[name])
-    return from_dict(base)
+    return from_dict(PRESETS[name])

@@ -1,5 +1,6 @@
 """Config round-trip, serialization formats and CLI determinism."""
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -44,6 +45,18 @@ def test_config_h_symmetrization():
     # twisted mirror for a generic index pair
     cfg2 = cfgmod.from_dict({"h_spec": [[1, 2, 0.1, 0.3]]})
     assert is_selfadjoint(cfg2.h_element(), 1e-15)
+    # a mirror listed as 0 is averaged, not filled in
+    cfg3 = cfgmod.from_dict({"h_spec": [[1, 0, 0.4, 0.0], [-1, 0, 0.0, 0.0]]})
+    assert cfg3.h_element().coeff(1, 0) == pytest.approx(0.2)
+    assert cfg3.h_element().coeff(-1, 0) == pytest.approx(0.2)
+    # an inconsistent pair becomes its Hermitian projection (h + h*) / 2
+    a, b = 0.1 + 0.3j, 0.5 - 0.2j
+    cfg4 = cfgmod.from_dict({"h_spec": [[1, 2, a.real, a.imag], [-1, -2, b.real, b.imag]]})
+    h = cfg4.h_element()
+    assert is_selfadjoint(h, 1e-15)
+    phase = cmath.exp(2j * math.pi * cfg4.theta * 2)
+    assert h.coeff(1, 2) == pytest.approx((a + b.conjugate() * phase) / 2, abs=1e-15)
+    assert h.coeff(-1, -2) == pytest.approx((b + a.conjugate() * phase) / 2, abs=1e-15)
 
 
 def test_config_rejects_bad_input():
@@ -54,7 +67,11 @@ def test_config_rejects_bad_input():
     with pytest.raises(cfgmod.ConfigError):
         cfgmod.default_config().tolerance("no_such_tolerance")
     for bad in ({"tau": [1.0]}, {"tau": [0.0, math.nan]}, {"contour": [1, 1, 4]},
-                {"h_spec": [[1, 0, 0.4]]}, {"bandwidth": 2.5}):
+                {"h_spec": [[1, 0, 0.4]]}, {"bandwidth": 2.5},
+                {"theta": "x"}, {"tau": 5}, {"h_spec": 5}, {"h_spec": [5]},
+                {"symbol": 5}, {"symbol": ["k_weighted"]}, {"flat_band": 0},
+                {"flat_band": -3}, {"tolerance_scale": "a"}, {"tolerance_scale": -1.0},
+                {"tolerance_scale": math.nan}, {"out_dir": 5}, []):
         with pytest.raises(cfgmod.ConfigError):
             cfgmod.from_dict(bad)
 
@@ -173,6 +190,27 @@ def test_cli_verify_subset(tmp_path, capsys):
     assert "ok 2 - criterion 5" in out
     report = iomod.read_report(tmp_path / "runs" / "verify" / "verify_report.json")
     assert report["all_passed"] is True
+
+
+@pytest.mark.parametrize("criteria", ["0", "-1", "11", "x"])
+def test_cli_verify_rejects_bad_criteria(tmp_path, capsys, criteria):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--out", str(tmp_path / "runs"), f"--criteria={criteria}"])
+    assert exc.value.code == 2
+    assert "--criteria" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_cli_config_error_is_a_usage_error(tmp_path, capsys):
+    # a key this version no longer reads, as in a manifest of an older run
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"radial_nodes": 64}))
+    with pytest.raises(SystemExit) as exc:
+        main(["weyl", "--config", str(path), "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "radial_nodes" in err
+    assert "Traceback" not in err
 
 
 def test_cli_verify_negative_control(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every function, class and method of the library is referenced somewhere."""
+"""Source hygiene: every name a module imports is used in that module,
+imports sit at module level, and every function, class and method of the
+library is referenced somewhere."""
 
 import ast
 from functools import lru_cache
@@ -24,6 +25,16 @@ def _unused_imports(tree: ast.AST):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _nested_imports(tree: ast.AST):
+    """Import statements inside a function or method body."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted({
+        (node.lineno, ", ".join(alias.name for alias in node.names))
+        for func in ast.walk(tree) if isinstance(func, funcs)
+        for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +79,12 @@ def test_scan_sees_modules():
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    nested = _nested_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not nested, ", ".join(f"{path.name}:{line} {names}" for line, names in nested)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
