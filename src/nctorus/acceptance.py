@@ -1,24 +1,27 @@
-"""Acceptance criteria: one callable per criterion, shared expensive state.
+"""The claims' computations, and the acceptance criteria that gate them.
 
-Each criterion returns a CriterionResult with the measured numbers, the
-tolerance actually applied (scaled by the context's tolerance_scale) and the
-verdict.  The heavy inputs (the bandwidth-48 perturbed spectrum, its conformal
-data) are computed once per context and shared.
+A claim function (weyl_claim, heat_claim, connes_claim) computes the numbers
+of one experiment from a config and returns its report with the data behind
+it; the CLI runner writes them to disk.  Criteria 1-7 run the same functions
+on named presets and gate the reports; criteria 8-10 have no runner twin.
+A criterion returns a CriterionResult with the measured numbers, the
+tolerance actually applied (scaled by the run's tolerance_scale) and the
+verdict.  The heavy inputs (the bandwidth-48 perturbed spectrum, the
+flat-resolvent Dixmier estimate) are computed once per context and shared.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra as alg
 from .algebra import (
     ConformalData,
-    DeformationAngle,
-    ModuliPoint,
     add,
     adjoint,
     delta,
@@ -30,7 +33,7 @@ from .algebra import (
     trace_t,
     unit,
 )
-from .config import DEFAULT_TOLERANCES
+from .config import PRESETS, ConfigError, ExperimentConfig
 from .gns import (
     BasisWindow,
     generalized_spectrum,
@@ -52,6 +55,9 @@ from .spectral import (
     counted_connes_trace_check,
     dixmier_estimate,
     lattice_counting_data,
+    lattice_disk_eigenvalues,
+    lattice_eigenvalues,
+    perturbed_resolvent_check,
     resolvent_mu_disk,
     weyl_constant_closed_form,
     weyl_slope,
@@ -67,185 +73,304 @@ from .symbols import (
     residue,
 )
 
-TAU_I = ModuliPoint(0.0, 1.0)
+TAU_I = alg.ModuliPoint(0.0, 1.0)
+# the lattice disk Q(m, n) <= DISK_QMAX behind the analytic Dixmier estimates
+DISK_QMAX = 1.0e6
+# the config fields a preset sets; a verify config keeps their defaults
+PRESET_FIELDS = sorted({key for fields in PRESETS.values() for key in fields})
 
 
-@dataclass
+def section_spectrum(cfg: ExperimentConfig) -> np.ndarray:
+    """Eigenvalues of the K D K section of cfg's Weyl factor at cfg.bandwidth."""
+    window = BasisWindow(cfg.bandwidth)
+    return hermitian_spectrum(perturbed_laplacian_matrix(cfg.conformal_data(), window)).eigenvalues
+
+
+def weyl_claim(cfg: ExperimentConfig, spectrum=None):
+    """The eigenvalue counting slope against pi t(k^{-2}) / Im(tau): the
+    report and the counted spectrum.  spectrum: section_spectrum(cfg), when
+    it is already at hand (a perturbed cfg only)."""
+    wc = weyl_constant_closed_form(cfg.conformal_data())
+    if cfg.is_flat:
+        counting = lattice_counting_data(cfg.moduli, cfg.flat_band)
+        tol = cfg.tolerance("weyl_flat")
+    else:
+        spec = section_spectrum(cfg) if spectrum is None else spectrum
+        ceiling = adaptive_counting_ceiling(CountingData(spec, cfg.bandwidth))
+        counting = CountingData(spec, cfg.bandwidth, explicit_ceiling=ceiling,
+                                note="adaptive trusted ceiling")
+        tol = cfg.tolerance("weyl_perturbed")
+    fit = weyl_slope(counting)
+    rel = abs(fit.slope - wc.slope) / wc.slope
+    report = {
+        "slope": fit.slope,
+        "stderr": fit.stderr,
+        "closed_form": wc.slope,
+        "volume": wc.volume,
+        "trace_kinv2": wc.trace_kinv2,
+        "rel_error": rel,
+        "tolerance": tol,
+        "fit_window": list(fit.window),
+        "ceiling": counting.lambda_max,
+        "ceiling_note": counting.note,
+        "passed": rel <= tol,
+    }
+    return report, counting.eigenvalues
+
+
+def heat_claim(cfg: ExperimentConfig, spectrum=None):
+    """The heat coefficient b0 by contour quadrature, by a fit to the heat
+    trace of the spectrum and in closed form: the report and the spectrum.
+    spectrum as for weyl_claim."""
+    cdata = cfg.conformal_data()
+    closed = weyl_constant_closed_form(cdata).slope  # pi/Im(tau) t(k^{-2}) is also b0
+    quad = heat_coefficient(0, laplace_symbol(cdata))
+    if cfg.is_flat:
+        eigs = lattice_eigenvalues(cfg.moduli, cfg.flat_band)
+    else:
+        eigs = section_spectrum(cfg) if spectrum is None else spectrum
+    fit = heat_trace_fit(eigs)
+    gaps = {
+        "quad_vs_closed": abs(quad.value - closed) / closed,
+        "fit_vs_closed": abs(fit.b0 - closed) / closed,
+        "quad_vs_fit": abs(quad.value - fit.b0) / max(abs(fit.b0), 1e-30),
+    }
+    if cfg.is_flat:
+        tol = cfg.tolerance("heat_flat_abs")
+        ok = abs(quad.value - closed) <= tol and abs(fit.b0 - closed) <= tol
+    else:
+        tol = cfg.tolerance("heat_pairwise")
+        ok = all(g <= tol for g in gaps.values())
+    report = {
+        "b0_quadrature": quad.value,
+        "b0_fit": fit.b0,
+        "b0_closed_form": closed,
+        "b2_fit": fit.b2,
+        "pairwise_gaps": gaps,
+        "tolerance": tol,
+        "contour_gate_error": quad.contour_error,
+        "quadrature_tail": quad.tail,
+        "b0_imag_residual": quad.imag_residual,
+        "quadrature_params": quad.params,
+        "fit_t_window": list(fit.t_window),
+        "passed": ok,
+    }
+    return report, eigs
+
+
+def graded_symbol(cfg: ExperimentConfig) -> GradedSymbol:
+    """The graded symbol that cfg.symbol names."""
+    kind, par, depth = cfg.symbol
+    if kind == "flat_resolvent":
+        return classicalize_resolvent(par, cfg.moduli, max(depth, 1), cfg.angle)
+    if kind == "k_weighted":
+        kinv2 = cfg.conformal_data().k_inv2.trimmed(1e-13)
+        return GradedSymbol(cfg.angle, -2, 1, {-2: {0: kinv2}})
+    if kind == "power":
+        order = int(par)
+        return GradedSymbol(cfg.angle, order, 1, {order: {0: unit(cfg.angle)}})
+    raise ConfigError(f"no graded symbol for kind {kind!r}")
+
+
+def connes_claim(cfg: ExperimentConfig):
+    """The Dixmier estimate of the operator cfg.symbol names against half its
+    residue (or the route's closed form): the report and the estimate."""
+    kind = cfg.symbol[0]
+    tol = cfg.tolerance("connes_ratio")
+    if kind == "flat_resolvent":
+        res = residue(graded_symbol(cfg)).real
+        est = dixmier_estimate(DixmierData(resolvent_mu_disk(cfg.symbol[1], DISK_QMAX,
+                                                             cfg.moduli)))
+        ratio = est.value / res
+        report = {"residue": res, "dixmier": est.value, "drift": est.drift,
+                  "cesaro": est.cesaro, "ratio": ratio,
+                  "passed": abs(ratio - 0.5) <= 0.5 * tol,
+                  "route": "analytic disk eigenvalues"}
+    elif kind == "k_weighted":
+        rep, caught = counted_connes_trace_check(graded_symbol(cfg), BasisWindow(cfg.bandwidth))
+        est = rep.dixmier
+        report = {"residue": rep.residue, "dixmier": est.value, "drift": est.drift,
+                  "ratio": rep.ratio, "passed": abs(rep.ratio - 0.5) <= 0.5 * tol,
+                  "route": f"finite section N={cfg.bandwidth}", "warnings": caught}
+    elif kind == "power":
+        order = cfg.symbol[1]
+        if order > -2.5:
+            raise ConfigError("power preset expects order <= -3 (trace class)")
+        q = lattice_disk_eigenvalues(cfg.moduli, DISK_QMAX)
+        est = dixmier_estimate(DixmierData(np.sort((1.0 + q) ** (order / 2.0))[::-1]))
+        report = {"residue": 0.0, "dixmier": est.value, "drift": est.drift,
+                  "vanishing": est.vanishing, "passed": est.vanishing,
+                  "route": "trace-class decay, Dixmier trace vanishes"}
+    elif kind == "perturbed_resolvent":
+        rep = perturbed_resolvent_check(section_spectrum(cfg), cfg.conformal_data())
+        est = rep["dixmier"]
+        report = {"dixmier": est.value, "drift": est.drift,
+                  "closed_form": rep["closed_form"], "ratio": rep["ratio"],
+                  "passed": abs(rep["ratio"] - 1.0) <= tol,
+                  "route": "Corollary preset (1+perturbed)^{-1}"}
+    else:
+        raise ConfigError(f"unknown symbol kind {kind!r}")
+    return report, est
+
+
+@dataclasses.dataclass
 class CriterionResult:
     ident: int
     name: str
     passed: bool
     details: dict
     seconds: float
+    configs: dict  # preset name -> the resolved config the criterion ran
 
 
 class AcceptanceContext:
-    """Shared inputs for the criterion runners."""
+    """A verify run's settings and the state its criteria share.
 
-    def __init__(self, tolerance_scale: float = 1.0, bandwidth: int = 48,
-                 flat_band: int = 400, theta: float | None = None):
-        self.tolerance_scale = tolerance_scale
-        self.bandwidth = bandwidth
-        self.flat_band = flat_band
-        self.angle = DeformationAngle(theta) if theta else alg.GOLDEN
-        self._cd = None
-        self._spectrum = None
+    Each criterion runs its presets with the theta, bandwidth, flat_band,
+    tolerance_scale and out_dir of base, so base must keep the defaults of
+    the fields a preset sets (tau, h_spec, symbol)."""
 
-    def tol(self, value: str | float) -> float:
-        """A DEFAULT_TOLERANCES entry by name, or a literal, times the scale."""
-        if isinstance(value, str):
-            value = DEFAULT_TOLERANCES[value]
-        return value * self.tolerance_scale
+    def __init__(self, base: ExperimentConfig | None = None):
+        default = ExperimentConfig()
+        self.base = base or default
+        changed = [k for k in PRESET_FIELDS if getattr(self.base, k) != getattr(default, k)]
+        if changed:
+            raise ConfigError(f"verify runs each criterion on its own preset, so {changed} "
+                              "must keep their defaults")
+        self._shared = {}
+
+    @property
+    def bandwidth(self) -> int:
+        return self.base.bandwidth
+
+    @property
+    def angle(self) -> alg.DeformationAngle:
+        return self.base.angle
+
+    def config(self, name: str) -> ExperimentConfig:
+        """The preset `name` with this run's settings."""
+        return dataclasses.replace(self.base, **PRESETS[name])
+
+    def shared(self, fn, *args):
+        """fn(*args), computed once per context."""
+        key = (fn, *args)
+        if key not in self._shared:
+            self._shared[key] = fn(*args)
+        return self._shared[key]
+
+    def tol(self, value: float) -> float:
+        return value * self.base.tolerance_scale
 
     @property
     def cd(self) -> ConformalData:
-        if self._cd is None:
-            u = make_monomial(1, 0, 1.0, self.angle)
-            h = scale(0.4, add(u, adjoint(u)))
-            self._cd = ConformalData.build(TAU_I, h, pad=16)
-        return self._cd
+        return self.shared(ExperimentConfig.conformal_data, self.config("perturbed"))
 
     @property
     def perturbed_spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            mat = perturbed_laplacian_matrix(self.cd, BasisWindow(self.bandwidth))
-            self._spectrum = hermitian_spectrum(mat).eigenvalues
-        return self._spectrum
+        return self.shared(section_spectrum, self.config("perturbed"))
 
 
-def _flat_slope_case(tau: ModuliPoint, band: int, target: float, tol: float):
-    cdata = lattice_counting_data(tau, band)
-    fit = weyl_slope(cdata)
-    rel = abs(fit.slope - target) / target
-    return rel <= tol, {
-        "slope": fit.slope, "target": target, "rel_error": rel,
-        "ceiling": cdata.lambda_max, "stderr": fit.stderr,
-    }
+def _criterion(ident: int, name: str, *presets: str):
+    """fn(ctx, *resolved preset configs) -> (passed, details) as the timed
+    criterion `ident`."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(ctx: AcceptanceContext) -> CriterionResult:
+            t0 = time.time()
+            configs = {p: ctx.config(p) for p in presets}
+            passed, details = fn(ctx, *configs.values())
+            return CriterionResult(ident, name, passed, details, time.time() - t0, configs)
+        return run
+    return wrap
 
 
-def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
-    tol = ctx.tol("weyl_flat")
-    ok, details = _flat_slope_case(TAU_I, ctx.flat_band, math.pi, tol)
-    details["tolerance"] = tol
-    return CriterionResult(1, "flat Weyl law (tau = i)", ok, details, time.time() - t0)
+def _slope_details(report: dict) -> dict:
+    return {"slope": report["slope"], "target": report["closed_form"],
+            "rel_error": report["rel_error"], "ceiling": report["ceiling"],
+            "stderr": report["stderr"]}
 
 
-def criterion_2(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
-    tol = ctx.tol("weyl_flat")
-    ok2, d2 = _flat_slope_case(ModuliPoint(0.0, 2.0), ctx.flat_band, math.pi / 2, tol)
-    ok3, d3 = _flat_slope_case(ModuliPoint(1.0, 1.0), ctx.flat_band, math.pi, tol)
-    details = {"tau_2i": d2, "tau_1_plus_i": d3, "tolerance": tol}
-    return CriterionResult(2, "anisotropic flat Weyl law", ok2 and ok3, details,
-                           time.time() - t0)
+@_criterion(1, "flat Weyl law (tau = i)", "flat")
+def criterion_1(ctx, flat):
+    report, _ = weyl_claim(flat)
+    return report["passed"], {**_slope_details(report), "tolerance": report["tolerance"]}
 
 
-def criterion_3(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
-    tol = ctx.tol("weyl_perturbed")
-    wc = weyl_constant_closed_form(ctx.cd)
-    spec = ctx.perturbed_spectrum
-    base = CountingData(spec, ctx.bandwidth)
-    ceiling = adaptive_counting_ceiling(base)
-    cdata = CountingData(spec, ctx.bandwidth, explicit_ceiling=ceiling,
-                         note="adaptive trusted ceiling")
-    fit = weyl_slope(cdata)
-    rel = abs(fit.slope - wc.slope) / wc.slope
+@_criterion(2, "anisotropic flat Weyl law", "flat-tau2i", "flat-tau1plusi")
+def criterion_2(ctx, tau_2i, tau_1_plus_i):
+    r2, r3 = weyl_claim(tau_2i)[0], weyl_claim(tau_1_plus_i)[0]
+    details = {"tau_2i": _slope_details(r2), "tau_1_plus_i": _slope_details(r3),
+               "tolerance": r2["tolerance"]}
+    return r2["passed"] and r3["passed"], details
+
+
+@_criterion(3, "perturbed Weyl law (N = 48)", "perturbed")
+def criterion_3(ctx, perturbed):
+    report, spec = weyl_claim(perturbed, ctx.perturbed_spectrum)
+    details = {k: report[k] for k in ("slope", "closed_form", "rel_error", "tolerance",
+                                      "ceiling", "trace_kinv2")}
+    details["quarter_cap"] = CountingData(spec, perturbed.bandwidth).lambda_max
+    return report["passed"], details
+
+
+@_criterion(4, "heat coefficient three-route agreement", "flat", "perturbed")
+def criterion_4(ctx, flat, perturbed):
+    # flat: quadrature and fit both within 0.01 of pi; perturbed: the three
+    # routes pairwise within 5 percent
+    flat_rep, _ = heat_claim(flat)
+    rep, _ = heat_claim(perturbed, ctx.perturbed_spectrum)
     details = {
-        "slope": fit.slope, "closed_form": wc.slope, "rel_error": rel,
-        "tolerance": tol, "ceiling": ceiling, "quarter_cap": base.lambda_max,
-        "trace_kinv2": wc.trace_kinv2,
+        "flat_quadrature": flat_rep["b0_quadrature"], "flat_fit": flat_rep["b0_fit"],
+        "flat_tolerance_abs": flat_rep["tolerance"],
+        "perturbed": {"quadrature": rep["b0_quadrature"], "fit": rep["b0_fit"],
+                      "closed_form": rep["b0_closed_form"]},
+        "pairwise_gaps": rep["pairwise_gaps"], "pairwise_tolerance": rep["tolerance"],
     }
-    return CriterionResult(3, "perturbed Weyl law (N = 48)", rel <= tol, details,
-                           time.time() - t0)
+    return flat_rep["passed"] and rep["passed"], details
 
 
-def criterion_4(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
-    tol_pair = ctx.tol("heat_pairwise")
-    tol_flat = ctx.tol("heat_flat_abs")
-    # flat default: quadrature and fit both within 0.01 of pi
-    flat_cd = ConformalData.build(TAU_I, alg.zero(ctx.angle), pad=2)
-    flat_quad = heat_coefficient(0, laplace_symbol(flat_cd)).value
-    ms = np.arange(-ctx.flat_band, ctx.flat_band + 1)
-    flat_eigs = (ms[:, None] ** 2 + ms[None, :] ** 2).ravel()
-    flat_fit = heat_trace_fit(flat_eigs).b0
-    flat_ok = abs(flat_quad - math.pi) <= tol_flat and abs(flat_fit - math.pi) <= tol_flat
-    # perturbed default: three routes pairwise within 5 percent
-    wc = weyl_constant_closed_form(ctx.cd)
-    closed = wc.slope
-    quad = heat_coefficient(0, laplace_symbol(ctx.cd)).value
-    fit = heat_trace_fit(ctx.perturbed_spectrum).b0
-    gaps = {
-        "quad_vs_closed": abs(quad - closed) / closed,
-        "fit_vs_closed": abs(fit - closed) / closed,
-        "quad_vs_fit": abs(quad - fit) / max(abs(fit), 1e-30),
-    }
-    pert_ok = all(g <= tol_pair for g in gaps.values())
-    details = {
-        "flat_quadrature": flat_quad, "flat_fit": flat_fit,
-        "flat_tolerance_abs": tol_flat,
-        "perturbed": {"quadrature": quad, "fit": fit, "closed_form": closed},
-        "pairwise_gaps": gaps, "pairwise_tolerance": tol_pair,
-    }
-    return CriterionResult(4, "heat coefficient three-route agreement",
-                           flat_ok and pert_ok, details, time.time() - t0)
+@_criterion(5, "residue anchor res((1+flat)^{-1}) = 2 pi", "connes-flat-resolvent")
+def criterion_5(ctx, resolvent):
+    tol = resolvent.tolerance("residue_anchor")
+    res = ctx.shared(connes_claim, resolvent)[0]["residue"]
+    err = abs(res - 2.0 * math.pi)
+    details = {"residue": res, "target": 2.0 * math.pi, "abs_error": err, "tolerance": tol}
+    return err <= tol, details
 
 
-def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
-    tol = ctx.tol("residue_anchor")
-    p = classicalize_resolvent(1.0, TAU_I, depth=3, angle=ctx.angle)
-    err = abs(residue(p) - 2.0 * math.pi)
-    details = {"residue": residue(p).real, "target": 2.0 * math.pi,
-               "abs_error": err, "tolerance": tol}
-    return CriterionResult(5, "residue anchor res((1+flat)^{-1}) = 2 pi",
-                           err <= tol, details, time.time() - t0)
-
-
-def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
-    tol_val = ctx.tol("dixmier_anchor")
-    tol_drift = ctx.tol("dixmier_drift")
-    mu = resolvent_mu_disk(1.0, 1.0e6)
-    est = dixmier_estimate(DixmierData(mu))
+@_criterion(6, "Dixmier anchor on (1+flat)^{-1}", "connes-flat-resolvent")
+def criterion_6(ctx, resolvent):
+    tol_val = resolvent.tolerance("dixmier_anchor")
+    tol_drift = resolvent.tolerance("dixmier_drift")
+    est = ctx.shared(connes_claim, resolvent)[1]
     rel = abs(est.value - math.pi) / math.pi
-    ok = rel <= tol_val and est.drift <= tol_drift
     details = {"value": est.value, "target": math.pi, "rel_error": rel,
                "drift": est.drift, "cesaro": est.cesaro,
                "tolerances": {"value": tol_val, "drift": tol_drift},
                "n_values": est.n_values}
-    return CriterionResult(6, "Dixmier anchor on (1+flat)^{-1}", ok, details,
-                           time.time() - t0)
+    return rel <= tol_val and est.drift <= tol_drift, details
 
 
-def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
-    half_tol = ctx.tol("connes_ratio")
+@_criterion(7, "Connes trace theorem at desk scale", "connes-k-weighted")
+def criterion_7(ctx, k_weighted):
+    half_tol = k_weighted.tolerance("connes_ratio")
     lo, hi = 0.5 * (1.0 - half_tol), 0.5 * (1.0 + half_tol)
-    kinv2 = ctx.cd.k_inv2.trimmed(1e-13)
-    p = GradedSymbol(ctx.angle, -2, 1, {-2: {0: kinv2}})
-    rep, caught = counted_connes_trace_check(p, BasisWindow(ctx.bandwidth))
-    ok = lo <= rep.ratio <= hi
-    details = {"residue": rep.residue, "dixmier": rep.dixmier.value,
-               "ratio": rep.ratio, "band": [lo, hi],
-               "drift": rep.dixmier.drift, "bandwidth": ctx.bandwidth,
-               "warnings": caught}
-    return CriterionResult(7, "Connes trace theorem at desk scale", ok, details,
-                           time.time() - t0)
+    report, _ = connes_claim(k_weighted)
+    details = {"residue": report["residue"], "dixmier": report["dixmier"],
+               "ratio": report["ratio"], "band": [lo, hi], "drift": report["drift"],
+               "bandwidth": k_weighted.bandwidth, "warnings": report["warnings"]}
+    return lo <= report["ratio"] <= hi, details
 
 
-def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
-    tol = ctx.tol("parametrix_layers")
-    ls = trimmed_symbol_data(laplace_symbol(ctx.cd), 1e-10)
+@_criterion(8, "parametrix identity layers", "perturbed")
+def criterion_8(ctx, perturbed):
+    tol = perturbed.tolerance("parametrix_layers")
+    cd = ctx.shared(ExperimentConfig.conformal_data, perturbed)
+    ls = trimmed_symbol_data(laplace_symbol(cd), 1e-10)
     res = parametrix_residual(ls, lam=-1.0 + 3.0j, window=BasisWindow(6))
-    ok = res[-1] <= tol and res[-2] <= tol
     details = {"order_0": res[0], "order_m1": res[-1], "order_m2": res[-2],
                "tolerance": tol}
-    return CriterionResult(8, "parametrix identity layers", ok, details,
-                           time.time() - t0)
+    return res[-1] <= tol and res[-2] <= tol, details
 
 
 def _identity_suite(ctx: AcceptanceContext, cases: int = 200):
@@ -330,8 +455,20 @@ IDENTITY_TOLERANCES = {
 }
 
 
-def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
+IDENTITY_TOLERANCES = {
+    "commutation": 1e-14,
+    "trace_cyclicity": 1e-12,
+    "integration_by_parts": 1e-12,
+    "star_derivation": 1e-12,
+    "leibniz": 1e-12,
+    "kms": 1e-10,
+    "adjoint_pairing": 1e-10,
+    "composition_vs_product": 1e-12,
+}
+
+
+@_criterion(9, "algebraic invariant suite (200 cases each)")
+def criterion_9(ctx):
     worst = _identity_suite(ctx)
     results = {}
     ok = True
@@ -340,20 +477,20 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
         good = worst[name] <= eff
         ok = ok and good
         results[name] = {"worst": worst[name], "tolerance": eff, "passed": good}
-    return CriterionResult(9, "algebraic invariant suite (200 cases each)", ok,
-                           results, time.time() - t0)
+    return ok, results
 
 
-def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
-    t0 = time.time()
+@_criterion(10, "cross-construction spectrum (pencil vs K D K)", "perturbed")
+def criterion_10(ctx, perturbed):
+    cd = ctx.shared(ExperimentConfig.conformal_data, perturbed)
     tols = {16: ctx.tol(0.01), 24: ctx.tol(0.003)}
     details = {}
     ok = True
     for N, tol in tols.items():
         w = BasisWindow(N)
-        op, gm = gram_laplacian_matrix(ctx.cd, w)
+        op, gm = gram_laplacian_matrix(cd, w)
         pencil = generalized_spectrum(op, gm).eigenvalues
-        direct = hermitian_spectrum(perturbed_laplacian_matrix(ctx.cd, w)).eigenvalues
+        direct = hermitian_spectrum(perturbed_laplacian_matrix(cd, w)).eigenvalues
         # both constructions share the constants kernel; compare the next ten
         kernel_ok = abs(pencil[0]) < 1e-8 and abs(direct[0]) < 1e-8
         rel = np.abs(pencil[1:11] - direct[1:11]) / np.abs(direct[1:11])
@@ -363,8 +500,7 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
             "max_rel_diff": float(rel.max()), "tolerance": tol,
             "kernel": [float(pencil[0]), float(direct[0])], "passed": good,
         }
-    return CriterionResult(10, "cross-construction spectrum (pencil vs K D K)",
-                           ok, details, time.time() - t0)
+    return ok, details
 
 
 ALL_CRITERIA = (
@@ -377,10 +513,7 @@ def run_all(ctx: AcceptanceContext | None = None, selection=None):
     """Run the selected criteria (all by default) and return their results."""
     ctx = ctx or AcceptanceContext()
     chosen = selection or range(1, len(ALL_CRITERIA) + 1)
-    results = []
-    for ident in chosen:
-        results.append(ALL_CRITERIA[ident - 1](ctx))
-    return results
+    return [ALL_CRITERIA[ident - 1](ctx) for ident in chosen]
 
 
 def format_tap(results) -> str:

@@ -1,9 +1,12 @@
 """Command-line experiment runner.
 
 Subcommands: weyl | heat | residue | connes-trace | verify | compose.
-Every run writes machine-readable outputs (CSV data, JSON report) plus a
-manifest capturing the fully resolved configuration; data files carry no
-wall-clock content, so replaying a manifest reproduces them byte for byte.
+The weyl, heat and connes-trace runners write what the claim functions of
+`acceptance` compute, the functions that `verify` gates.  Every run computes
+and validates first, then writes machine-readable outputs (CSV data, JSON
+report) plus a manifest capturing the fully resolved configuration; data
+files carry no wall-clock content, so replaying a manifest reproduces them
+byte for byte.
 """
 
 from __future__ import annotations
@@ -19,41 +22,14 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import __version__, acceptance, config as cfgmod, io as iomod
-from .algebra import unit
-from .gns import BasisWindow, hermitian_spectrum, perturbed_laplacian_matrix
-from .heat import (
-    ContourSpec,
-    contour_gate,
-    heat_coefficient,
-    heat_trace_fit,
-    laplace_symbol,
-)
-from .spectral import (
-    CountingData,
-    DixmierData,
-    adaptive_counting_ceiling,
-    counted_connes_trace_check,
-    dixmier_estimate,
-    lattice_counting_data,
-    lattice_disk_eigenvalues,
-    lattice_eigenvalues,
-    perturbed_resolvent_check,
-    resolvent_mu_disk,
-    weyl_constant_closed_form,
-    weyl_slope,
-)
+from .heat import ContourSpec, contour_gate, heat_coefficient, laplace_symbol
 from .symbols import (
-    GradedSymbol,
-    classicalize_resolvent,
     compose,
     format_symbol,
     residue,
     symbol_from_json_dict,
     symbol_to_json_dict,
 )
-
-# the lattice disk Q(m, n) <= DISK_QMAX behind the analytic Dixmier estimates
-DISK_QMAX = 1.0e6
 
 
 def _resolve_config(args) -> cfgmod.ExperimentConfig:
@@ -73,22 +49,25 @@ def _resolve_config(args) -> cfgmod.ExperimentConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
-def _out_dir(cfg: cfgmod.ExperimentConfig, sub: str) -> Path:
+def _write_run(cfg: cfgmod.ExperimentConfig, sub: str, report_name: str, report: dict,
+               **manifest_extra) -> Path:
+    """Create <out_dir>/<sub> (only once the run has computed and validated)
+    and write the report and the manifest into it."""
     out = Path(cfg.out_dir) / sub
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Path, cfg: cfgmod.ExperimentConfig, extra: dict | None = None):
-    manifest = {
+    iomod.write_report(out / report_name, report)
+    iomod.write_report(out / "manifest.json", {
         "version": __version__,
         "generated_at": datetime.datetime.now(datetime.timezone.utc)
         .replace(microsecond=0).isoformat(),
         "config": cfg.to_dict(),
-    }
-    if extra:
-        manifest.update(extra)
-    iomod.write_report(out / "manifest.json", manifest)
+        **manifest_extra,
+    })
+    return out
+
+
+def _verdict(report: dict) -> str:
+    return "pass" if report["passed"] else "FAIL"
 
 
 def _staircase_rows(eigs, lam_max, n=256):
@@ -98,223 +77,90 @@ def _staircase_rows(eigs, lam_max, n=256):
 
 
 def run_weyl(cfg: cfgmod.ExperimentConfig) -> int:
-    out = _out_dir(cfg, "weyl")
-    cdata_conf = cfg.conformal_data()
-    wc = weyl_constant_closed_form(cdata_conf)
-    if cfg.is_flat:
-        counting = lattice_counting_data(cfg.moduli, cfg.flat_band)
-        tol = cfg.tolerance("weyl_flat")
-    else:
-        spec = hermitian_spectrum(
-            perturbed_laplacian_matrix(cdata_conf, BasisWindow(cfg.bandwidth))
-        ).eigenvalues
-        ceiling = adaptive_counting_ceiling(CountingData(spec, cfg.bandwidth))
-        counting = CountingData(spec, cfg.bandwidth, explicit_ceiling=ceiling,
-                                note="adaptive trusted ceiling")
-        tol = cfg.tolerance("weyl_perturbed")
-    fit = weyl_slope(counting)
-    rel = abs(fit.slope - wc.slope) / wc.slope
-    iomod.write_eigenvalues_csv(out / "spectrum.csv", counting.eigenvalues)
+    report, eigs = acceptance.weyl_claim(cfg)
+    out = _write_run(cfg, "weyl", "weyl_report.json", report)
+    iomod.write_eigenvalues_csv(out / "spectrum.csv", eigs)
     iomod.write_csv(out / "staircase.csv", ["lambda", "count"],
-                    _staircase_rows(counting.eigenvalues, counting.lambda_max))
-    report = {
-        "slope": fit.slope,
-        "stderr": fit.stderr,
-        "closed_form": wc.slope,
-        "volume": wc.volume,
-        "trace_kinv2": wc.trace_kinv2,
-        "rel_error": rel,
-        "tolerance": tol,
-        "fit_window": list(fit.window),
-        "ceiling": counting.lambda_max,
-        "ceiling_note": counting.note,
-        "passed": rel <= tol,
-    }
-    iomod.write_report(out / "weyl_report.json", report)
-    _write_manifest(out, cfg)
-    print(f"weyl: slope {fit.slope:.6f} vs closed form {wc.slope:.6f} "
-          f"(rel {rel:.2%}, tol {tol:.0%}) -> {'pass' if report['passed'] else 'FAIL'}")
+                    _staircase_rows(eigs, report["ceiling"]))
+    print(f"weyl: slope {report['slope']:.6f} vs closed form {report['closed_form']:.6f} "
+          f"(rel {report['rel_error']:.2%}, tol {report['tolerance']:.0%}) -> {_verdict(report)}")
     return 0 if report["passed"] else 1
 
 
-def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
-    out = _out_dir(cfg, "heat")
+def _contour_sanity(cfg: cfgmod.ExperimentConfig) -> dict:
+    """The contour quadrature of e^{-lambda} against the scalar gate and
+    against expm of a random 6x6 positive matrix."""
     contour = ContourSpec()
+    tol = cfg.tolerance("contour_gate")
+    gate_err = contour_gate(contour, s_max=200.0, tol=tol)
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((6, 6))
+    m = a @ a.T / 6.0 + 0.1 * np.eye(6)
+    lam, wq = contour.points()
+    acc = np.zeros((6, 6), dtype=complex)
+    for lv, wv in zip(lam, wq):
+        acc += wv * np.exp(-lv) * np.linalg.inv(m - lv * np.eye(6))
+    merr = float(np.max(np.abs(acc - sla.expm(-m))))
+    return {"scalar_gate_error": gate_err, "matrix_identity_error": merr,
+            "tolerance": tol, "passed": merr <= tol}
+
+
+def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
     if cfg.symbol[0] == "contour_sanity":
-        gate_err = contour_gate(contour, s_max=200.0, tol=cfg.tolerance("contour_gate"))
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((6, 6))
-        m = a @ a.T / 6.0 + 0.1 * np.eye(6)
-        lam, wq = contour.points()
-        acc = np.zeros((6, 6), dtype=complex)
-        for lv, wv in zip(lam, wq):
-            acc += wv * np.exp(-lv) * np.linalg.inv(m - lv * np.eye(6))
-        merr = float(np.max(np.abs(acc - sla.expm(-m))))
-        ok = merr <= cfg.tolerance("contour_gate")
-        iomod.write_report(out / "heat_report.json", {
-            "scalar_gate_error": gate_err, "matrix_identity_error": merr,
-            "tolerance": cfg.tolerance("contour_gate"), "passed": ok,
-        })
-        _write_manifest(out, cfg)
-        print(f"heat: contour sanity scalar {gate_err:.2e}, matrix {merr:.2e} "
-              f"-> {'pass' if ok else 'FAIL'}")
-        return 0 if ok else 1
+        report = _contour_sanity(cfg)
+        _write_run(cfg, "heat", "heat_report.json", report)
+        print(f"heat: contour sanity scalar {report['scalar_gate_error']:.2e}, "
+              f"matrix {report['matrix_identity_error']:.2e} -> {_verdict(report)}")
+        return 0 if report["passed"] else 1
 
-    cdata = cfg.conformal_data()
-    ls = laplace_symbol(cdata)
-    wc = weyl_constant_closed_form(cdata)
-    quad = heat_coefficient(0, ls)
-    if cfg.is_flat:
-        eigs = lattice_eigenvalues(cfg.moduli, cfg.flat_band)
-    else:
-        eigs = hermitian_spectrum(
-            perturbed_laplacian_matrix(cdata, BasisWindow(cfg.bandwidth))
-        ).eigenvalues
-    fit = heat_trace_fit(eigs)
-    ts = np.geomspace(fit.t_window[0], fit.t_window[1], 40)
-    trace_rows = [
-        (float(t), float(t * np.sum(np.exp(-t * eigs)))) for t in ts
-    ]
-    iomod.write_csv(out / "heat_trace.csv", ["t", "t_times_trace"], trace_rows)
-    b2_quad = heat_coefficient(2, ls, contour=ContourSpec(nodes=64))
-    closed = wc.slope  # pi/Im(tau) t(k^{-2}) is also the heat coefficient
-    gaps = {
-        "quad_vs_closed": abs(quad.value - closed) / closed,
-        "fit_vs_closed": abs(fit.b0 - closed) / closed,
-        "quad_vs_fit": abs(quad.value - fit.b0) / max(abs(fit.b0), 1e-30),
-    }
-    if cfg.is_flat:
-        tol = cfg.tolerance("heat_flat_abs")
-        ok = abs(quad.value - closed) <= tol and abs(fit.b0 - closed) <= tol
-    else:
-        tol = cfg.tolerance("heat_pairwise")
-        ok = all(g <= tol for g in gaps.values())
-    report = {
-        "b0_quadrature": quad.value,
-        "b0_fit": fit.b0,
-        "b0_closed_form": closed,
-        "b2_fit": fit.b2,
-        "b2_quadrature": b2_quad.value,
-        "pairwise_gaps": gaps,
-        "tolerance": tol,
-        "contour_gate_error": quad.contour_error,
-        "quadrature_tail": quad.tail,
-        "b0_imag_residual": quad.imag_residual,
-        "b2_imag_residual": b2_quad.imag_residual,
-        "quadrature_params": quad.params,
-        "fit_t_window": list(fit.t_window),
-        "passed": ok,
-        "b2_note": "subleading coefficient reported for internal consistency only",
-    }
-    iomod.write_report(out / "heat_report.json", report)
-    _write_manifest(out, cfg)
-    print(f"heat: B0 quad {quad.value:.6f} fit {fit.b0:.6f} closed {closed:.6f} "
-          f"-> {'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-def _build_symbol(cfg: cfgmod.ExperimentConfig):
-    kind, par, depth = cfg.symbol[0], float(cfg.symbol[1]), int(cfg.symbol[2])
-    if kind == "flat_resolvent":
-        return classicalize_resolvent(par, cfg.moduli, max(depth, 1), cfg.angle)
-    if kind == "k_weighted":
-        cdata = cfg.conformal_data()
-        kinv2 = cdata.k_inv2.trimmed(1e-13)
-        return GradedSymbol(cfg.angle, -2, 1, {-2: {0: kinv2}})
-    if kind == "power":
-        order = int(par)
-        return GradedSymbol(cfg.angle, order, 1, {order: {0: unit(cfg.angle)}})
-    raise cfgmod.ConfigError(f"no graded symbol for kind {kind!r}")
+    report, eigs = acceptance.heat_claim(cfg)
+    b2 = heat_coefficient(2, laplace_symbol(cfg.conformal_data()), contour=ContourSpec(nodes=64))
+    report.update(b2_quadrature=b2.value, b2_imag_residual=b2.imag_residual,
+                  b2_note="subleading coefficient reported for internal consistency only")
+    ts = np.geomspace(*report["fit_t_window"], 40)
+    out = _write_run(cfg, "heat", "heat_report.json", report)
+    iomod.write_csv(out / "heat_trace.csv", ["t", "t_times_trace"],
+                    [(float(t), float(t * np.sum(np.exp(-t * eigs)))) for t in ts])
+    print(f"heat: B0 quad {report['b0_quadrature']:.6f} fit {report['b0_fit']:.6f} "
+          f"closed {report['b0_closed_form']:.6f} -> {_verdict(report)}")
+    return 0 if report["passed"] else 1
 
 
 def run_residue(cfg: cfgmod.ExperimentConfig) -> int:
-    out = _out_dir(cfg, "residue")
-    p = _build_symbol(cfg)
+    p = acceptance.graded_symbol(cfg)
     val = residue(p)
-    report = {"residue": val.real, "symbol_kind": cfg.symbol[0],
-              "top_order": p.top_order}
-    iomod.write_report(out / "residue_report.json", report)
-    _write_manifest(out, cfg)
+    _write_run(cfg, "residue", "residue_report.json",
+               {"residue": val.real, "symbol_kind": cfg.symbol[0], "top_order": p.top_order})
     print(f"residue: {val.real:.12f}")
     return 0
 
 
 def run_connes_trace(cfg: cfgmod.ExperimentConfig) -> int:
-    out = _out_dir(cfg, "connes_trace")
-    kind = cfg.symbol[0]
-    tol = cfg.tolerance("connes_ratio")
-    report: dict
-    if kind == "flat_resolvent":
-        c0 = float(cfg.symbol[1])
-        p = _build_symbol(cfg)
-        res = residue(p).real
-        mu = resolvent_mu_disk(c0, DISK_QMAX, cfg.moduli)
-        est = dixmier_estimate(DixmierData(mu))
-        ratio = est.value / res
-        ok = abs(ratio - 0.5) <= 0.5 * tol
-        report = {"residue": res, "dixmier": est.value, "drift": est.drift,
-                  "cesaro": est.cesaro, "ratio": ratio, "passed": ok,
-                  "route": "analytic disk eigenvalues"}
-    elif kind == "k_weighted":
-        p = _build_symbol(cfg)
-        rep, caught = counted_connes_trace_check(p, BasisWindow(cfg.bandwidth))
-        ok = abs(rep.ratio - 0.5) <= 0.5 * tol
-        report = {"residue": rep.residue, "dixmier": rep.dixmier.value,
-                  "drift": rep.dixmier.drift, "ratio": rep.ratio,
-                  "passed": ok, "route": f"finite section N={cfg.bandwidth}",
-                  "warnings": caught}
-    elif kind == "power":
-        order = float(cfg.symbol[1])
-        if order > -2.5:
-            raise cfgmod.ConfigError("power preset expects order <= -3 (trace class)")
-        q = lattice_disk_eigenvalues(cfg.moduli, DISK_QMAX)
-        mu = np.sort((1.0 + q) ** (order / 2.0))[::-1]
-        est = dixmier_estimate(DixmierData(mu))
-        ok = est.vanishing
-        report = {"residue": 0.0, "dixmier": est.value, "drift": est.drift,
-                  "vanishing": est.vanishing, "passed": ok,
-                  "route": "trace-class decay, Dixmier trace vanishes"}
-    elif kind == "perturbed_resolvent":
-        cdata = cfg.conformal_data()
-        eigs = hermitian_spectrum(
-            perturbed_laplacian_matrix(cdata, BasisWindow(cfg.bandwidth))
-        ).eigenvalues
-        rep = perturbed_resolvent_check(eigs, cdata)
-        ok = abs(rep["ratio"] - 1.0) <= tol
-        report = {"dixmier": rep["dixmier"].value, "drift": rep["dixmier"].drift,
-                  "closed_form": rep["closed_form"], "ratio": rep["ratio"],
-                  "passed": ok, "route": "Corollary preset (1+perturbed)^{-1}"}
-    else:
-        raise cfgmod.ConfigError(f"unknown symbol kind {kind!r}")
-    iomod.write_report(out / "connes_report.json", report)
-    _write_manifest(out, cfg)
-    print(f"connes-trace[{kind}]: " + ", ".join(
+    report, _ = acceptance.connes_claim(cfg)
+    _write_run(cfg, "connes_trace", "connes_report.json", report)
+    print(f"connes-trace[{cfg.symbol[0]}]: " + ", ".join(
         f"{k}={v:.6g}" for k, v in report.items() if isinstance(v, float)
-    ) + f" -> {'pass' if report['passed'] else 'FAIL'}")
+    ) + f" -> {_verdict(report)}")
     return 0 if report["passed"] else 1
 
 
 def run_verify(cfg: cfgmod.ExperimentConfig, selection=None) -> int:
-    out = _out_dir(cfg, "verify")
-    ctx = acceptance.AcceptanceContext(
-        tolerance_scale=cfg.tolerance_scale,
-        bandwidth=cfg.bandwidth,
-        flat_band=cfg.flat_band,
-        theta=cfg.theta,
+    """Run the selected criteria, each on its preset with cfg's settings.
+    Wall-clock times go to the manifest only, so the report replays byte
+    for byte."""
+    results = acceptance.run_all(acceptance.AcceptanceContext(cfg), selection)
+    print(acceptance.format_tap(results))
+    passed = all(r.passed for r in results)
+    _write_run(
+        cfg, "verify", "verify_report.json",
+        {"results": [{"criterion": r.ident, "name": r.name, "passed": r.passed,
+                      "details": r.details} for r in results],
+         "all_passed": passed},
+        criteria={str(r.ident): {name: c.to_dict() for name, c in r.configs.items()}
+                  for r in results},
+        timings={str(r.ident): r.seconds for r in results},
     )
-    results = acceptance.run_all(ctx, selection)
-    tap = acceptance.format_tap(results)
-    print(tap)
-    iomod.write_report(out / "verify_report.json", {
-        "results": [
-            {"criterion": r.ident, "name": r.name, "passed": r.passed,
-             "seconds": r.seconds, "details": r.details}
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    })
-    _write_manifest(out, cfg)
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if passed else 1
 
 
 def run_compose(args) -> int:

@@ -8,8 +8,9 @@ of the library function that uses it (or a constant of the CLI runner), and
 every tolerance is a DEFAULT_TOLERANCES entry times the scale, the same table
 `verify` reads.  The defaults are those of ExperimentConfig; a loaded dict
 fills the fields it omits from them.  Each field is checked on construction
-(ConfigError) and h is symmetrized (the element must be selfadjoint);
-emitting writes the fully resolved dictionary that load reads back.
+(ConfigError).  h must be selfadjoint, so h_spec keeps one row per pair
+(m, n), (-m, -n) and h_element adds the adjoint image; emitting writes the
+fully resolved dictionary that load reads back unchanged, bit for bit.
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ class ExperimentConfig:
         return DEFAULT_TOLERANCES[name] * self.tolerance_scale
 
     def h_element(self) -> NcElement:
-        coeffs = {}
-        for m, n, re, im in self.h_spec:
-            coeffs[(int(m), int(n))] = coeffs.get((int(m), int(n)), 0.0) + complex(re, im)
+        """h: each h_spec row and its adjoint image."""
+        coeffs = {(int(m), int(n)): complex(re, im) for m, n, re, im in self.h_spec}
         bw = max((max(abs(m), abs(n)) for (m, n) in coeffs), default=0)
-        return NcElement(self.angle, bw, coeffs)
+        image = adjoint(NcElement(self.angle, bw, coeffs)).coeffs
+        return NcElement(self.angle, bw, dict(sorted({**image, **coeffs}.items())))
 
     def conformal_data(self) -> ConformalData:
         return ConformalData.build(self.moduli, self.h_element())
@@ -161,7 +162,8 @@ def _finite_reals(name: str, values, length: int) -> tuple:
 
 
 def _symmetrize_h(rows, theta: float) -> tuple:
-    """Enforce selfadjointness of the Weyl exponent.
+    """The rows of a selfadjoint Weyl exponent, one per pair (m, n), (-m, -n):
+    the coefficient at the member (m, n) >= (0, 0).
 
     A missing mirror coefficient at (-m,-n) is the adjoint image of (m,n);
     when both mirrors are listed (a listed 0 included) each is averaged with
@@ -175,7 +177,8 @@ def _symmetrize_h(rows, theta: float) -> tuple:
     for (m, n), c in raw.items():
         out[(m, n)] = (c + image.get((m, n), 0j)) / 2.0 if (-m, -n) in raw else c
     return tuple(
-        (m, n, c.real, c.imag) for (m, n), c in sorted(out.items()) if c != 0.0
+        (m, n, c.real, c.imag) for (m, n), c in sorted(out.items())
+        if (m, n) >= (0, 0) and c != 0.0
     )
 
 

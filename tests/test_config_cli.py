@@ -1,18 +1,18 @@
 """Config round-trip, serialization formats and CLI determinism."""
 
 import cmath
+import dataclasses
 import json
 import math
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nctorus import config as cfgmod
 from nctorus import io as iomod
-from nctorus.algebra import GOLDEN, is_selfadjoint
+from nctorus.algebra import GOLDEN, ModuliPoint, add, adjoint, is_selfadjoint, make_monomial, scale
 from nctorus.cli import main
 from nctorus.symbols import classicalize_resolvent, symbol_to_json_dict
-from nctorus.algebra import ModuliPoint, make_monomial
 
 
 def test_config_defaults_and_tolerance_scale():
@@ -57,6 +57,27 @@ def test_config_h_symmetrization():
     phase = cmath.exp(2j * math.pi * cfg4.theta * 2)
     assert h.coeff(1, 2) == pytest.approx((a + b.conjugate() * phase) / 2, abs=1e-15)
     assert h.coeff(-1, -2) == pytest.approx((b + a.conjugate() * phase) / 2, abs=1e-15)
+
+
+def test_config_round_trip_is_bit_identical():
+    # h_spec keeps one row per (m, n), (-m, -n) pair, so reloading an emitted
+    # config re-averages nothing, also where the mirror phase is not 1
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        rows = [[int(rng.integers(-3, 4)), int(rng.integers(-3, 4)),
+                 float(rng.standard_normal()), float(rng.standard_normal())]
+                for _ in range(3)]
+        cfg = cfgmod.from_dict({"h_spec": rows})
+        again = cfgmod.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert json.dumps(again.to_dict()) == json.dumps(cfg.to_dict())
+        assert again.h_element().coeffs == cfg.h_element().coeffs
+
+
+def test_config_preset_h_element_unchanged():
+    u = make_monomial(1, 0, 1.0, GOLDEN)
+    h = scale(0.4, add(u, adjoint(u)))
+    assert cfgmod.preset("perturbed").h_spec == ((1, 0, 0.4, 0.0),)
+    assert cfgmod.preset("perturbed").h_element().coeffs == h.coeffs
 
 
 def test_config_rejects_bad_input():
@@ -115,6 +136,30 @@ def test_cli_weyl_flat_and_manifest_replay(tmp_path):
     out2 = tmp_path / "replay" / "weyl"
     assert (out2 / "spectrum.csv").read_bytes() == spectrum1
     assert (out2 / "staircase.csv").read_bytes() == staircase1
+
+
+def test_cli_weyl_replay_generic_h_is_byte_identical(tmp_path):
+    # m n != 0: the mirror coefficient carries the phase e^{2 pi i theta m n}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"h_spec": [[1, 1, 0.2, 0.1]], "bandwidth": 12}))
+    config = path
+    files = []
+    for i in range(3):
+        out = tmp_path / f"run{i}"
+        _run(["weyl", "--config", str(config), "--out", str(out)])
+        config = out / "weyl" / "manifest.json"
+        files.append([(out / "weyl" / name).read_bytes()
+                      for name in ("spectrum.csv", "staircase.csv", "weyl_report.json")])
+    assert files[0] == files[1] == files[2]
+
+
+def test_cli_rejected_run_leaves_no_directory(tmp_path, capsys):
+    path = small_flat_config(tmp_path, symbol=["power", -2.0, 1])
+    with pytest.raises(SystemExit) as exc:
+        main(["connes-trace", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "order" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "connes_trace").exists()
 
 
 def test_cli_weyl_negative_control(tmp_path):
@@ -190,6 +235,69 @@ def test_cli_verify_subset(tmp_path, capsys):
     assert "ok 2 - criterion 5" in out
     report = iomod.read_report(tmp_path / "runs" / "verify" / "verify_report.json")
     assert report["all_passed"] is True
+    # each criterion ran its preset with the verify run's settings
+    manifest = iomod.read_report(tmp_path / "runs" / "verify" / "manifest.json")
+    want = {"1": "flat", "5": "connes-flat-resolvent"}
+    assert {k: list(v) for k, v in manifest["criteria"].items()} == {
+        k: [name] for k, name in want.items()}
+    for ident, name in want.items():
+        cfg = dataclasses.replace(cfgmod.preset(name), out_dir=str(tmp_path / "runs"))
+        assert manifest["criteria"][ident][name] == cfg.to_dict()
+    assert sorted(manifest["timings"]) == ["1", "5"]
+
+
+def test_cli_verify_matches_runner_reports(tmp_path, capsys):
+    # one computation per claim: each gated number of verify is the number
+    # the runner reports for the criterion's preset at the same settings
+    cfg_path = small_flat_config(tmp_path, bandwidth=16)
+    assert _run(["verify", "--config", str(cfg_path), "--criteria", "1,3,7"]) == 0
+    report = iomod.read_report(tmp_path / "runs" / "verify" / "verify_report.json")
+    details = {r["criterion"]: r["details"] for r in report["results"]}
+    runs = {}
+    for sub, name, report_file in (("weyl", "flat", "weyl_report.json"),
+                                   ("weyl", "perturbed", "weyl_report.json"),
+                                   ("connes-trace", "connes-k-weighted", "connes_report.json")):
+        d = cfgmod.load(cfg_path).to_dict()
+        d.pop("config_schema_version")
+        d.update(cfgmod.PRESETS[name], out_dir=str(tmp_path / name))
+        path = tmp_path / f"{name}.json"
+        cfgmod.from_dict(d).emit(path)
+        assert _run([sub, "--config", str(path)]) == 0
+        runs[name] = iomod.read_report(tmp_path / name / sub.replace("-", "_") / report_file)
+    flat, perturbed, connes = runs["flat"], runs["perturbed"], runs["connes-k-weighted"]
+    for key in ("slope", "stderr", "rel_error", "ceiling", "tolerance"):
+        assert details[1][key] == flat[key]
+    assert details[1]["target"] == flat["closed_form"]
+    for key in ("slope", "closed_form", "rel_error", "ceiling", "trace_kinv2", "tolerance"):
+        assert details[3][key] == perturbed[key]
+    for key in ("residue", "dixmier", "ratio", "drift", "warnings"):
+        assert details[7][key] == connes[key]
+    assert details[7]["bandwidth"] == 16
+
+
+def test_cli_verify_report_is_deterministic(tmp_path, capsys):
+    # wall-clock times go to the manifest only
+    reports = []
+    for i in range(2):
+        out = tmp_path / f"run{i}"
+        assert _run(["verify", "--preset", "flat", "--out", str(out),
+                     "--criteria", "1,2,5"]) == 0
+        reports.append((out / "verify" / "verify_report.json").read_bytes())
+        manifest = iomod.read_report(out / "verify" / "manifest.json")
+        assert sorted(manifest["timings"]) == ["1", "2", "5"]
+    assert reports[0] == reports[1]
+    assert b"seconds" not in reports[0]
+
+
+def test_cli_verify_rejects_preset_fields(tmp_path, capsys):
+    # verify chooses tau, h_spec and symbol per criterion; a config that sets
+    # them would be ignored, so it is an error
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--preset", "connes-order3", "--criteria", "1,5",
+              "--out", str(tmp_path / "runs")])
+    assert exc.value.code == 2
+    assert "symbol" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("criteria", ["0", "-1", "11", "x"])
