@@ -52,6 +52,7 @@ from .spectral import (
     CountingData,
     DixmierData,
     adaptive_counting_ceiling,
+    box_containment_ceiling,
     counted_connes_trace_check,
     dixmier_estimate,
     lattice_counting_data,
@@ -126,7 +127,9 @@ def heat_claim(cfg: ExperimentConfig, spectrum=None):
     closed = weyl_constant_closed_form(cdata).slope  # pi/Im(tau) t(k^{-2}) is also b0
     quad = heat_coefficient(0, laplace_symbol(cdata))
     if cfg.is_flat:
-        eigs = lattice_eigenvalues(cfg.moduli, cfg.flat_band)
+        # the sublevel ellipse the index box contains, as the flat Weyl fit cuts it
+        eigs = lattice_eigenvalues(cfg.moduli, cfg.flat_band,
+                                   q_max=box_containment_ceiling(cfg.moduli, cfg.flat_band))
     else:
         eigs = section_spectrum(cfg) if spectrum is None else spectrum
     fit = heat_trace_fit(eigs)
@@ -304,11 +307,12 @@ def criterion_2(ctx, tau_2i, tau_1_plus_i):
     return r2["passed"] and r3["passed"], details
 
 
-@_criterion(3, "perturbed Weyl law (N = 48)", "perturbed")
+@_criterion(3, "perturbed Weyl law", "perturbed")
 def criterion_3(ctx, perturbed):
     report, spec = weyl_claim(perturbed, ctx.perturbed_spectrum)
     details = {k: report[k] for k in ("slope", "closed_form", "rel_error", "tolerance",
                                       "ceiling", "trace_kinv2")}
+    details["bandwidth"] = perturbed.bandwidth
     details["quarter_cap"] = CountingData(spec, perturbed.bandwidth).lambda_max
     return report["passed"], details
 
@@ -441,18 +445,6 @@ def _identity_suite(ctx: AcceptanceContext, cases: int = 200):
         diff = (mp @ mq)[:, cols] - mpq[:, cols]
         track("composition_vs_product", np.max(np.abs(diff)))
     return worst
-
-
-IDENTITY_TOLERANCES = {
-    "commutation": 1e-14,
-    "trace_cyclicity": 1e-12,
-    "integration_by_parts": 1e-12,
-    "star_derivation": 1e-12,
-    "leibniz": 1e-12,
-    "kms": 1e-10,
-    "adjoint_pairing": 1e-10,
-    "composition_vs_product": 1e-12,
-}
 
 
 IDENTITY_TOLERANCES = {

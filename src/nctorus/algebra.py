@@ -10,7 +10,6 @@ square, the weight phi and the modular automorphism) live here as well.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -69,64 +68,83 @@ class ModuliPoint:
         return self.re * self.re + self.im * self.im
 
 
-def _phase(theta: float, k: float) -> complex:
-    # e^{2*pi*i*theta*k}
-    return cmath.exp(2j * math.pi * theta * k)
+def _twist(theta: float, k: np.ndarray) -> np.ndarray:
+    """The twist e^{2 pi i theta k} of an integer array k."""
+    return np.exp(2j * math.pi * theta * k)
+
+
+def _crop(corner, box: np.ndarray):
+    """(corner, box) cut down to the smallest box holding the nonzero entries;
+    ((0, 0), an empty box) when there are none."""
+    rows = np.flatnonzero(box.any(axis=1))
+    if not rows.size:
+        return (0, 0), np.zeros((0, 0), dtype=complex)
+    cols = np.flatnonzero(box.any(axis=0))
+    return ((int(corner[0] + rows[0]), int(corner[1] + cols[0])),
+            box[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1])
 
 
 class NcElement:
     """A bandwidth-bounded twisted Fourier series.
 
-    coeffs maps integer pairs (m, n) with |m|,|n| <= bandwidth to complex
-    coefficients; absent entries are zero.  Instances are immutable by
-    convention: no method mutates self.
+    The coefficient of U^m V^n is box[m - corner[0], n - corner[1]], zero
+    outside the box; the box is cropped to the support, so the zero element
+    has an empty box.  Every index lies in |m|,|n| <= bandwidth.  Instances
+    are immutable by convention: nothing mutates a box once built.
     """
 
-    __slots__ = ("angle", "bandwidth", "coeffs")
+    __slots__ = ("angle", "bandwidth", "corner", "box")
 
     def __init__(self, angle: DeformationAngle, bandwidth: int, coeffs: dict):
+        """Checking constructor from {(m, n): c}, for input from outside."""
         if bandwidth < 0:
             raise AlgebraError("bandwidth must be non-negative")
-        clean = {}
-        for (m, n), c in coeffs.items():
-            if abs(m) > bandwidth or abs(n) > bandwidth:
-                raise AlgebraError(
-                    f"coefficient index ({m},{n}) outside bandwidth box {bandwidth}"
-                )
-            c = complex(c)
-            if c != 0.0:
-                clean[(int(m), int(n))] = c
+        # the zero element enters as one zero at the origin, which _crop drops
+        keys = np.array(list(coeffs) or [(0, 0)], dtype=int)
+        outside = keys[(np.abs(keys) > bandwidth).any(axis=1)]
+        if outside.size:
+            m, n = outside[0].tolist()
+            raise AlgebraError(f"coefficient index ({m},{n}) outside bandwidth box {bandwidth}")
+        lo = keys.min(axis=0)
+        box = np.zeros(keys.max(axis=0) - lo + 1, dtype=complex)
+        box[tuple((keys - lo).T)] = [complex(c) for c in coeffs.values()] or [0.0]
         self.angle = angle
         self.bandwidth = int(bandwidth)
-        self.coeffs = clean
+        self.corner, self.box = _crop(lo, box)
 
     @property
     def theta(self) -> float:
         return self.angle.theta
 
+    @property
+    def coeffs(self) -> dict:
+        """{(m, n): c} with int keys and complex values over the nonzero
+        coefficients, in lexicographic order."""
+        i, j = np.nonzero(self.box)
+        keys = zip((i + self.corner[0]).tolist(), (j + self.corner[1]).tolist())
+        return dict(zip(keys, self.box[i, j].tolist()))
+
     def coeff(self, m: int, n: int) -> complex:
-        return self.coeffs.get((m, n), 0.0 + 0.0j)
+        i, j = m - self.corner[0], n - self.corner[1]
+        inside = 0 <= i < self.box.shape[0] and 0 <= j < self.box.shape[1]
+        return complex(self.box[i, j]) if inside else 0.0 + 0.0j
 
     def l1_norm(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values())
+        return float(np.abs(self.box).sum())
 
     def support_bandwidth(self) -> int:
         """Smallest box actually containing the support."""
-        if not self.coeffs:
-            return 0
-        return max(max(abs(m), abs(n)) for (m, n) in self.coeffs)
+        (m0, n0), (rows, cols) = self.corner, self.box.shape
+        return max(-m0, m0 + rows - 1, -n0, n0 + cols - 1, 0)
 
     def trimmed(self, tol: float = 0.0) -> "NcElement":
         """Drop coefficients of magnitude <= tol and shrink the declared box."""
-        kept = {mn: c for mn, c in self.coeffs.items() if abs(c) > tol}
-        bw = max((max(abs(m), abs(n)) for (m, n) in kept), default=0)
-        return NcElement(self.angle, bw, kept)
+        kept = _element(self.angle, 0, self.corner, np.where(np.abs(self.box) > tol, self.box, 0))
+        kept.bandwidth = kept.support_bandwidth()
+        return kept
 
     def isclose(self, other: "NcElement", tol: float = DEFAULT_TOL) -> bool:
-        if self.angle != other.angle:
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(abs(self.coeff(*k) - other.coeff(*k)) <= tol for k in keys)
+        return self.angle == other.angle and bool((np.abs((self - other).box) <= tol).all())
 
     # arithmetic sugar; the canonical entry points are the module functions
     def __add__(self, other):
@@ -154,10 +172,31 @@ class NcElement:
     __hash__ = None
 
     def __repr__(self):
-        terms = ", ".join(
-            f"({m},{n}): {c:.6g}" for (m, n), c in sorted(self.coeffs.items())
-        )
+        terms = ", ".join(f"({m},{n}): {c:.6g}" for (m, n), c in self.coeffs.items())
         return f"NcElement(theta={self.theta:.12g}, bw={self.bandwidth}, {{{terms}}})"
+
+
+def _element(angle: DeformationAngle, bandwidth: int, corner, box: np.ndarray) -> NcElement:
+    """The element with coefficient box[m - corner[0], n - corner[1]] at (m, n),
+    built without NcElement's checks: the caller keeps the box inside the
+    bandwidth box."""
+    out = NcElement.__new__(NcElement)
+    out.angle = angle
+    out.bandwidth = bandwidth
+    out.corner, out.box = _crop(corner, box)
+    return out
+
+
+def _indices(a: NcElement):
+    """The m column and the n row of a's box."""
+    (m0, n0), (rows, cols) = a.corner, a.box.shape
+    return np.arange(m0, m0 + rows)[:, None], np.arange(n0, n0 + cols)[None, :]
+
+
+def coeff_key(a: NcElement) -> bytes:
+    """Bytes that are equal exactly when two elements have equal coefficients,
+    with -0.0 and 0.0 counted equal; Python caches the hash of bytes."""
+    return np.array([*a.corner, *a.box.shape]).tobytes() + (a.box + 0.0).tobytes()
 
 
 def make_monomial(m: int, n: int, c: complex = 1.0, angle: DeformationAngle = GOLDEN) -> NcElement:
@@ -180,38 +219,17 @@ def _check_same_angle(a: NcElement, b: NcElement):
 
 def add(a: NcElement, b: NcElement) -> NcElement:
     _check_same_angle(a, b)
-    out = dict(a.coeffs)
-    for mn, c in b.coeffs.items():
-        out[mn] = out.get(mn, 0.0) + c
-    return NcElement(a.angle, max(a.bandwidth, b.bandwidth), out)
+    lo = np.minimum(a.corner, b.corner)
+    out = np.zeros(np.maximum(np.add(a.corner, a.box.shape), np.add(b.corner, b.box.shape)) - lo,
+                   dtype=complex)
+    for e in (a, b):
+        i, j = np.subtract(e.corner, lo)
+        out[i:i + e.box.shape[0], j:j + e.box.shape[1]] += e.box
+    return _element(a.angle, max(a.bandwidth, b.bandwidth), lo, out)
 
 
 def scale(c: complex, a: NcElement) -> NcElement:
-    return NcElement(a.angle, a.bandwidth, {mn: c * v for mn, v in a.coeffs.items()})
-
-
-def _box(a: NcElement):
-    """(corner (m0, n0), array): the coefficients of a nonempty element on
-    the smallest box holding its support, entry [m - m0, n - n0]."""
-    keys = np.array(list(a.coeffs))
-    lo = keys.min(axis=0)
-    box = np.zeros(keys.max(axis=0) - lo + 1, dtype=complex)
-    box[tuple((keys - lo).T)] = list(a.coeffs.values())
-    return lo, box
-
-
-def _from_box(angle: DeformationAngle, bandwidth: int, lo, box: np.ndarray) -> NcElement:
-    """The element whose coefficient at (m, n) is box[m - lo[0], n - lo[1]].
-
-    The caller guarantees that the box lies inside the bandwidth box, so the
-    slots are set directly, without NcElement's per-key checks."""
-    i, j = np.nonzero(box)
-    keys = zip((i + lo[0]).tolist(), (j + lo[1]).tolist())
-    out = NcElement.__new__(NcElement)
-    out.angle = angle
-    out.bandwidth = bandwidth
-    out.coeffs = dict(zip(keys, box[i, j].tolist()))
-    return out
+    return _element(a.angle, a.bandwidth, a.corner, c * a.box)
 
 
 def mul(a: NcElement, b: NcElement) -> NcElement:
@@ -219,38 +237,35 @@ def mul(a: NcElement, b: NcElement) -> NcElement:
 
     (U^m V^n)(U^p V^q) = e^{2*pi*i*theta*n*p} U^{m+p} V^{n+q}.  Each
     coefficient of the operand with fewer terms adds one shifted block of the
-    other operand's coefficient box, phased by one row of the table
-    e^{2 pi i theta n p} over the n of a's box and the p of b's box.
+    other operand's box, phased by one row of the table e^{2 pi i theta n p}
+    over the n of a's box and the p of b's box.
     """
     _check_same_angle(a, b)
     bw = a.bandwidth + b.bandwidth
-    if not a.coeffs or not b.coeffs:
-        return NcElement(a.angle, bw, {})
-    (am, an), abox = _box(a)
-    (bm, bn), bbox = _box(b)
-    phase = np.exp(2j * math.pi * a.theta * np.outer(
-        np.arange(an, an + abox.shape[1]), np.arange(bm, bm + bbox.shape[0])))
+    if not a.box.size or not b.box.size:
+        return _element(a.angle, bw, (0, 0), np.zeros((0, 0), dtype=complex))
+    abox, bbox = a.box, b.box
+    phase = _twist(a.theta, _indices(a)[1].T * _indices(b)[0].T)
     out = np.zeros(np.add(abox.shape, bbox.shape) - 1, dtype=complex)
-    if len(a.coeffs) <= len(b.coeffs):
+    ai, aj = np.nonzero(abox)
+    bi, bj = np.nonzero(bbox)
+    if ai.size <= bi.size:
         bp, bq = bbox.shape
-        for (m, n), c in a.coeffs.items():
-            i, j = m - am, n - an
+        for i, j, c in zip(ai.tolist(), aj.tolist(), abox[ai, aj].tolist()):
             out[i:i + bp, j:j + bq] += (c * phase[j])[:, None] * bbox
     else:
         ap, aq = abox.shape
-        for (p, q), c in b.coeffs.items():
-            i, j = p - bm, q - bn
+        for i, j, c in zip(bi.tolist(), bj.tolist(), bbox[bi, bj].tolist()):
             out[i:i + ap, j:j + aq] += (c * phase[:, i]) * abox
-    return _from_box(a.angle, bw, (am + bm, an + bn), out)
+    return _element(a.angle, bw, np.add(a.corner, b.corner), out)
 
 
 def adjoint(a: NcElement) -> NcElement:
     """Star involution: (U^m V^n)* = e^{2*pi*i*theta*m*n} U^{-m} V^{-n}."""
-    theta = a.theta
-    out = {}
-    for (m, n), c in a.coeffs.items():
-        out[(-m, -n)] = c.conjugate() * _phase(theta, m * n)
-    return NcElement(a.angle, a.bandwidth, out)
+    (m0, n0), (rows, cols) = a.corner, a.box.shape
+    m, n = _indices(a)
+    flipped = (np.conj(a.box) * _twist(a.theta, m * n))[::-1, ::-1]
+    return _element(a.angle, a.bandwidth, (1 - m0 - rows, 1 - n0 - cols), flipped)
 
 
 def trace_t(a: NcElement) -> complex:
@@ -259,32 +274,27 @@ def trace_t(a: NcElement) -> complex:
 
 
 def trace_of_product(a: NcElement, b: NcElement) -> complex:
-    """trace(a b) as a sparse pairing, without materializing the product:
-    sum over (m,n) of a_{m,n} b_{-m,-n} e^{-2 pi i theta m n}.  The phase is
-    the same at (m,n) and (-m,-n), so the sum runs over the smaller support."""
-    _check_same_angle(a, b)
-    theta = a.theta
-    small, big = (a, b) if len(a.coeffs) <= len(b.coeffs) else (b, a)
-    out = 0.0 + 0.0j
-    for (m, n), c in small.coeffs.items():
-        other = big.coeffs.get((-m, -n))
-        if other is not None:
-            out += c * other * _phase(theta, -m * n)
-    return out
+    """trace(a b) = <a, b*>, without materializing the product:
+    sum over (m,n) of a_{m,n} b_{-m,-n} e^{-2 pi i theta m n}."""
+    return inner_product(a, adjoint(b))
 
 
 def inner_product(a: NcElement, b: NcElement) -> complex:
-    """GNS inner product <a,b> = trace(b* a)."""
-    return trace_of_product(adjoint(b), a)
+    """GNS inner product <a,b> = trace(b* a).  The monomials are orthonormal,
+    so it is the sum of a_{m,n} conj(b_{m,n}) over the overlap of the boxes."""
+    _check_same_angle(a, b)
+    lo = np.maximum(a.corner, b.corner)
+    hi = np.maximum(lo, np.minimum(np.add(a.corner, a.box.shape), np.add(b.corner, b.box.shape)))
+    (ai, aj), (bi, bj) = lo - a.corner, lo - b.corner
+    p, q = hi - lo
+    return complex(np.vdot(b.box[bi:bi + p, bj:bj + q], a.box[ai:ai + p, aj:aj + q]))
 
 
 def delta(axis: int, a: NcElement) -> NcElement:
     """Basis derivations: delta_1 scales by m, delta_2 by n."""
     if axis not in (1, 2):
         raise AlgebraError(f"axis must be 1 or 2, got {axis}")
-    pick = 0 if axis == 1 else 1
-    out = {mn: mn[pick] * c for mn, c in a.coeffs.items()}
-    return NcElement(a.angle, a.bandwidth, out)
+    return _element(a.angle, a.bandwidth, a.corner, _indices(a)[axis - 1] * a.box)
 
 
 def dbar(a: NcElement, tau: ModuliPoint) -> NcElement:
@@ -336,13 +346,9 @@ def _exp_image(h: NcElement, scl: float, band: int) -> NcElement:
     dim = side * side
     mat = _mult_section(h.theta, h.coeffs, band) * scl
     e0 = np.zeros(dim, dtype=complex)
-    e0[(0 + band) * side + (0 + band)] = 1.0
-    img = spla.expm_multiply(mat, e0)
-    out = {}
-    for idx in np.nonzero(np.abs(img) > 1e-300)[0]:
-        m, n = divmod(int(idx), side)
-        out[(m - band, n - band)] = complex(img[idx])
-    return NcElement(h.angle, band, out)
+    e0[band * side + band] = 1.0
+    img = spla.expm_multiply(mat, e0).reshape(side, side)
+    return _element(h.angle, band, (-band, -band), np.where(np.abs(img) > 1e-300, img, 0))
 
 
 def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16,
@@ -362,10 +368,7 @@ def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16,
     bw = h.support_bandwidth()
     full = _exp_image(h, scl, bw + pad)
     prev = _exp_image(h, scl, bw + pad - 1)
-    diff = dict(full.coeffs)
-    for mn, c in prev.coeffs.items():
-        diff[mn] = diff.get(mn, 0.0) - c
-    convergence = sum(abs(c) for c in diff.values())
+    convergence = (full - prev).l1_norm()
     if conv_tol is not None and convergence > conv_tol:
         raise NonConvergence(
             f"exp_selfadjoint pad={pad} convergence metric {convergence:.3e} > {conv_tol:.1e}"
@@ -450,7 +453,7 @@ def norm_bounds(a: NcElement, window_size: int = 8):
     the coefficients.  lower <= ||a|| <= upper always.
     """
     upper = a.l1_norm()
-    if not a.coeffs:
+    if not a.box.size:
         return 0.0, 0.0
     mat = _mult_section(a.theta, a.coeffs, window_size).toarray()
     lower = float(np.linalg.norm(mat, ord=2))
@@ -461,13 +464,10 @@ def truncate(a: NcElement, band: int):
     """Clip to the band box; returns (element, discarded l1 mass)."""
     if band < 0:
         raise AlgebraError("truncation bandwidth must be >= 0")
-    kept, lost = {}, 0.0
-    for (m, n), c in a.coeffs.items():
-        if abs(m) <= band and abs(n) <= band:
-            kept[(m, n)] = c
-        else:
-            lost += abs(c)
-    return NcElement(a.angle, band, kept), lost
+    m, n = _indices(a)
+    inside = (np.abs(m) <= band) & (np.abs(n) <= band)
+    return (_element(a.angle, band, a.corner, np.where(inside, a.box, 0)),
+            float(np.abs(a.box[~inside]).sum()))
 
 
 def random_element(rng: np.random.Generator, band: int, n_terms: int = 6,
@@ -492,9 +492,7 @@ def random_selfadjoint(rng: np.random.Generator, band: int, n_terms: int = 4,
 # Writers emit coefficients sorted lexicographically; readers accept any order.
 
 def to_json_dict(a: NcElement) -> dict:
-    rows = [
-        [m, n, c.real, c.imag] for (m, n), c in sorted(a.coeffs.items())
-    ]
+    rows = [[m, n, c.real, c.imag] for (m, n), c in a.coeffs.items()]
     return {"theta": a.theta, "coeffs": rows}
 
 

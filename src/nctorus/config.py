@@ -112,7 +112,7 @@ class ExperimentConfig:
         coeffs = {(int(m), int(n)): complex(re, im) for m, n, re, im in self.h_spec}
         bw = max((max(abs(m), abs(n)) for (m, n) in coeffs), default=0)
         image = adjoint(NcElement(self.angle, bw, coeffs)).coeffs
-        return NcElement(self.angle, bw, dict(sorted({**image, **coeffs}.items())))
+        return NcElement(self.angle, bw, {**image, **coeffs})
 
     def conformal_data(self) -> ConformalData:
         return ConformalData.build(self.moduli, self.h_element())

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ConformalData, ModuliPoint, NcElement, add, delta, mul, scale
+from .algebra import ConformalData, ModuliPoint, NcElement, add, coeff_key, delta, mul, scale
 from .gns import BasisWindow, FiniteSectionOperator, left_mult_matrix
 from .symbols import _leibniz
 
@@ -121,21 +121,18 @@ class Resolvent:
 
 class ElementAtom:
     """Left multiplication by a fixed algebra element; its key (the
-    coefficients by value) is taken once, when the factor is built."""
+    coefficients by value, as bytes whose hash Python caches) is taken once,
+    when the factor is built."""
 
     __slots__ = ("elem", "label", "key")
 
     def __init__(self, elem: NcElement, label: str = ""):
         self.elem = elem
         self.label = label
-        self.key = _elem_key(elem)
+        self.key = coeff_key(elem)
 
     def __repr__(self):
         return self.label or "elem"
-
-
-def _elem_key(elem: NcElement):
-    return tuple(sorted(elem.coeffs.items()))
 
 
 def _word_key(word):

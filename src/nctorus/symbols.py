@@ -22,7 +22,7 @@ from .algebra import (
     DeformationAngle,
     ModuliPoint,
     NcElement,
-    _from_box,
+    _element,
     _mult_section,
     adjoint,
     add,
@@ -448,7 +448,7 @@ def apply_op(p, a: NcElement) -> NcElement:
         out[m + r - lo[0], n + s - lo[1]] += (
             vals * coef * np.exp(2j * math.pi * a.theta * s * m))
     bw = a.support_bandwidth() + int(np.abs(shifts).max())
-    return _from_box(a.angle, bw, lo, out)
+    return _element(a.angle, bw, lo, out)
 
 
 def finite_section_of_op(p, w: BasisWindow) -> FiniteSectionOperator:

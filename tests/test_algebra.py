@@ -168,6 +168,51 @@ def test_mul_edge_cases_match_pairwise_oracle(theta):
         assert_matches_pairwise_oracle(a, b)
 
 
+def assert_coeffs(elem, want, tol=0.0):
+    """elem's coefficients equal the dict want, entry by entry, within tol."""
+    got = elem.coeffs
+    assert all(max(abs(m), abs(n)) <= elem.bandwidth for m, n in got)
+    for key in set(got) | set(want):
+        assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= tol, key
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), theta=st.sampled_from(MUL_THETAS),
+       c=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+       band=st.integers(0, 3), cut=st.floats(0.0, 2.0))
+def test_box_operations_match_coefficient_formulas(data, theta, c, band, cut):
+    """Every operation on the coefficient box against its formula, written
+    one coefficient at a time over the .coeffs view."""
+    angle = DeformationAngle(theta)
+    a, b = data.draw(boxed_elements(angle)), data.draw(boxed_elements(angle))
+    ca, cb = a.coeffs, b.coeffs
+    twist = lambda k: cmath.exp(2j * math.pi * theta * k)
+    reach = lambda key: max(abs(key[0]), abs(key[1]))
+    assert_coeffs(add(a, b), {k: ca.get(k, 0.0) + cb.get(k, 0.0) for k in set(ca) | set(cb)})
+    assert add(a, b).bandwidth == max(a.bandwidth, b.bandwidth)
+    assert_coeffs(scale(c, a), {k: c * v for k, v in ca.items()}, 1e-14)
+    assert_coeffs(adjoint(a), {(-m, -n): v.conjugate() * twist(m * n)
+                               for (m, n), v in ca.items()}, 1e-14)
+    assert_coeffs(delta(1, a), {(m, n): m * v for (m, n), v in ca.items()})
+    assert_coeffs(delta(2, a), {(m, n): n * v for (m, n), v in ca.items()})
+    assert inner_product(a, b) == pytest.approx(
+        sum(v * cb.get(k, 0.0).conjugate() for k, v in ca.items()), abs=1e-13)
+    assert alg.trace_of_product(a, b) == pytest.approx(
+        sum(v * cb.get((-m, -n), 0.0) * twist(-m * n) for (m, n), v in ca.items()), abs=1e-13)
+    kept, lost = truncate(a, band)
+    assert_coeffs(kept, {k: v for k, v in ca.items() if reach(k) <= band})
+    assert kept.bandwidth == band
+    assert lost == pytest.approx(sum(abs(v) for k, v in ca.items() if reach(k) > band), abs=1e-13)
+    trim = a.trimmed(cut)
+    assert_coeffs(trim, {k: v for k, v in ca.items() if abs(v) > cut})
+    assert trim.bandwidth == max((reach(k) for k, v in ca.items() if abs(v) > cut), default=0)
+    for m in range(-a.bandwidth - 1, a.bandwidth + 2):
+        for n in range(-a.bandwidth - 1, a.bandwidth + 2):
+            assert a.coeff(m, n) == ca.get((m, n), 0.0)
+    assert a.l1_norm() == pytest.approx(sum(abs(v) for v in ca.values()), abs=1e-13)
+    assert a.support_bandwidth() == max(map(reach, ca), default=0)
+
+
 def test_mul_angle_mismatch_raises():
     other = make_monomial(1, 0, 1.0, DeformationAngle(0.3))
     with pytest.raises(AlgebraError):

@@ -189,6 +189,15 @@ def test_cli_heat_flat(tmp_path):
     assert trace.splitlines()[0] == "t,t_times_trace"
 
 
+def test_cli_heat_flat_non_rectangular_tau(tmp_path):
+    # the fit reads the sublevel ellipse the index box contains, so the
+    # corners of the box do not bias b0 for tau = 1 + i
+    assert _run(["heat", "--preset", "flat-tau1plusi",
+                 "--out", str(tmp_path / "runs")]) == 0
+    report = iomod.read_report(tmp_path / "runs" / "heat" / "heat_report.json")
+    assert abs(report["b0_fit"] - math.pi) < 1e-9
+
+
 def test_cli_contour_sanity(tmp_path):
     assert _run(["heat", "--preset", "contour-sanity",
                  "--out", str(tmp_path / "runs")]) == 0

@@ -100,7 +100,7 @@ def test_parametrix_b1_contains_first_order_term(ls_default):
     terms = pt.terms[1]
     # the -b0 a1 b0 contribution: word (B0, a1_1, B0) with polynomial -xi1
     keys = {heat._word_key(w): p for p, w in terms}
-    want = ("B0", heat._elem_key(ls_default.a1_1), "B0")
+    want = ("B0", heat.ElementAtom(ls_default.a1_1).key, "B0")
     assert want in keys
     assert keys[want].get((1, 0)) == pytest.approx(-1.0)
 

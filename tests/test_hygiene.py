@@ -91,3 +91,13 @@ def test_no_imports_inside_functions(path):
 def test_no_unreferenced_definitions(path):
     dead = _unreferenced(ast.parse(path.read_text(encoding="utf-8")))
     assert not dead, ", ".join(f"{path.name}:{line} {name}" for line, name in dead)
+
+
+def test_element_storage_stays_in_algebra():
+    """Only algebra.py reads NcElement's storage (box and corner); the other
+    modules read elements through .coeffs and the algebra functions."""
+    reads = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in MODULES if path.name != "algebra.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("box", "corner")]
+    assert not reads, ", ".join(reads)
