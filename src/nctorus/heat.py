@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConformalData, ModuliPoint, NcElement, add, coeff_key, delta, mul, scale
-from .gns import BasisWindow, FiniteSectionOperator, left_mult_matrix
+from .gns import (BasisWindow, FiniteSectionOperator, block_stacks, coupling_blocks,
+                  left_mult_matrix)
 from .symbols import _leibniz
 
 
@@ -291,66 +292,111 @@ def parametrix_terms(ls: LaplaceSymbolData, n_max: int = 2) -> ParametrixTerms:
 
 
 # ---------------------------------------------------------------------------
-# the one word evaluator: the k^2 section in its eigenbasis
+# the one word evaluator: the k^2 section in its eigenbasis, block by block
 
-class _EigenEngine:
-    """The k^2 section diagonalized once: in its eigenbasis the resolvent is
-    the diagonal 1/(Q(xi) s_i - lambda), so a word is a chain of diagonal
-    scalings and cached atom matrices."""
+class _Eigenblocks:
+    """The k^2 section diagonalized on one block, or on a stack of blocks of
+    one size, and every element factor in that eigenbasis (stored transposed).
+    In it the resolvent is the diagonal 1/(Q(xi) s_i - lambda), so a word is a
+    chain of diagonal scalings and atom matrices."""
 
-    def __init__(self, ls: LaplaceSymbolData, window: BasisWindow):
-        self.ls = ls
-        self.window = window
-        k2m = left_mult_matrix(ls.k2, window).entries
-        k2m = (k2m + k2m.conj().T) / 2.0
-        self.svals, self.basis = np.linalg.eigh(k2m)
+    def __init__(self, k2: np.ndarray, atoms: dict):
+        self.svals, self.basis = np.linalg.eigh(k2)
         if self.svals.min() <= 0:
             raise HeatError("k^2 section is not positive definite")
-        self.vac = np.conj(self.basis[window.vacuum, :])
-        self._atoms: dict = {}
+        bh = np.conj(np.swapaxes(self.basis, -1, -2))
+        self.atoms = {key: np.swapaxes(bh @ a @ self.basis, -1, -2) for key, a in atoms.items()}
 
-    def atom(self, f: ElementAtom) -> np.ndarray:
-        if f.key not in self._atoms:
-            m = left_mult_matrix(f.elem, self.window).entries
-            self._atoms[f.key] = self.basis.conj().T @ m @ self.basis
-        return self._atoms[f.key]
-
-    def _apply(self, word, V: np.ndarray, rdiag: np.ndarray) -> np.ndarray:
+    def apply(self, word, V: np.ndarray, rdiag: np.ndarray) -> np.ndarray:
         """Rows of V times the transposed word product; rdiag (the resolvent
         diagonal) broadcasts against V."""
         for node in reversed(word):
-            V = V * rdiag if isinstance(node, Resolvent) else V @ self.atom(node).T
+            V = V * rdiag if isinstance(node, Resolvent) else V @ self.atoms[node.key]
         return V
+
+
+class _EigenEngine:
+    """The word evaluator for the expressions exprs on a window.
+
+    Every factor maps each coupling block of the joint pattern of k^2 and the
+    element factors of exprs into itself, so a word is evaluated block by
+    block: the vacuum expectation on the vacuum's block alone, a window matrix
+    on every block, blocks of one size stacked.  An h whose support spans Z^2
+    makes the window one block, the dense eigensolve of the whole section.
+    """
+
+    def __init__(self, ls: LaplaceSymbolData, window: BasisWindow, exprs):
+        self.ls = ls
+        self.window = window
+        atoms = {f.key: f.elem for e in exprs for _, word in e for f in word
+                 if isinstance(f, ElementAtom)}
+        k2 = left_mult_matrix(ls.k2, window).matrix
+        self._keys = list(atoms)
+        self._sections = [(k2 + k2.conj().T) / 2.0,
+                          *(left_mult_matrix(a, window).matrix for a in atoms.values())]
+        self._blocks = coupling_blocks(*self._sections)
+        self._vacuum = self._stacks = None
+
+    def _diagonalize(self, k2, *atoms) -> _Eigenblocks:
+        return _Eigenblocks(k2, dict(zip(self._keys, atoms)))
+
+    @property
+    def vacuum(self) -> tuple:
+        """The vacuum's block, the only one that enters a vacuum expectation,
+        and the conjugate of the vacuum vector in its eigenbasis."""
+        if self._vacuum is None:
+            b = next(b for b in self._blocks if self.window.vacuum in b)
+            eig = self._diagonalize(*(m[b][:, b].toarray() for m in self._sections))
+            self._vacuum = eig, np.conj(eig.basis[np.searchsorted(b, self.window.vacuum)])
+        return self._vacuum
+
+    @property
+    def stacks(self) -> list:
+        """Every block, stacked by size: (window indices, one row per block,
+        and their eigenblocks), grouped in the order of gns.block_stacks."""
+        if self._stacks is None:
+            by_size: dict = {}
+            for b in self._blocks:
+                by_size.setdefault(b.size, []).append(b)
+            self._stacks = [(np.stack(group), self._diagonalize(*subs)) for group, subs in
+                            zip(by_size.values(), block_stacks(self._blocks, *self._sections))]
+        return self._stacks
 
     def word_vacuum(self, word, rdiag: np.ndarray) -> np.ndarray:
         """w^H (product of word factors) w, batched over the lambda axis of
-        rdiag (n_lambda, dim); returns shape (n_lambda,)."""
-        return self._apply(word, self.vac, rdiag) @ np.conj(self.vac)
+        rdiag (n_lambda, block size); returns shape (n_lambda,)."""
+        eig, vac = self.vacuum
+        return eig.apply(word, vac, rdiag) @ np.conj(vac)
 
     def matrix(self, e: tuple, xi, lam: complex) -> np.ndarray:
         """The expression e at (xi, lambda) as a window matrix in the
         standard basis; lambda near the spectrum is refused."""
         x1, x2 = float(xi[0]), float(xi[1])
-        qs = _poly_eval(_q_poly(self.ls), x1, x2).real * self.svals
-        dist = float(np.min(np.abs(qs - lam)))
+        q = _poly_eval(_q_poly(self.ls), x1, x2).real
+        dist = min(float(np.min(np.abs(q * b.svals - lam))) for _, b in self.stacks)
         if dist < DIST_TOL:
             raise HeatError(f"lambda {lam:g} within {dist:.2e} of the section spectrum")
-        rdiag = 1.0 / (qs - lam)
-        eye = np.eye(self.window.dim)
-        total = np.zeros_like(eye, dtype=complex)
-        for poly, word in e:
-            val = _poly_eval(poly, x1, x2)
-            if val != 0.0:
-                total += val * self._apply(word, eye, rdiag)
-        return self.basis @ total.T @ self.basis.conj().T
+        vals = [(_poly_eval(poly, x1, x2), word) for poly, word in e]
+        out = np.zeros((self.window.dim,) * 2, dtype=complex)
+        for idx, b in self.stacks:
+            rdiag = 1.0 / (q * b.svals[:, np.newaxis, :] - lam)
+            eye = np.broadcast_to(np.eye(idx.shape[1]), b.basis.shape)
+            total = np.zeros(b.basis.shape, dtype=complex)
+            for val, word in vals:
+                if val != 0.0:
+                    total += val * b.apply(word, eye, rdiag)
+            bh = np.conj(np.swapaxes(b.basis, 1, 2))
+            out[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = (
+                b.basis @ np.swapaxes(total, 1, 2) @ bh)
+        return out
 
 
 def eval_expr(e: tuple, xi, lam: complex, w: BasisWindow,
               ls: LaplaceSymbolData) -> FiniteSectionOperator:
     """Evaluate an expression to a dense matrix at the point (xi, lambda),
-    through the eigenbasis of the k^2 section; lambda within DIST_TOL of the
-    spectrum of Q(xi) k^2 is refused."""
-    return FiniteSectionOperator(w, _EigenEngine(ls, w).matrix(e, xi, lam))
+    through the eigenbasis of the k^2 section on each coupling block; lambda
+    within DIST_TOL of the spectrum of Q(xi) k^2 is refused."""
+    return FiniteSectionOperator(w, _EigenEngine(ls, w, (e,)).matrix(e, xi, lam))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +486,9 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     each normal-form word is paired with the angular integral of its
     polynomial (a trigonometric polynomial, exact on the angular rule).  The
     radial truncation tail of the n = 0 integrand is added in closed form from
-    the spectral decay e^{-r^2 s_i} and reported.
+    the spectral decay e^{-r^2 s_i} and reported.  Words are evaluated on the
+    vacuum's coupling block alone (params["block"] is its size); the radial
+    cut, the tail and the contour gate read its spectrum.
     """
     if n not in (0, 2):
         raise HeatError("only the coefficients n = 0 and n = 2 are built")
@@ -452,8 +500,10 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
         element_trim = 1e-7
     if element_trim is not None:
         ls = trimmed_symbol_data(ls, element_trim)
-    engine = _EigenEngine(ls, BasisWindow(ls.k2.support_bandwidth() + window_pad))
-    s = engine.svals
+    terms = B0 if n == 0 else parametrix_terms(ls, 2).terms[2]
+    engine = _EigenEngine(ls, BasisWindow(ls.k2.support_bandwidth() + window_pad), (terms,))
+    eig, vac = engine.vacuum
+    s = eig.svals
     smin = float(s.min())
     if rmax is None:
         rmax = math.sqrt(math.log(1.0 / TAIL_EPS) / smin)
@@ -461,9 +511,8 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
         contour = ContourSpec()
     cerr = contour_gate(contour, s_max=float(s.max()) * rmax * rmax)
     im_tau = ls.tau.im
-    params = {"radial_nodes": radial_nodes, "rmax": rmax,
-              "window": engine.window.bandwidth, "contour_nodes": contour.nodes}
-    terms = B0 if n == 0 else parametrix_terms(ls, 2).terms[2]
+    params = {"radial_nodes": radial_nodes, "rmax": rmax, "window": engine.window.bandwidth,
+              "block": int(s.size), "contour_nodes": contour.nodes}
     if not terms:
         return HeatCoefficientResult(
             value=0.0, tail=0.0, contour_error=cerr, imag_residual=0.0,
@@ -472,7 +521,7 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     if n == 2:
         params.update(angular_nodes=angular_nodes, terms=len(terms))
     # n = 0 adds its radial tail in closed form; n = 2 bounds it by the decay scale
-    w0sq = np.abs(engine.vac) ** 2
+    w0sq = np.abs(vac) ** 2
     tail = math.pi / im_tau * float(np.sum(w0sq * np.exp(-rmax * rmax * s) / s)) if n == 0 else 0.0
     bound = tail if n == 0 else math.exp(-rmax * rmax * smin)
     if bound > TAIL_TOL:
@@ -514,8 +563,7 @@ def parametrix_residual(ls: LaplaceSymbolData, lam: complex, window: BasisWindow
     """
     bs, db, da = _expansion(ls, 2)
     db.append(_leibniz(bs[2], xi_derivative_expr, 0, ls))
-    engine = _EigenEngine(ls, window)
-    out = {}
+    orders = {}
     for g in (0, -1, -2):
         pieces = []
         for k, l, f, pb, ak in _pairings(db, da, g):
@@ -523,7 +571,10 @@ def parametrix_residual(ls: LaplaceSymbolData, lam: complex, window: BasisWindow
             if k == 2 and l == (0, 0):
                 # leading symbol carries -lambda
                 pieces.append(_prod(_const(-lam * f), pb))
-        terms = _sum(pieces)
+        orders[g] = _sum(pieces)
+    engine = _EigenEngine(ls, window, orders.values())
+    out = {}
+    for g, terms in orders.items():
         worst = 0.0
         for xi in XI_SAMPLES:
             m = engine.matrix(terms, xi, lam)

@@ -40,6 +40,8 @@ from nctorus.symbols import PolySymbol, compose_poly, flat_laplacian_symbol
 
 TAU_I = ModuliPoint(0.0, 1.0)
 U = make_monomial(1, 0)
+U2 = make_monomial(2, 0)
+V = make_monomial(0, 1)
 ONE = unit()
 
 
@@ -154,6 +156,66 @@ def test_eval_expr_matches_dense_inverse(block_case):
         dk2 = left_mult_matrix(alg.delta(axis, ls.k2), w).entries
         assert_close(eval_expr(delta_expr(B0, axis, ls), xi, lam, w, ls).entries,
                      -b0m @ (q * dk2) @ b0m)
+
+
+def _whole_window(monkeypatch):
+    """Make the engine solve one block that spans the window: the dense reference."""
+    monkeypatch.setattr(heat, "coupling_blocks", lambda *mats: [np.arange(mats[0].shape[0])])
+
+
+def test_block_engine_matches_whole_window(block_case, monkeypatch):
+    """b0, b2 and eval_expr on the parametrix terms, solved on the coupling
+    blocks, against the same engine on one block spanning the window.  The
+    reference takes the radial cut of the block run: the window's smallest
+    eigenvalue, which sets the default cut, may lie in another block."""
+    cd, _ = block_case
+    ls = laplace_symbol(cd)
+    w = BasisWindow(3)
+    xi, lam = (0.8, -0.5), -1.0 + 2.0j
+
+    def run(rmax=(None, None)):
+        b0 = heat_coefficient(0, ls, rmax=rmax[0], element_trim=1e-6, window_pad=2)
+        b2 = heat_coefficient(2, ls, contour=ContourSpec(nodes=64), radial_nodes=16,
+                              rmax=rmax[1], window_pad=1, element_trim=1e-4)
+        return b0, b2, [eval_expr(b, xi, lam, w, ls).entries
+                        for b in parametrix_terms(ls, 2).terms]
+
+    b0, b2, mats = run()
+    _whole_window(monkeypatch)
+    ref_b0, ref_b2, ref_mats = run((b0.params["rmax"], b2.params["rmax"]))
+    assert abs(b0.value - ref_b0.value) <= 1e-12 * abs(ref_b0.value)
+    assert abs(b2.value - ref_b2.value) <= 1e-14
+    for got, want in zip(mats, ref_mats):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("h, atom", [
+    (scale(0.4, add(U, adjoint(U))), V),    # joins the rows of k^2 into one block
+    (scale(0.2, add(U2, adjoint(U2))), U),  # joins the even and odd m of each row
+    (alg.zero(), V),                        # columns m, which differ by the phase of V
+], ids=["rank1-V", "parity-U", "flat-V"])
+def test_eval_expr_atom_across_blocks(h, atom, monkeypatch):
+    """An element factor that couples the blocks of k^2: the engine solves the
+    blocks of the joint pattern."""
+    ls = laplace_symbol(ConformalData.build(TAU_I, h, pad=16))
+    w = BasisWindow(3)
+    xi, lam = (0.8, -0.5), -1.0 + 2.0j
+    e = heat._prod(B0, heat._atom(atom, "x"), B0)
+    got = eval_expr(e, xi, lam, w, ls).entries
+    _whole_window(monkeypatch)
+    want = eval_expr(e, xi, lam, w, ls).entries
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_heat_coefficient_solves_the_vacuum_block(block_case, request):
+    """The quadrature solves the vacuum's block alone: the lattice that supp(h)
+    generates meets the window of bandwidth W in 2W+1 sites (rank-1), in the
+    sites of even m on the row n = 0 (parity), or in all (2W+1)^2 (generic)."""
+    cd, _ = block_case
+    res = heat_coefficient(0, laplace_symbol(cd), element_trim=1e-6, window_pad=2)
+    W = res.params["window"]
+    want = {"rank1": 2 * W + 1, "parity": 2 * (W // 2) + 1, "generic": (2 * W + 1) ** 2}
+    assert res.params["block"] == want[request.node.callspec.params["block_case"]]
 
 
 def test_xi_derivative_matches_finite_differences(ls_default):
