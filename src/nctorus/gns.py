@@ -10,9 +10,11 @@ A section couples (m,n) only to (m,n) plus the lattice spanned by the support
 of its coefficients: for h on Z x {0}, 2N+1 independent rows.  Every solve
 runs on the blocks ``coupling_blocks`` finds, the connected components of the
 joint nonzero pattern; a connected pattern (generic h) is one block, the dense
-solve on the whole window.  A section stays sparse from assembly to solve;
-only the blocks handed to LAPACK, and ``FiniteSectionOperator.entries``, are
-dense.
+solve on the whole window.  ``block_stacks`` is the one reader of blocks: it
+groups them by size and yields each stack with its window indices, for the
+spectra here (``block_spectrum``) and for ``heat``'s word evaluator.  A
+section stays sparse from assembly to solve; only the blocks handed to
+LAPACK, and ``FiniteSectionOperator.entries``, are dense.
 """
 
 from __future__ import annotations
@@ -170,24 +172,30 @@ def coupling_blocks(*mats) -> list:
 
 
 def block_stacks(blocks, *mats):
-    """Per block size, yield the diagonal blocks of that size of each sparse
-    mat, stacked as a dense (count, size, size) array.  A single block is the
-    whole window."""
-    if len(blocks) == 1:
-        yield [m.toarray()[None] for m in mats]
-        return
+    """Per block size, yield (idx, stacks): idx the (count, size) window
+    indices of the blocks of that size, in the order given, and stacks the
+    diagonal blocks of each sparse mat at idx, as dense (count, size, size)
+    arrays.  blocks are ascending index sets; one of size dim spans the
+    window and is read with one toarray()."""
     by_size: dict = {}
     for b in blocks:
         by_size.setdefault(b.size, []).append(b)
     for group in by_size.values():
         idx = np.stack(group)
+        if idx.shape[1] == mats[0].shape[0]:
+            yield idx, [m.toarray()[None] for m in mats]
+            continue
         rows, cols = np.broadcast_arrays(idx[:, :, None], idx[:, None, :])
-        yield [np.asarray(m[rows.ravel(), cols.ravel()]).reshape(rows.shape) for m in mats]
+        yield idx, [np.asarray(m[rows.ravel(), cols.ravel()]).reshape(rows.shape) for m in mats]
 
 
-def _block_diagnostics(blocks) -> dict:
-    """Block count and largest block size: which path a solve ran."""
-    return {"blocks": len(blocks), "max_block": max(b.size for b in blocks)}
+def block_spectrum(solve, *mats):
+    """Ascending values of solve(*stacks) over the coupling blocks of the
+    joint pattern of mats, and the block count and largest block size: which
+    path the solve ran."""
+    blocks = coupling_blocks(*mats)
+    vals = np.concatenate([np.ravel(solve(*stacks)) for _, stacks in block_stacks(blocks, *mats)])
+    return np.sort(vals), {"blocks": len(blocks), "max_block": max(b.size for b in blocks)}
 
 
 def perturbed_laplacian_matrix(cd: ConformalData, w: BasisWindow) -> FiniteSectionOperator:
@@ -207,9 +215,10 @@ def perturbed_laplacian_matrix(cd: ConformalData, w: BasisWindow) -> FiniteSecti
         raise SectionError(
             f"perturbed Laplacian asymmetry {asym:.3e}; Weyl factor cache inconsistent"
         )
+    sizes = [b.size for b in coupling_blocks(K)]
     return FiniteSectionOperator(
         w, (M + MH) / 2.0, selfadjoint=True,
-        diagnostics={"asymmetry": asym, **_block_diagnostics(coupling_blocks(K))},
+        diagnostics={"asymmetry": asym, "blocks": len(sizes), "max_block": max(sizes)},
     )
 
 
@@ -238,45 +247,29 @@ def gram_laplacian_matrix(cd: ConformalData, w: BasisWindow):
     return op, gm
 
 
-def hermitian_spectrum(op: FiniteSectionOperator, positive: bool = False) -> SpectrumResult:
-    """Full ascending spectrum of a selfadjoint finite section, block by block.
-
-    With positive=True the result is additionally required to satisfy
-    min eigenvalue >= -1e-8 (boundary-effect allowance for positive operators).
-    """
+def hermitian_spectrum(op: FiniteSectionOperator) -> SpectrumResult:
+    """Full ascending spectrum of a selfadjoint finite section, block by block."""
     if not op.selfadjoint:
         raise SectionError("hermitian_spectrum requires the selfadjoint flag")
-    mat = _as_real_if_possible(op.matrix)
-    blocks = coupling_blocks(mat)
     try:
-        ev = np.concatenate([np.linalg.eigvalsh(sub).ravel()
-                             for (sub,) in block_stacks(blocks, mat)])
+        ev, diag = block_spectrum(np.linalg.eigvalsh, _as_real_if_possible(op.matrix))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
         raise SectionError(f"eigensolver failed: {exc}") from exc
-    ev = np.sort(ev)
-    if positive and ev[0] < -1e-8:
-        raise SectionError(
-            f"positive-flagged section has eigenvalue {ev[0]:.3e} below -1e-8"
-        )
-    return SpectrumResult(ev, {"dim": op.dim, "min_eigenvalue": float(ev[0]),
-                               **_block_diagnostics(blocks)})
+    return SpectrumResult(ev, {"dim": op.dim, "min_eigenvalue": float(ev[0]), **diag})
 
 
 def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator) -> SpectrumResult:
     """Ascending generalized eigenvalues of the pencil (op, gram), solved on
     the coupling blocks of their joint pattern."""
-    blocks = coupling_blocks(op.matrix, gram.matrix)
     try:
-        ev = np.concatenate([
-            sla.eigh(a, b, eigvals_only=True)
-            for stacks in block_stacks(blocks, op.matrix, gram.matrix)
-            for a, b in zip(*stacks)
-        ])
+        ev, diag = block_spectrum(
+            lambda a, b: [sla.eigh(x, y, eigvals_only=True) for x, y in zip(a, b)],
+            op.matrix, gram.matrix)
     except np.linalg.LinAlgError as exc:
         raise SectionError(
             f"Gram matrix not positive definite within tolerance: {exc}"
         ) from exc
-    return SpectrumResult(np.sort(ev), {"dim": op.dim, **_block_diagnostics(blocks)})
+    return SpectrumResult(ev, {"dim": op.dim, **diag})
 
 
 def vacuum_expectation(op: FiniteSectionOperator) -> complex:
@@ -297,5 +290,6 @@ def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:
     K2 = _mult_section(k2.theta, k2.coeffs, w.bandwidth)
     block = next(b for b in coupling_blocks(K2) if w.vacuum in b)
     vac = block == w.vacuum
-    col = np.linalg.solve(K2[block][:, block].toarray(), vac.astype(K2.dtype))
+    ((_, (sub,)),) = block_stacks([block], K2)
+    col = np.linalg.solve(sub[0], vac.astype(K2.dtype))
     return float(col[vac][0].real)

@@ -206,7 +206,7 @@ def _const(c: complex) -> tuple:
 def _atom(elem: NcElement, label: str, poly: dict | None = None) -> tuple:
     """poly (default 1) times left multiplication by elem; zero if either is."""
     poly = _poly({(0, 0): 1.0} if poly is None else poly)
-    return ((poly, (ElementAtom(elem, label),)),) if poly and elem.coeffs else ()
+    return ((poly, (ElementAtom(elem, label),)),) if poly and elem.l1_norm() else ()
 
 
 def _derive(e: tuple, dpoly, dfactor) -> tuple:
@@ -346,20 +346,18 @@ class _EigenEngine:
         and the conjugate of the vacuum vector in its eigenbasis."""
         if self._vacuum is None:
             b = next(b for b in self._blocks if self.window.vacuum in b)
-            eig = self._diagonalize(*(m[b][:, b].toarray() for m in self._sections))
+            ((_, subs),) = block_stacks([b], *self._sections)
+            eig = self._diagonalize(*(sub[0] for sub in subs))
             self._vacuum = eig, np.conj(eig.basis[np.searchsorted(b, self.window.vacuum)])
         return self._vacuum
 
     @property
     def stacks(self) -> list:
         """Every block, stacked by size: (window indices, one row per block,
-        and their eigenblocks), grouped in the order of gns.block_stacks."""
+        and their eigenblocks)."""
         if self._stacks is None:
-            by_size: dict = {}
-            for b in self._blocks:
-                by_size.setdefault(b.size, []).append(b)
-            self._stacks = [(np.stack(group), self._diagonalize(*subs)) for group, subs in
-                            zip(by_size.values(), block_stacks(self._blocks, *self._sections))]
+            self._stacks = [(idx, self._diagonalize(*subs))
+                            for idx, subs in block_stacks(self._blocks, *self._sections)]
         return self._stacks
 
     def word_vacuum(self, word, rdiag: np.ndarray) -> np.ndarray:

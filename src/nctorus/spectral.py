@@ -22,8 +22,7 @@ from .algebra import ConformalData, ModuliPoint, invert_positive, mul, trace_t
 from .gns import (
     BasisWindow,
     _as_real_if_possible,
-    block_stacks,
-    coupling_blocks,
+    block_spectrum,
     quadratic_form_values,
     trace_kinv2_matrix_route,
 )
@@ -293,12 +292,9 @@ class ConnesReport:
 def singular_values_descending(mat) -> np.ndarray:
     """Singular values of square mat, dense or sparse, via the Gram matrix of
     each coupling block."""
-    mat = _as_real_if_possible(sp.csr_matrix(mat))
-    ev = np.concatenate([
-        np.linalg.eigvalsh(b.conj().swapaxes(1, 2) @ b).ravel()
-        for (b,) in block_stacks(coupling_blocks(mat), mat)
-    ])
-    return np.sqrt(np.clip(np.sort(ev), 0.0, None))[::-1]
+    ev, _ = block_spectrum(lambda b: np.linalg.eigvalsh(b.conj().swapaxes(1, 2) @ b),
+                           _as_real_if_possible(sp.csr_matrix(mat)))
+    return np.sqrt(np.clip(ev, 0.0, None))[::-1]
 
 
 def connes_trace_check(p: GradedSymbol, w: BasisWindow,

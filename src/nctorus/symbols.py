@@ -51,12 +51,12 @@ class OriginRegularization(UserWarning):
 
 
 def _layer_add(layers: dict, d: int, w: int, elem: NcElement):
-    if not elem.coeffs:
+    if not elem.l1_norm():
         return
     spectrum = layers.setdefault(d, {})
     if w in spectrum:
         spectrum[w] = add(spectrum[w], elem)
-        if not spectrum[w].coeffs:
+        if not spectrum[w].l1_norm():
             del spectrum[w]
     else:
         spectrum[w] = elem
@@ -176,7 +176,7 @@ class PolySymbol:
         self.monomials = {
             (int(j1), int(j2)): c
             for (j1, j2), c in self.monomials.items()
-            if c.coeffs
+            if c.l1_norm()
         }
         for j1, j2 in self.monomials:
             if j1 < 0 or j2 < 0:
@@ -549,7 +549,7 @@ def ellipticity_check(p: GradedSymbol, grid: int = 64, window: int = 6,
         val = zero(p.angle)
         for wind, elem in spectrum.items():
             val = add(val, scale(cmath.exp(1j * wind * ang), elem))
-        if not val.coeffs:
+        if not val.l1_norm():
             smin_all = 0.0
             break
         mat = _mult_section(p.angle.theta, val.coeffs, window).toarray()

@@ -32,6 +32,7 @@ from nctorus.gns import (
     right_mult_matrix,
     vacuum_expectation,
 )
+from nctorus.spectral import CountingData, SpectralError
 
 U = make_monomial(1, 0)
 ONE = unit()
@@ -167,15 +168,15 @@ def test_perturbed_reduces_to_flat(cd_default):
 def test_perturbed_positive(cd_default):
     w = BasisWindow(10)
     P = perturbed_laplacian_matrix(cd_default, w)
-    spec = hermitian_spectrum(P, positive=True)
+    spec = hermitian_spectrum(P)
     assert spec.eigenvalues.min() >= -1e-8
     assert P.diagnostics["asymmetry"] < 1e-12
-    # the positive flag rejects indefinite sections
+    # the counting data rejects the spectrum of an indefinite section
     shifted = gns.FiniteSectionOperator(
         w, P.entries - np.eye(w.dim), selfadjoint=True
     )
-    with pytest.raises(SectionError):
-        hermitian_spectrum(shifted, positive=True)
+    with pytest.raises(SpectralError):
+        CountingData(hermitian_spectrum(shifted).eigenvalues, source_bandwidth=w.bandwidth)
 
 
 def test_gram_pencil_flat_case():
@@ -284,6 +285,47 @@ def test_coupling_blocks_of_u_plus_u_star():
         assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(w.dim))
         # each block is one row n = const of the window
         assert all(len({w.pair_of(i)[1] for i in b}) == 1 for b in blocks)
+
+
+def _assert_block_stacks_read_blocks(*mats):
+    """block_stacks against hand-sliced blocks: each row of each idx with its
+    stack, one proper block alone, and the block that spans the window."""
+    blocks = gns.coupling_blocks(*mats)
+    seen = []
+    for idx, stacks in gns.block_stacks(blocks, *mats):
+        assert len(stacks) == len(mats)
+        for i, b in enumerate(idx):
+            seen.append(b)
+            for m, stack in zip(mats, stacks):
+                assert np.array_equal(stack[i], m[b][:, b].toarray())
+    assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(mats[0].shape[0]))
+    b = next((b for b in blocks if b.size < mats[0].shape[0]), None)
+    if b is not None:
+        ((idx, stacks),) = gns.block_stacks([b], *mats)
+        assert np.array_equal(idx, b[None])
+        for m, stack in zip(mats, stacks):
+            assert np.array_equal(stack, m[b][:, b].toarray()[None])
+    ((idx, stacks),) = gns.block_stacks([np.arange(mats[0].shape[0])], *mats)
+    for m, stack in zip(mats, stacks):
+        assert np.array_equal(stack, m.toarray()[None])
+
+
+def test_block_stacks_read_the_blocks(block_case):
+    cd, _ = block_case
+    w = BasisWindow(4)
+    _assert_block_stacks_read_blocks(perturbed_laplacian_matrix(cd, w).matrix,
+                                     left_mult_matrix(cd.k, w).matrix)
+
+
+def test_block_stacks_read_blocks_that_differ():
+    """Under the flat metric V + V* couples each column m alone, and the
+    diagonal Q(m, n) makes every column's section different."""
+    w = BasisWindow(4)
+    V = make_monomial(0, 1)
+    mats = (flat_laplacian_matrix(ModuliPoint(0.3, 0.8), w).matrix,
+            left_mult_matrix(add(V, adjoint(V)), w).matrix)
+    assert len(gns.coupling_blocks(*mats)) == w.side
+    _assert_block_stacks_read_blocks(*mats)
 
 
 def test_block_path_matches_dense_reference(block_case):

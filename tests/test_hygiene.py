@@ -101,3 +101,23 @@ def test_element_storage_stays_in_algebra():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in ("box", "corner")]
     assert not reads, ", ".join(reads)
+
+
+def _hand_sliced_block(node: ast.AST) -> bool:
+    """x[i][:, j]: the rows i of x, then the columns j of those rows."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript)):
+        return False
+    key = node.slice
+    return (isinstance(key, ast.Tuple) and len(key.elts) == 2
+            and isinstance(key.elts[0], ast.Slice)
+            and key.elts[0].lower is key.elts[0].upper is key.elts[0].step is None)
+
+
+def test_blocks_are_read_through_block_stacks():
+    """No module slices a block out of a section by hand (x[i][:, j]);
+    gns.block_stacks is the one reader of blocks."""
+    slices = [f"{path.name}:{node.lineno}"
+              for path in MODULES
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if _hand_sliced_block(node)]
+    assert not slices, ", ".join(slices)
