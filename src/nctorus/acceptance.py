@@ -387,8 +387,8 @@ def criterion_8(ctx, perturbed):
     return res[-1] <= tol and res[-2] <= tol, details
 
 
-def _identity_suite(ctx: AcceptanceContext, cases: int = 200):
-    """Randomized algebraic identities; returns {name: worst deviation}."""
+def _identity_suite(ctx: AcceptanceContext):
+    """Randomized algebraic identities, 200 cases each: {name: worst deviation}."""
     rng = np.random.default_rng(20260808)
     angle = ctx.angle
     one = unit(angle)
@@ -409,7 +409,7 @@ def _identity_suite(ctx: AcceptanceContext, cases: int = 200):
     k2 = mul(kms_cd.k, kms_cd.k)
     # phi(b modular(a)) = trace((b e^{-h} a)(e^{h} e^{-h})) by associativity
     kms_right = mul(k2, kms_cd.k_inv2)
-    for _ in range(cases):
+    for _ in range(200):
         a = alg.random_element(rng, 4, angle=angle)
         b = alg.random_element(rng, 4, angle=angle)
         track("trace_cyclicity", abs(trace_t(mul(a, b)) - trace_t(mul(b, a))))
@@ -430,7 +430,7 @@ def _identity_suite(ctx: AcceptanceContext, cases: int = 200):
     w = BasisWindow(6)
     inner_idx = BasisWindow(2)
     cols = [w.index_of(*inner_idx.pair_of(i)) for i in range(inner_idx.dim)]
-    for _ in range(cases):
+    for _ in range(200):
         p = PolySymbol(angle, {
             (int(rng.integers(0, 2)), int(rng.integers(0, 2))):
                 alg.random_element(rng, 2, 3, angle=angle)
@@ -440,7 +440,7 @@ def _identity_suite(ctx: AcceptanceContext, cases: int = 200):
         lhs = inner_product(apply_op(p, a), b)
         rhs = inner_product(a, apply_op(adjoint_poly(p), b))
         track("adjoint_pairing", abs(lhs - rhs))
-    for _ in range(cases):
+    for _ in range(200):
         p = PolySymbol(angle, {
             (int(rng.integers(0, 2)), int(rng.integers(0, 2))):
                 alg.random_element(rng, 1, 2, angle=angle)

@@ -19,6 +19,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DEFAULT_TOL = 1e-12
+EXP_CONV_TOL = 1e-8        # largest admissible l1 change of e^{h} between pads
+NEUMANN_TOL = 1e-13        # l1 norm of the last Neumann term kept
+NEUMANN_MAX_TERMS = 4000   # Neumann terms before the inverse gives up
 
 GOLDEN_RATIO_THETA = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -351,15 +354,14 @@ def _exp_image(h: NcElement, scl: float, band: int) -> NcElement:
     return _element(h.angle, band, (-band, -band), np.where(np.abs(img) > 1e-300, img, 0))
 
 
-def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16,
-                    conv_tol: float | None = 1e-8):
+def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16):
     """Approximate e^{scl*h} as an element of bandwidth h.bandwidth + pad.
 
     The exponential is realized as the action of the matrix exponential of the
     left-multiplication finite section on the vacuum basis vector of a padded
     window.  Returns (element, convergence) where convergence is the l1 change
     of the coefficients between pads pad and pad-1; raises NonConvergence when
-    that metric exceeds conv_tol (pass conv_tol=None to skip the check).
+    that metric exceeds EXP_CONV_TOL.
     """
     if not is_selfadjoint(h, 1e-10):
         raise AlgebraError("exp_selfadjoint requires a selfadjoint element")
@@ -369,20 +371,20 @@ def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16,
     full = _exp_image(h, scl, bw + pad)
     prev = _exp_image(h, scl, bw + pad - 1)
     convergence = (full - prev).l1_norm()
-    if conv_tol is not None and convergence > conv_tol:
+    if convergence > EXP_CONV_TOL:
         raise NonConvergence(
-            f"exp_selfadjoint pad={pad} convergence metric {convergence:.3e} > {conv_tol:.1e}"
+            f"exp_selfadjoint pad={pad} convergence metric {convergence:.3e} > {EXP_CONV_TOL:.1e}"
         )
     return full, convergence
 
 
-def invert_positive(a: NcElement, bandwidth_cap: int, tol: float = 1e-13,
-                    max_terms: int = 4000) -> NcElement:
+def invert_positive(a: NcElement, bandwidth_cap: int) -> NcElement:
     """Inverse of a positive invertible element by a scaled Neumann series.
 
     Writes a = c(1 - x) with c = l1 norm of a, so the series sum x^j / c
     converges; coefficients are truncated to bandwidth_cap each step.  Stops
-    once the l1 norm of the running term drops below tol.
+    once the l1 norm of the running term drops below NEUMANN_TOL; raises
+    NonConvergence after NEUMANN_MAX_TERMS terms.
     """
     c = a.l1_norm()
     if c == 0.0:
@@ -391,14 +393,14 @@ def invert_positive(a: NcElement, bandwidth_cap: int, tol: float = 1e-13,
     x, _ = truncate(x, bandwidth_cap)
     term = unit(a.angle)
     acc = unit(a.angle)
-    for _ in range(max_terms):
+    for _ in range(NEUMANN_MAX_TERMS):
         term = mul(term, x)
         term, _ = truncate(term, bandwidth_cap)
         acc = add(acc, term)
-        if term.l1_norm() < tol:
+        if term.l1_norm() < NEUMANN_TOL:
             return scale(1.0 / c, acc)
     raise NonConvergence(
-        f"Neumann inverse did not reach tol={tol:.1e} in {max_terms} terms"
+        f"Neumann inverse did not reach tol={NEUMANN_TOL:.1e} in {NEUMANN_MAX_TERMS} terms"
     )
 
 
@@ -481,9 +483,9 @@ def random_element(rng: np.random.Generator, band: int, n_terms: int = 6,
     return NcElement(angle, band, out)
 
 
-def random_selfadjoint(rng: np.random.Generator, band: int, n_terms: int = 4,
+def random_selfadjoint(rng: np.random.Generator, band: int,
                        angle: DeformationAngle = GOLDEN, scale_coeff: float = 0.3) -> NcElement:
-    a = random_element(rng, band, n_terms, angle, scale_coeff)
+    a = random_element(rng, band, 4, angle, scale_coeff)
     return scale(0.5, add(a, adjoint(a)))
 
 

@@ -70,8 +70,8 @@ def _verdict(report: dict) -> str:
     return "pass" if report["passed"] else "FAIL"
 
 
-def _staircase_rows(eigs, lam_max, n=256):
-    lams = np.geomspace(max(lam_max / 1e4, 1e-6), lam_max, n)
+def _staircase_rows(eigs, lam_max):
+    lams = np.geomspace(max(lam_max / 1e4, 1e-6), lam_max, 256)
     counts = np.searchsorted(eigs, lams, side="left")
     return [(float(l), int(c)) for l, c in zip(lams, counts)]
 

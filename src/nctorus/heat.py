@@ -32,6 +32,10 @@ DIST_TOL = 1e-9   # least admissible distance from lambda to the section spectru
 TAIL_EPS = 1e-14  # default radial cut: e^{-rmax^2 s_min} = TAIL_EPS
 TAIL_TOL = 1e-6   # largest admissible radial tail
 XI_SAMPLES = ((1.3, 0.4), (-0.7, 1.1), (0.9, -1.2))  # parametrix_residual's points
+# nodes of heat_coefficient's angular rule, exact on trigonometric degree < 32
+ANGULAR_NODES = 32
+# heat_trace_fit admits only t with e^{-t lambda_max} < FIT_TAIL_TOL
+FIT_TAIL_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -55,25 +59,19 @@ class LaplaceSymbolData:
     k2_d1: NcElement
     k2_d2: NcElement
 
-    @property
-    def angle(self):
-        return self.k2.angle
+
+def _symbol_data(tau: ModuliPoint, k2: NcElement, a1_1: NcElement, a1_2: NcElement,
+                 a0: NcElement) -> LaplaceSymbolData:
+    """The symbol data of these elements; a2_q and the derivations of k2 follow."""
+    return LaplaceSymbolData(tau, (1.0, 2.0 * tau.re, tau.abs2), k2, a1_1, a1_2, a0,
+                             delta(1, k2), delta(2, k2))
 
 
 def trimmed_symbol_data(ls: LaplaceSymbolData, tol: float) -> LaplaceSymbolData:
     """Drop tiny coefficients from every element; a resolution knob for the
     quadrature engine (smaller windows for the expensive subleading terms)."""
-    k2 = ls.k2.trimmed(tol)
-    return LaplaceSymbolData(
-        tau=ls.tau,
-        a2_q=ls.a2_q,
-        k2=k2,
-        a1_1=ls.a1_1.trimmed(tol),
-        a1_2=ls.a1_2.trimmed(tol),
-        a0=ls.a0.trimmed(tol),
-        k2_d1=delta(1, k2),
-        k2_d2=delta(2, k2),
-    )
+    return _symbol_data(ls.tau, ls.k2.trimmed(tol), ls.a1_1.trimmed(tol),
+                        ls.a1_2.trimmed(tol), ls.a0.trimmed(tol))
 
 
 def laplace_symbol(cd: ConformalData) -> LaplaceSymbolData:
@@ -89,17 +87,8 @@ def laplace_symbol(cd: ConformalData) -> LaplaceSymbolData:
         add(mul(k, delta(1, d1k)), scale(tabs2, mul(k, delta(2, d2k)))),
         scale(2.0 * tre, mul(k, delta(2, d1k))),
     )
-    k2 = mul(k, k).trimmed(1e-14)
-    return LaplaceSymbolData(
-        tau=tau,
-        a2_q=(1.0, 2.0 * tre, tabs2),
-        k2=k2,
-        a1_1=a1_1.trimmed(1e-15),
-        a1_2=a1_2.trimmed(1e-15),
-        a0=a0.trimmed(1e-15),
-        k2_d1=delta(1, k2),
-        k2_d2=delta(2, k2),
-    )
+    return _symbol_data(tau, mul(k, k).trimmed(1e-14), a1_1.trimmed(1e-15),
+                        a1_2.trimmed(1e-15), a0.trimmed(1e-15))
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +399,10 @@ class ContourSpec:
     equals e^{-s} for s >= 0.  The grid ends where alpha v^2 = 45.
     """
 
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 4.0
+    alpha, beta, gamma = 1.0, 1.0, 4.0  # class constants, not fields
     nodes: int = 96
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0 or self.gamma <= 0:
-            raise HeatError("contour parameters must be positive")
         if self.nodes < 8:
             raise HeatError("contour needs at least 8 nodes")
 
@@ -475,18 +460,19 @@ def _radial_rule(n: int, rmax: float):
 
 def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None = None,
                      radial_nodes: int | None = None, rmax: float | None = None,
-                     angular_nodes: int = 32, window_pad: int | None = None,
+                     window_pad: int | None = None,
                      element_trim: float | None = None) -> HeatCoefficientResult:
     """Heat trace coefficient by the double integral of the parametrix trace,
     lambda over the contour and xi over the sheared polar grid.
 
     n = 0 integrates the bare resolvent B0, n = 2 the second parametrix term;
     each normal-form word is paired with the angular integral of its
-    polynomial (a trigonometric polynomial, exact on the angular rule).  The
-    radial truncation tail of the n = 0 integrand is added in closed form from
-    the spectral decay e^{-r^2 s_i} and reported.  Words are evaluated on the
-    vacuum's coupling block alone (params["block"] is its size); the radial
-    cut, the tail and the contour gate read its spectrum.
+    polynomial (a trigonometric polynomial, exact on the angular rule of
+    ANGULAR_NODES points).  The radial truncation tail of the n = 0 integrand
+    is added in closed form from the spectral decay e^{-r^2 s_i} and
+    reported.  Words are evaluated on the vacuum's coupling block alone
+    (params["block"] is its size); the radial cut, the tail and the contour
+    gate read its spectrum.
     """
     if n not in (0, 2):
         raise HeatError("only the coefficients n = 0 and n = 2 are built")
@@ -517,7 +503,7 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
             params={"note": "second parametrix term vanishes identically"},
         )
     if n == 2:
-        params.update(angular_nodes=angular_nodes, terms=len(terms))
+        params.update(angular_nodes=ANGULAR_NODES, terms=len(terms))
     # n = 0 adds its radial tail in closed form; n = 2 bounds it by the decay scale
     w0sq = np.abs(vac) ** 2
     tail = math.pi / im_tau * float(np.sum(w0sq * np.exp(-rmax * rmax * s) / s)) if n == 0 else 0.0
@@ -528,10 +514,10 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     lam, wq = contour.points()
     rs, wr = _radial_rule(radial_nodes, rmax)
     # angular rule: xi(r, a) = r * (cos a - (Re tau / Im tau) sin a, sin a / Im tau)
-    angs = 2.0 * math.pi * np.arange(angular_nodes) / angular_nodes
+    angs = 2.0 * math.pi * np.arange(ANGULAR_NODES) / ANGULAR_NODES
     dir1 = np.cos(angs) - ls.tau.re / im_tau * np.sin(angs)
     dir2 = np.sin(angs) / im_tau
-    w_ang = 2.0 * math.pi / angular_nodes
+    w_ang = 2.0 * math.pi / ANGULAR_NODES
     exp_lam = np.exp(-lam)
     total = 0.0 + 0.0j
     for r, wgt in zip(rs, wr):
@@ -596,37 +582,33 @@ class HeatFitResult:
     residual_rms: float
 
 
-def heat_trace_fit(eigenvalues, t_grid=None, n_points: int = 40,
-                   guard: bool = True, tail_tol: float = 1e-12) -> HeatFitResult:
-    """Fit t * sum e^{-t lambda_j} to b0 + b2 t (+ guard t^2) on small t.
+def heat_trace_fit(eigenvalues, t_grid=None) -> HeatFitResult:
+    """Fit t * sum e^{-t lambda_j} to b0 + b2 t + guard t^2 on small t.
 
-    Only t with e^{-t lambda_max} < tail_tol are admissible (larger windows
-    would see the missing spectral tail); if the provided grid has no
-    admissible points the fit fails loudly.
+    Only t with e^{-t lambda_max} < FIT_TAIL_TOL are admissible (larger
+    windows would see the missing spectral tail); the default grid has 40
+    points.  If the grid has no admissible points the fit fails loudly.
     """
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
     lam_max = eigs[-1]
-    t_min = math.log(1.0 / tail_tol) / lam_max
+    t_min = math.log(1.0 / FIT_TAIL_TOL) / lam_max
     if t_grid is None:
-        t_grid = np.geomspace(t_min * 1.02, min(0.2, 60.0 * t_min), n_points)
+        t_grid = np.geomspace(t_min * 1.02, min(0.2, 60.0 * t_min), 40)
     t_grid = np.asarray(t_grid, dtype=float)
-    admissible = t_grid[np.exp(-t_grid * lam_max) < tail_tol]
+    admissible = t_grid[np.exp(-t_grid * lam_max) < FIT_TAIL_TOL]
     if admissible.size < 3:
         raise HeatError(
             f"no admissible t-window: need t >= {t_min:.3e}; spectrum window too small"
         )
     y = admissible * np.array([np.sum(np.exp(-t * eigs)) for t in admissible])
-    cols = [np.ones_like(admissible), admissible]
-    if guard:
-        cols.append(admissible ** 2)
-    design = np.stack(cols, axis=1)
+    design = np.stack([np.ones_like(admissible), admissible, admissible ** 2], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return HeatFitResult(
         b0=float(coef[0]),
         b2=float(coef[1]),
-        guard=float(coef[2]) if guard else 0.0,
+        guard=float(coef[2]),
         t_window=(float(admissible[0]), float(admissible[-1])),
         n_points=int(admissible.size),
         residual_rms=rms,

@@ -40,14 +40,13 @@ DEFAULT_CEILING_FRACTION = 0.25
 class CountingData:
     """Ascending nonnegative eigenvalues with a trusted counting ceiling.
 
-    The ceiling defaults to ceiling_fraction of the largest eigenvalue; an
-    explicit (stricter) ceiling may be supplied with a rationale, e.g. the box
-    containment radius of an analytic lattice spectrum.
+    The ceiling defaults to DEFAULT_CEILING_FRACTION of the largest
+    eigenvalue; an explicit (stricter) ceiling may be supplied with a
+    rationale, e.g. the box containment radius of an analytic lattice spectrum.
     """
 
     eigenvalues: np.ndarray
     source_bandwidth: int
-    ceiling_fraction: float = DEFAULT_CEILING_FRACTION
     explicit_ceiling: float | None = None
     note: str = ""
     lambda_max: float = field(init=False)
@@ -58,13 +57,13 @@ class CountingData:
             raise SpectralError("empty spectrum")
         if ev[0] < -1e-8:
             raise SpectralError(f"negative eigenvalue {ev[0]:.3e} in counting data")
-        cap = self.ceiling_fraction * float(ev[-1])
+        cap = DEFAULT_CEILING_FRACTION * float(ev[-1])
         ceiling = cap
         if self.explicit_ceiling is not None:
             if self.explicit_ceiling > cap * (1.0 + 1e-12):
                 raise SpectralError(
                     f"explicit ceiling {self.explicit_ceiling:g} above the "
-                    f"{self.ceiling_fraction:g} fraction cap {cap:g}"
+                    f"{DEFAULT_CEILING_FRACTION:g} fraction cap {cap:g}"
                 )
             ceiling = float(self.explicit_ceiling)
         object.__setattr__(self, "eigenvalues", np.clip(ev, 0.0, None))
@@ -89,8 +88,9 @@ class SlopeFit:
     intercept: float = 0.0
 
 
-def weyl_slope(cd: CountingData, fit_window=None, n_grid: int = 64) -> SlopeFit:
-    """Least-squares slope of the counting function over a log-spaced grid.
+def weyl_slope(cd: CountingData, fit_window=None) -> SlopeFit:
+    """Least-squares slope of the counting function over a log-spaced grid of
+    64 points.
 
     An intercept absorbs the subleading counting terms; the standard error is
     the usual residual-based estimate for the slope coefficient.
@@ -102,7 +102,7 @@ def weyl_slope(cd: CountingData, fit_window=None, n_grid: int = 64) -> SlopeFit:
         raise SpectralError("empty or inverted fit window")
     if hi > cd.lambda_max * (1.0 + 1e-12):
         raise SpectralError("fit window exceeds the validity ceiling")
-    lams = np.geomspace(lo, hi, n_grid)
+    lams = np.geomspace(lo, hi, 64)
     counts = np.searchsorted(cd.eigenvalues, lams, side="left").astype(float)
     design = np.stack([np.ones_like(lams), lams], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, counts, rcond=None)
@@ -111,24 +111,23 @@ def weyl_slope(cd: CountingData, fit_window=None, n_grid: int = 64) -> SlopeFit:
     var = np.sum(resid ** 2) / dof
     sxx = np.sum((lams - lams.mean()) ** 2)
     stderr = math.sqrt(var / sxx) if sxx > 0 else math.inf
-    return SlopeFit(float(coef[1]), stderr, (lo, hi), n_grid, float(coef[0]))
+    return SlopeFit(float(coef[1]), stderr, (lo, hi), lams.size, float(coef[0]))
 
 
-def adaptive_counting_ceiling(cd: CountingData, rel_band: float = 0.02,
-                              n_grid: int = 200) -> float:
+def adaptive_counting_ceiling(cd: CountingData) -> float:
     """Data-driven trusted ceiling for matrix-backed spectra.
 
     The slope is first fit on the clearly trusted low range; the ceiling is
-    the last grid point before the staircase departs from that line by more
-    than rel_band (relative), i.e. where finite-section undercounting sets in.
-    Always at most the configured fraction ceiling.
+    the last point of a 200-point grid before the staircase departs from that
+    line by more than 2% (relative), i.e. where finite-section undercounting
+    sets in.  Always at most the configured fraction ceiling.
     """
     cap = cd.lambda_max
     probe = weyl_slope(cd, (cap / 50.0, cap / 5.0))
-    lams = np.geomspace(cap / 5.0, cap, n_grid)
+    lams = np.geomspace(cap / 5.0, cap, 200)
     counts = np.searchsorted(cd.eigenvalues, lams, side="left").astype(float)
     pred = probe.intercept + probe.slope * lams
-    bad = np.abs(counts - pred) > rel_band * np.maximum(counts, 1.0)
+    bad = np.abs(counts - pred) > 0.02 * np.maximum(counts, 1.0)
     if not np.any(bad):
         return cap
     first_bad = int(np.argmax(bad))
@@ -147,16 +146,17 @@ class WeylConstant:
     route_gap: float
 
 
-def weyl_constant_closed_form(cdata: ConformalData, pad: int = 8) -> WeylConstant:
+def weyl_constant_closed_form(cdata: ConformalData) -> WeylConstant:
     """The slope via two functional-calculus routes for t(k^{-2}).
 
     Route one inverts the left-multiplication section of k^2 and reads the
     vacuum entry; route two sums the Neumann series of the inverse in the
-    algebra.  Their gap is reported (and should sit at rounding level).
+    algebra, truncated 16 past the support of k^2.  Their gap is reported
+    (and should sit at rounding level).
     """
-    t_matrix = trace_kinv2_matrix_route(cdata, pad=pad)
+    t_matrix = trace_kinv2_matrix_route(cdata)
     k2 = mul(cdata.k, cdata.k).trimmed(1e-15)
-    cap = k2.support_bandwidth() + 2 * pad
+    cap = k2.support_bandwidth() + 16
     t_neumann = float(trace_t(invert_positive(k2, bandwidth_cap=cap)).real)
     gap = abs(t_matrix - t_neumann)
     slope = math.pi / cdata.tau.im * t_matrix
@@ -193,11 +193,11 @@ def lattice_disk_eigenvalues(tau: ModuliPoint, q_max: float) -> np.ndarray:
     return lattice_eigenvalues(tau, band, q_max=q_max)
 
 
-def lattice_counting_data(tau: ModuliPoint, band: int,
-                          margin: float = 0.95) -> CountingData:
-    """Counting data for the analytic flat spectrum with the containment ceiling."""
+def lattice_counting_data(tau: ModuliPoint, band: int) -> CountingData:
+    """Counting data for the analytic flat spectrum, with the ceiling at 0.95
+    of the containment ceiling."""
     eigs = lattice_eigenvalues(tau, band)
-    ceiling = min(margin * box_containment_ceiling(tau, band),
+    ceiling = min(0.95 * box_containment_ceiling(tau, band),
                   DEFAULT_CEILING_FRACTION * float(eigs[-1]))
     return CountingData(
         eigs, band, explicit_ceiling=ceiling,
@@ -235,8 +235,8 @@ class DixmierEstimate:
     n_values: int
 
 
-def _log_slope(sums: np.ndarray, n_lo: int, n_hi: int, n_grid: int = 48) -> float:
-    ns = np.unique(np.geomspace(n_lo, n_hi, n_grid).astype(int))
+def _log_slope(sums: np.ndarray, n_lo: int, n_hi: int) -> float:
+    ns = np.unique(np.geomspace(n_lo, n_hi, 48).astype(int))
     ys = sums[ns - 1]
     xs = np.log(ns.astype(float))
     design = np.stack([np.ones_like(xs), xs], axis=1)
@@ -244,13 +244,14 @@ def _log_slope(sums: np.ndarray, n_lo: int, n_hi: int, n_grid: int = 48) -> floa
     return float(coef[1])
 
 
-def dixmier_estimate(dd: DixmierData, vanish_tol: float = 0.05) -> DixmierEstimate:
+def dixmier_estimate(dd: DixmierData) -> DixmierEstimate:
     """Log-slope of the partial sums over the trailing half of the data.
 
     value: slope of Trace_N against log N for N in [sqrt(M), M] (the trailing
     half in log scale); drift: relative change of the slope between the last
     two dyadic windows, a stand-in convergence diagnostic for the limiting
-    state; cesaro: the Cesaro mean of Trace_r / log r at the endpoint.
+    state; cesaro: the Cesaro mean of Trace_r / log r at the endpoint;
+    vanishing: |value| < 0.05.
     """
     M = dd.mu.size
     if M < 1000:
@@ -267,7 +268,7 @@ def dixmier_estimate(dd: DixmierData, vanish_tol: float = 0.05) -> DixmierEstima
     g = tr / np.log(ns)
     u = np.log(ns)
     cesaro = float(np.trapezoid(g, u) / (u[-1] - u[0]))
-    vanishing = abs(value) < vanish_tol
+    vanishing = abs(value) < 0.05
     return DixmierEstimate(value, drift, cesaro, vanishing, (n_lo, M), M)
 
 
@@ -285,8 +286,6 @@ class ConnesReport:
     residue: float
     dixmier: DixmierEstimate
     ratio: float
-    bandwidth: int
-    tail_fraction: float
 
 
 def singular_values_descending(mat) -> np.ndarray:
@@ -297,24 +296,25 @@ def singular_values_descending(mat) -> np.ndarray:
     return np.sqrt(np.clip(ev, 0.0, None))[::-1]
 
 
-def connes_trace_check(p: GradedSymbol, w: BasisWindow,
-                       tail_fraction: float = 0.25) -> ConnesReport:
-    """Dixmier estimate of the operator of an order -2 symbol against half its
-    residue.
+def _section_dixmier(mu: np.ndarray) -> DixmierEstimate:
+    """Dixmier estimate of a finite section's decreasing spectrum mu.
 
-    The finite section's smallest singular values sit in the window-corner
-    region where the box truncation distorts the counting, so the trailing
-    tail_fraction of the sequence is excluded before the log-slope fit (the
-    same guard as the counting-side validity ceiling).
+    Its smallest values sit in the window-corner region where the box
+    truncation distorts the counting, so the trailing quarter (the same share
+    as the counting-side validity ceiling) is excluded, keeping at least 1000.
     """
+    return dixmier_estimate(DixmierData(mu[:max(1000, int(mu.size * 0.75))]))
+
+
+def connes_trace_check(p: GradedSymbol, w: BasisWindow) -> ConnesReport:
+    """Dixmier estimate of the operator of an order -2 symbol against half its
+    residue."""
     if p.top_order != -2:
         raise SpectralError("the trace comparison needs a symbol of order -2")
     res = residue(p).real
-    mu = singular_values_descending(finite_section_of_op(p, w).matrix)
-    keep = max(1000, int(mu.size * (1.0 - tail_fraction)))
-    est = dixmier_estimate(DixmierData(mu[:keep]))
+    est = _section_dixmier(singular_values_descending(finite_section_of_op(p, w).matrix))
     ratio = est.value / res if res != 0.0 else math.inf
-    return ConnesReport(res, est, ratio, w.bandwidth, tail_fraction)
+    return ConnesReport(res, est, ratio)
 
 
 def counted_connes_trace_check(p: GradedSymbol, w: BasisWindow):
@@ -330,9 +330,7 @@ def perturbed_resolvent_check(eigenvalues, cdata: ConformalData) -> dict:
     """Named preset: Dixmier estimate of (1 + perturbed Laplacian)^{-1} against
     the closed form pi phi(1) / Im(tau)."""
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))
-    mu = np.sort(1.0 / (1.0 + np.clip(eigs, 0.0, None)))[::-1]
-    keep = max(1000, int(mu.size * 0.75))
-    est = dixmier_estimate(DixmierData(mu[:keep]))
+    est = _section_dixmier(np.sort(1.0 / (1.0 + np.clip(eigs, 0.0, None)))[::-1])
     closed = weyl_constant_closed_form(cdata).slope
     return {
         "dixmier": est,

@@ -40,6 +40,8 @@ from .gns import BasisWindow, FiniteSectionOperator, quadratic_form_values
 DEFAULT_WINDING_CUTOFF = 32
 # default depth below the leading term retained by compositions
 DEFAULT_EXTRA_LAYERS = 3
+# FFT points on the unit circle behind classicalize_resolvent's windings
+N_ANGULAR = 2048
 
 
 class SymbolError(ValueError):
@@ -192,9 +194,10 @@ class PolySymbol:
             out = add(out, scale((x1 ** j1) * (x2 ** j2), c))
         return out
 
-    def to_graded(self, winding_cutoff: int = DEFAULT_WINDING_CUTOFF) -> GradedSymbol:
+    def to_graded(self) -> GradedSymbol:
         """Exact conversion: a xi-monomial of degree d fills layer d with
-        windings |w| <= d of matching parity."""
+        windings |w| <= d of matching parity; the winding cutoff is
+        DEFAULT_WINDING_CUTOFF."""
         layers: dict = {}
         for (j1, j2), c in self.monomials.items():
             wind = {0: 1.0 + 0.0j}
@@ -206,7 +209,7 @@ class PolySymbol:
                 if amp != 0.0:
                     _layer_add(layers, j1 + j2, w, scale(amp, c))
         top = self.order
-        return GradedSymbol(self.angle, top, top + 1, layers, winding_cutoff)
+        return GradedSymbol(self.angle, top, top + 1, layers, DEFAULT_WINDING_CUTOFF)
 
 
 def _winding_mul(a: dict, b: dict) -> dict:
@@ -434,10 +437,11 @@ def apply_op(p, a: NcElement) -> NcElement:
     sends U^m V^n to p(m, n) U^m V^n, extended linearly; a coefficient v of
     U^r V^s in p(m, n) lands at (r + m, s + n) as v e^{2 pi i theta s m}.
     """
-    if not a.coeffs:
+    if not a.l1_norm():
         return zero(a.angle)
-    m, n = np.array(list(a.coeffs)).T
-    vals = np.array(list(a.coeffs.values()))
+    coeffs = a.coeffs
+    m, n = np.array(list(coeffs)).T
+    vals = np.array(list(coeffs.values()))
     terms = _column_terms(p, m, n)
     if not terms:
         return zero(a.angle)
@@ -466,20 +470,20 @@ def finite_section_of_op(p, w: BasisWindow) -> FiniteSectionOperator:
 def classicalize_resolvent(c0: float, tau: ModuliPoint, depth: int,
                            angle: DeformationAngle,
                            winding_cutoff: int = DEFAULT_WINDING_CUTOFF,
-                           n_angular: int = 2048,
                            insufficiency_tol: float = 1e-9) -> GradedSymbol:
     """Classical expansion of (c0 + flat Laplacian)^{-1}.
 
     Layer j sits at degree -2-2j and equals (-c0)^j Q(xi)^{-1-j}, expanded in
-    angular windings by FFT projection on the unit circle (a single winding
-    when tau = i).  The trailing angular mass beyond the winding cutoff is
-    recorded in diagnostics and warned about above insufficiency_tol.
+    angular windings by FFT projection on N_ANGULAR points of the unit circle
+    (a single winding when tau = i).  The trailing angular mass beyond the
+    winding cutoff is recorded in diagnostics and warned about above
+    insufficiency_tol.
     """
     if depth < 1:
         raise SymbolError("depth must be >= 1")
     if c0 <= 0:
         raise SymbolError("c0 must be positive")
-    phis = 2.0 * math.pi * np.arange(n_angular) / n_angular
+    phis = 2.0 * math.pi * np.arange(N_ANGULAR) / N_ANGULAR
     q = quadratic_form_values(tau, np.cos(phis), np.sin(phis))
     one = unit(angle)
     layers: dict = {}
@@ -487,10 +491,10 @@ def classicalize_resolvent(c0: float, tau: ModuliPoint, depth: int,
     W = winding_cutoff
     for j in range(depth):
         vals = ((-c0) ** j) * q ** (-1.0 - j)
-        fc = np.fft.fft(vals) / n_angular
+        fc = np.fft.fft(vals) / N_ANGULAR
         tiny = 1e-15 * float(np.max(np.abs(fc)))
-        for w in range(-n_angular // 2 + 1, n_angular // 2 + 1):
-            c = complex(fc[w % n_angular])
+        for w in range(-N_ANGULAR // 2 + 1, N_ANGULAR // 2 + 1):
+            c = complex(fc[w % N_ANGULAR])
             if abs(c) <= tiny:
                 continue
             if abs(w) > W:
@@ -532,14 +536,14 @@ class EllipticityReport:
     window: int
 
 
-def ellipticity_check(p: GradedSymbol, grid: int = 64, window: int = 6,
-                      tol: float = 1e-8) -> EllipticityReport:
+def ellipticity_check(p: GradedSymbol, grid: int = 64, window: int = 6) -> EllipticityReport:
     """Sample the principal layer over directions and test invertibility.
 
     For each sampled direction the finite section of the principal value is
-    assembled; the smallest singular value decides invertibility and the
-    empirical ellipticity constant is sup over directions of the inverse norm
-    scaled by (1+|xi|)^{top order} on the unit circle.
+    assembled; the smallest singular value decides invertibility (elliptic
+    above 1e-8, degenerate below 1e-12) and the empirical ellipticity
+    constant is sup over directions of the inverse norm scaled by
+    (1+|xi|)^{top order} on the unit circle.
     """
     spectrum = p.layer(p.top_order)
     smin_all = math.inf
@@ -557,7 +561,7 @@ def ellipticity_check(p: GradedSymbol, grid: int = 64, window: int = 6,
         smin_all = min(smin_all, smin)
         if smin > 0.0:
             c_emp = max(c_emp, (2.0 ** p.top_order) / smin)
-    if smin_all > tol:
+    if smin_all > 1e-8:
         verdict = "elliptic"
     elif smin_all < 1e-12:
         verdict = "degenerate"
@@ -601,8 +605,9 @@ def symbol_loads(s: str) -> GradedSymbol:
     return symbol_from_json_dict(json.loads(s))
 
 
-def format_symbol(p: GradedSymbol, max_terms: int = 6) -> str:
-    """Human-readable rendering of the layers as xi-expressions."""
+def format_symbol(p: GradedSymbol) -> str:
+    """Human-readable rendering of the layers as xi-expressions, with at most
+    6 coefficients written out per winding."""
     lines = [f"classical symbol, order {p.top_order}, depth {p.depth}"]
     for d in sorted(p.layers, reverse=True):
         parts = []
@@ -610,9 +615,9 @@ def format_symbol(p: GradedSymbol, max_terms: int = 6) -> str:
             elem = p.layer(d)[w]
             coeffs = sorted(elem.coeffs.items())
             body = " + ".join(
-                f"({c:.6g})U^{m}V^{n}" for (m, n), c in coeffs[:max_terms]
+                f"({c:.6g})U^{m}V^{n}" for (m, n), c in coeffs[:6]
             )
-            if len(coeffs) > max_terms:
+            if len(coeffs) > 6:
                 body += f" + ... [{len(coeffs)} terms]"
             angular = "" if w == 0 else f" e^{{{w}i phi}}"
             parts.append(f"[{body}]{angular}")

@@ -15,6 +15,7 @@ from nctorus.algebra import (
     DeformationAngle,
     ModuliPoint,
     NcElement,
+    NonConvergence,
     add,
     adjoint,
     dbar,
@@ -314,6 +315,16 @@ def test_exp_matches_power_series():
 def test_exp_rejects_non_selfadjoint():
     with pytest.raises(AlgebraError):
         exp_selfadjoint(make_monomial(1, 0, 1.0), 1.0)
+
+
+def test_exp_padding_convergence_is_checked():
+    """The l1 change between pads is always checked: for h = 2(U + U*) a pad
+    of 4 changes e^{h/2} by about 2e-2 and raises, a pad of 16 converges."""
+    h = scale(2.0, add(U, adjoint(U)))
+    with pytest.raises(NonConvergence, match="pad=4"):
+        exp_selfadjoint(h, 0.5, pad=4)
+    _, conv = exp_selfadjoint(h, 0.5, pad=16)
+    assert conv < alg.EXP_CONV_TOL
 
 
 def test_exp_consistency_inverse_pair():
