@@ -138,6 +138,13 @@ def right_mult_matrix(a: NcElement, w: BasisWindow) -> FiniteSectionOperator:
     return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w.bandwidth, right=True))
 
 
+def ascending(values) -> np.ndarray:
+    """values as a float array in ascending order: the input itself when it
+    is already ascending, else a sorted copy."""
+    v = np.asarray(values, dtype=float)
+    return v if np.all(v[:-1] <= v[1:]) else np.sort(v)
+
+
 def quadratic_form_values(tau: ModuliPoint, m, n):
     """Q(m,n) = m^2 + 2 Re(tau) m n + |tau|^2 n^2 evaluated elementwise."""
     m = np.asarray(m, dtype=float)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConformalData, ModuliPoint, NcElement, add, coeff_key, delta, mul, scale
-from .gns import (BasisWindow, FiniteSectionOperator, block_stacks, coupling_blocks,
-                  left_mult_matrix)
+from .gns import (BasisWindow, FiniteSectionOperator, ascending, block_stacks,
+                  coupling_blocks, left_mult_matrix)
 from .symbols import _leibniz
 
 
@@ -588,8 +588,11 @@ def heat_trace_fit(eigenvalues, t_grid=None) -> HeatFitResult:
     Only t with e^{-t lambda_max} < FIT_TAIL_TOL are admissible (larger
     windows would see the missing spectral tail); the default grid has 40
     points.  If the grid has no admissible points the fit fails loudly.
+    The heat trace sums mult * e^{-t lambda} over the distinct eigenvalues
+    (a lattice spectrum repeats each value, the flat 801^2 box about 12
+    times on average), one t at a time.
     """
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
+    eigs = ascending(eigenvalues)
     lam_max = eigs[-1]
     t_min = math.log(1.0 / FIT_TAIL_TOL) / lam_max
     if t_grid is None:
@@ -600,7 +603,11 @@ def heat_trace_fit(eigenvalues, t_grid=None) -> HeatFitResult:
         raise HeatError(
             f"no admissible t-window: need t >= {t_min:.3e}; spectrum window too small"
         )
-    y = admissible * np.array([np.sum(np.exp(-t * eigs)) for t in admissible])
+    # distinct values and their multiplicities, from the runs of the sorted eigs
+    starts = np.flatnonzero(np.concatenate(([True], eigs[1:] != eigs[:-1])))
+    lams = eigs[starts]
+    mult = np.diff(starts, append=eigs.size).astype(float)
+    y = admissible * np.array([np.sum(mult * np.exp(-t * lams)) for t in admissible])
     design = np.stack([np.ones_like(admissible), admissible, admissible ** 2], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef

@@ -22,6 +22,7 @@ from .algebra import ConformalData, ModuliPoint, invert_positive, mul, trace_t
 from .gns import (
     BasisWindow,
     _as_real_if_possible,
+    ascending,
     block_spectrum,
     quadratic_form_values,
     trace_kinv2_matrix_route,
@@ -52,7 +53,7 @@ class CountingData:
     lambda_max: float = field(init=False)
 
     def __post_init__(self):
-        ev = np.sort(np.asarray(self.eigenvalues, dtype=float))
+        ev = ascending(np.array(self.eigenvalues, dtype=float))  # a copy we own
         if ev.size == 0:
             raise SpectralError("empty spectrum")
         if ev[0] < -1e-8:
@@ -66,7 +67,7 @@ class CountingData:
                     f"{DEFAULT_CEILING_FRACTION:g} fraction cap {cap:g}"
                 )
             ceiling = float(self.explicit_ceiling)
-        object.__setattr__(self, "eigenvalues", np.clip(ev, 0.0, None))
+        object.__setattr__(self, "eigenvalues", np.clip(ev, 0.0, None, out=ev))
         object.__setattr__(self, "lambda_max", ceiling)
 
 
@@ -166,12 +167,26 @@ def weyl_constant_closed_form(cdata: ConformalData) -> WeylConstant:
 
 def lattice_eigenvalues(tau: ModuliPoint, band: int, q_max: float | None = None) -> np.ndarray:
     """Sorted values of the quadratic form on the integer lattice box
-    |m|,|n| <= band, optionally restricted to Q <= q_max."""
+    |m|,|n| <= band, optionally restricted to Q <= q_max.
+
+    Q is evaluated on the half box {n > 0} and {n = 0, m > 0} only: the
+    rounded Q(-m,-n) equals Q(m,n) bit for bit, so each value is written
+    twice after the origin's 0, and the result equals the sorted full box
+    byte for byte.  q_max < 0 leaves no value, the origin included.
+    """
     ms = np.arange(-band, band + 1)
-    q = quadratic_form_values(tau, ms[:, None], ms[None, :]).ravel()
+    # rows n = 0..band; the first band + 1 entries are n = 0, m <= 0
+    q = quadratic_form_values(tau, ms[None, :], ms[band:, None]).ravel()[band + 1:]
     if q_max is not None:
+        if not q_max >= 0.0:
+            return np.empty(0)
         q = q[q <= q_max]
-    return np.sort(q)
+    q.sort()
+    out = np.empty(2 * q.size + 1)
+    out[0] = 0.0
+    out[1::2] = q
+    out[2::2] = q
+    return out
 
 
 def box_containment_ceiling(tau: ModuliPoint, band: int) -> float:
@@ -210,7 +225,11 @@ def lattice_counting_data(tau: ModuliPoint, band: int) -> CountingData:
 
 @dataclass(frozen=True)
 class DixmierData:
-    """Decreasing positive sequence with its partial sums."""
+    """Decreasing positive sequence with its partial sums.
+
+    mu is kept by reference, not copied, unless a negative rounding-level
+    entry needs clipping to 0; the caller's array is never changed.
+    """
 
     mu: np.ndarray
     partial_sums: np.ndarray = field(init=False)
@@ -221,8 +240,10 @@ class DixmierData:
             raise SpectralError("singular values must be non-increasing")
         if mu.size and mu[-1] < -1e-15:
             raise SpectralError("singular values must be nonnegative")
-        object.__setattr__(self, "mu", np.clip(mu, 0.0, None))
-        object.__setattr__(self, "partial_sums", np.cumsum(self.mu))
+        if np.any(mu < 0.0):
+            mu = np.clip(mu, 0.0, None)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "partial_sums", np.cumsum(mu))
 
 
 @dataclass(frozen=True)
@@ -262,9 +283,13 @@ def dixmier_estimate(dd: DixmierData) -> DixmierEstimate:
     s1 = _log_slope(sums, max(2, M // 4), M // 2)
     s2 = _log_slope(sums, M // 2, M)
     drift = abs(s2 - s1) / abs(s2) if s2 != 0.0 else math.inf
-    # Cesaro mean of Trace_r / log r over the multiplicative group, from r = e
+    # Cesaro mean of Trace_r / log r over the multiplicative group, from r = e;
+    # Trace_r between integers is the linear interpolation of the partial sums
+    # (np.interp on the nodes 1..M, bit for bit, without building the nodes)
     ns = np.unique(np.geomspace(math.e, M, 512))
-    tr = np.interp(ns, np.arange(1, M + 1, dtype=float), sums)
+    j = ns.astype(int) - 1
+    slope = sums[np.minimum(j + 1, M - 1)] - sums[j]
+    tr = slope * (ns - (j + 1)) + sums[j]
     g = tr / np.log(ns)
     u = np.log(ns)
     cesaro = float(np.trapezoid(g, u) / (u[-1] - u[0]))
@@ -273,9 +298,17 @@ def dixmier_estimate(dd: DixmierData) -> DixmierEstimate:
 
 
 def resolvent_mu_disk(c0: float, q_max: float, tau: ModuliPoint = ModuliPoint(0.0, 1.0)) -> np.ndarray:
-    """Decreasing eigenvalues (c0 + Q(m,n))^{-1} over the lattice disk Q <= q_max."""
+    """Decreasing eigenvalues (c0 + Q(m,n))^{-1} over the lattice disk Q <= q_max.
+
+    For c0 > 0 the map q -> 1/(c0 + q) reverses the order of the ascending
+    disk values (correctly rounded + and / are monotone), so the result
+    needs no sort; c0 <= 0 raises SpectralError.
+    """
+    if not c0 > 0.0:
+        raise SpectralError(f"resolvent shift c0 must be positive, got {c0:g}")
     q = lattice_disk_eigenvalues(tau, q_max)
-    return np.sort(1.0 / (c0 + q))[::-1]
+    q += c0
+    return np.divide(1.0, q, out=q)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +362,9 @@ def counted_connes_trace_check(p: GradedSymbol, w: BasisWindow):
 def perturbed_resolvent_check(eigenvalues, cdata: ConformalData) -> dict:
     """Named preset: Dixmier estimate of (1 + perturbed Laplacian)^{-1} against
     the closed form pi phi(1) / Im(tau)."""
-    eigs = np.sort(np.asarray(eigenvalues, dtype=float))
-    est = _section_dixmier(np.sort(1.0 / (1.0 + np.clip(eigs, 0.0, None)))[::-1])
+    # 1/(1 + x) reverses the order of the ascending eigenvalues
+    eigs = ascending(eigenvalues)
+    est = _section_dixmier(1.0 / (1.0 + np.clip(eigs, 0.0, None)))
     closed = weyl_constant_closed_form(cdata).slope
     return {
         "dixmier": est,

@@ -36,6 +36,7 @@ from nctorus.heat import (
     trimmed_symbol_data,
     xi_derivative_expr,
 )
+from nctorus.spectral import lattice_eigenvalues
 from nctorus.symbols import PolySymbol, compose_poly, flat_laplacian_symbol
 
 TAU_I = ModuliPoint(0.0, 1.0)
@@ -344,6 +345,31 @@ def test_heat_trace_fit_flat_analytic():
     eigs2 = (ms[:, None] ** 2 + 4.0 * ms[None, :] ** 2).ravel()
     fit2 = heat_trace_fit(eigs2)
     assert fit2.b0 == pytest.approx(math.pi / 2.0, abs=0.01)
+
+
+def _plain_heat_fit_b0(eigs, t_grid):
+    """b0 of the heat-trace fit summed over every eigenvalue, one by one."""
+    y = t_grid * np.array([np.sum(np.exp(-t * eigs)) for t in t_grid])
+    design = np.stack([np.ones_like(t_grid), t_grid, t_grid ** 2], axis=1)
+    return np.linalg.lstsq(design, y, rcond=None)[0][0]
+
+
+@pytest.mark.parametrize("kind", ["flat lattice", "random"])
+def test_heat_trace_fit_matches_plain_sum(kind):
+    """The sum over distinct eigenvalues with multiplicities reproduces the
+    plain sum over the spectrum, with or without repeated values."""
+    if kind == "flat lattice":
+        eigs = lattice_eigenvalues(TAU_I, 150)
+        assert np.unique(eigs).size < eigs.size / 4
+    else:
+        eigs = np.sort(np.random.default_rng(5).uniform(0.0, 4.0e4, 60_000))
+    t_min = math.log(1.0e12) / eigs[-1]
+    t_grid = np.geomspace(1.02 * t_min, 60.0 * t_min, 40)
+    fit = heat_trace_fit(eigs, t_grid=t_grid)
+    ref = _plain_heat_fit_b0(eigs, t_grid)
+    assert abs(fit.b0 - ref) <= 1e-13 * abs(ref)
+    shuffled = np.random.default_rng(6).permutation(eigs)
+    assert heat_trace_fit(shuffled, t_grid=t_grid) == fit
 
 
 def test_heat_trace_fit_rejects_small_window():

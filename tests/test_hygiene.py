@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 imports sit at module level, every function, class and method of the
 library is referenced somewhere, and every default of the library is
-overridden by some caller."""
+overridden by some caller, calls resolved through imports."""
 
 import ast
 from functools import lru_cache
@@ -12,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nctorus"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+LIBRARY = frozenset(p.stem for p in MODULES)
 CALLERS = ("src", "tests", "perfbench")
 
 
@@ -40,7 +41,8 @@ def _nested_imports(tree: ast.AST):
 
 @lru_cache(maxsize=None)
 def _caller_trees():
-    return tuple(ast.parse(path.read_text(encoding="utf-8"))
+    """(path, tree) of every caller file."""
+    return tuple((path, ast.parse(path.read_text(encoding="utf-8")))
                  for d in CALLERS for path in sorted((ROOT / d).rglob("*.py")))
 
 
@@ -48,7 +50,7 @@ def _caller_trees():
 def _references():
     """(names read or imported, attributes accessed) over every caller file."""
     names, attrs = set(), set()
-    for tree in _caller_trees():
+    for _, tree in _caller_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -60,14 +62,105 @@ def _references():
 
 
 @lru_cache(maxsize=None)
+def _exports():
+    """{name: (module, name)} for the names the package re-exports."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name: (node.module, alias.name)
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names}
+
+
+def _bindings(path: Path, tree: ast.Module) -> dict:
+    """{local name: binding} for what a file binds: ("module", m) for the
+    library module m ("" for the package), ("def", m, f) for the top-level
+    definition f of m, ("outside",) for any other import.  A name assigned
+    an attribute named after a library module (alg = nct.algebra, the
+    package passed in as nct) binds that module."""
+    module = path.stem if path.parent == SRC and path.stem in LIBRARY else None
+    bind = {} if module is None else {
+        node.name: ("def", module, node.name) for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, sub = alias.name.partition(".")
+                if head != "nctorus":
+                    bind[alias.asname or head] = ("outside",)
+                else:
+                    bind[alias.asname or head] = ("module", sub if alias.asname else "")
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            inside = module is not None if node.level else source.partition(".")[0] == "nctorus"
+            source = source if node.level else source.partition(".")[2]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if not inside:
+                    bind[local] = ("outside",)
+                elif source:
+                    bind[local] = ("def", source, alias.name)
+                elif alias.name in LIBRARY:
+                    bind[local] = ("module", alias.name)
+                else:
+                    bind[local] = ("def", *_exports().get(alias.name, ("", alias.name)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            pairs = (zip(target.elts, value.elts)
+                     if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                     else [(target, value)])
+            for t, v in pairs:
+                m = _module_of(v, bind)
+                if isinstance(t, ast.Name) and m is not None:
+                    bind[t.id] = ("module", m)
+    return bind
+
+
+def _module_of(expr: ast.AST, bind: dict):
+    """The library module expr names, "" for the package, else None."""
+    if isinstance(expr, ast.Name):
+        b = bind.get(expr.id, ())
+        return b[1] if b[:1] == ("module",) else None
+    if (isinstance(expr, ast.Attribute) and expr.attr in LIBRARY
+            and isinstance(expr.value, ast.Name)
+            and bind.get(expr.value.id) in (None, ("module", ""))):
+        return expr.attr
+    return None
+
+
+def _resolved_calls(path: Path, tree: ast.Module):
+    """(callee, call) per call of a file: callee is (module, name) for a
+    library function or class, (None, name) for x.name(...) on a receiver
+    that is neither a module nor an outside import (a method call).  Calls
+    of outside names (np.isclose, a test's own helper) are left out."""
+    bind = _bindings(path, tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            b = bind.get(func.id, ())
+            if b[:1] == ("def",):
+                yield b[1:], node
+        elif isinstance(func, ast.Attribute):
+            m = _module_of(func.value, bind)
+            root = func.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if m == "":
+                yield _exports().get(func.attr, ("", func.attr)), node
+            elif m is not None:
+                yield (m, func.attr), node
+            elif not (isinstance(root, ast.Name) and bind.get(root.id) == ("outside",)):
+                yield (None, func.attr), node
+
+
+@lru_cache(maxsize=None)
 def _calls():
-    """{name: calls} over every caller file, for calls f(...) and x.f(...)."""
+    """{callee: calls} over every caller file, callee as in _resolved_calls."""
     calls = {}
-    for tree in _caller_trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                calls.setdefault(name, []).append(node)
+    for path, tree in _caller_trees():
+        for callee, node in _resolved_calls(path, tree):
+            calls.setdefault(callee, []).append(node)
     return calls
 
 
@@ -77,12 +170,13 @@ def _decorated(node, name: str) -> bool:
     return any(getattr(h, "id", None) == name or getattr(h, "attr", None) == name for h in heads)
 
 
-def _defaults(tree: ast.Module):
+def _defaults(tree: ast.Module, module: str):
     """(line, callee, parameter, position) for each defaulted parameter of a
-    top-level function or method, an __init__ counted under its class name,
-    and each defaulted dataclass field.  position is the index a positional
-    argument needs to reach the parameter (self and cls are bound), None for
-    a keyword-only one."""
+    top-level function or method, an __init__ counted under its class, and
+    each defaulted dataclass field.  callee is (module, name) for a function
+    or class, (None, name) for a method, as _resolved_calls keys calls.
+    position is the index a positional argument needs to reach the parameter
+    (self and cls are bound), None for a keyword-only one."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def params(node, callee, bound):
@@ -96,15 +190,15 @@ def _defaults(tree: ast.Module):
     found = []
     for node in tree.body:
         if isinstance(node, funcs):
-            found += params(node, node.name, 0)
+            found += params(node, (module, node.name), 0)
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, funcs):
-                    callee = node.name if item.name == "__init__" else item.name
+                    callee = (module, node.name) if item.name == "__init__" else (None, item.name)
                     found += params(item, callee, 0 if _decorated(item, "staticmethod") else 1)
             if _decorated(node, "dataclass"):
                 fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and _in_init(f)]
-                found += [(f.lineno, node.name, f.target.id, i)
+                found += [(f.lineno, (module, node.name), f.target.id, i)
                           for i, f in enumerate(fields) if f.value is not None]
     return found
 
@@ -117,7 +211,7 @@ def _in_init(f: ast.AnnAssign) -> bool:
 def _library_defaults():
     """(module, line, callee, parameter, position) over every library module."""
     return [(path.name, *found) for path in MODULES
-            for found in _defaults(ast.parse(path.read_text(encoding="utf-8")))]
+            for found in _defaults(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
 
 
 def _passes(call: ast.Call, param: str, position) -> bool:
@@ -201,8 +295,9 @@ def test_default_scan_sees_each_kind():
     """The scan finds a function's default, an __init__'s under its class,
     a classmethod's past cls, and a dataclass field's (not a field(init=False))."""
     found = {(callee, param, pos) for _, _, callee, param, pos in _library_defaults()}
-    assert {("exp_selfadjoint", "pad", 2), ("GradedSymbol", "winding_cutoff", 4),
-            ("build", "pad", 2), ("ContourSpec", "nodes", 0)} <= found
+    assert {(("algebra", "exp_selfadjoint"), "pad", 2),
+            (("symbols", "GradedSymbol"), "winding_cutoff", 4),
+            ((None, "build"), "pad", 2), (("heat", "ContourSpec"), "nodes", 0)} <= found
     assert not any(param == "lambda_max" for _, param, _ in found)
 
 
@@ -210,7 +305,63 @@ def test_every_default_is_passed_by_a_caller():
     """A default that no call in CALLERS overrides has one value in use: it is
     a constant in the body, not a parameter or a field."""
     calls = _calls()
-    unused = [f"{module}:{line} {callee}({param})"
+    unused = [f"{module}:{line} {callee[1]}({param})"
               for module, line, callee, param, pos in _library_defaults()
               if not any(_passes(c, param, pos) for c in calls.get(callee, ()))]
     assert not unused, ", ".join(unused)
+
+
+CALL_FORMS = """
+import numpy as np
+import nctorus
+from nctorus import spectral as spc, heat_trace_fit as fit
+from nctorus.algebra import mul
+
+
+def run(nct, x, isclose):
+    alg, gns = nct.algebra, nct.gns
+    np.isclose(1, 2)
+    np.linalg.norm(x)
+    isclose(1, 2)
+    x.isclose(1, 2)
+    mul(1, 2)
+    alg.exp_selfadjoint(1)
+    gns.quadratic_form_values(1)
+    spc.weyl_slope(1)
+    fit(1)
+    nctorus.weyl_slope(1)
+    nctorus.heat.laplace_symbol(1)
+    nct.symbols.residue(1)
+"""
+
+LIBRARY_CALL_FORMS = """
+from . import algebra as alg
+from .gns import BasisWindow
+
+
+def weyl_slope(x):
+    return x
+
+
+def run(x):
+    weyl_slope(x)
+    alg.mul(x, x)
+    BasisWindow(3)
+    BasisWindow.index_grids(x)
+"""
+
+
+def test_call_resolution_sees_each_form():
+    """Calls resolve through each import form and module alias; calls on
+    outside receivers and of unbound names are left out."""
+    def resolve(path, source):
+        return [callee for callee, _ in _resolved_calls(path, ast.parse(source))]
+
+    assert resolve(ROOT / "tests" / "x.py", CALL_FORMS) == [
+        (None, "isclose"), ("algebra", "mul"), ("algebra", "exp_selfadjoint"),
+        ("gns", "quadratic_form_values"), ("spectral", "weyl_slope"),
+        ("heat", "heat_trace_fit"), ("spectral", "weyl_slope"), ("heat", "laplace_symbol"),
+        ("symbols", "residue")]
+    assert resolve(SRC / "spectral.py", LIBRARY_CALL_FORMS) == [
+        ("spectral", "weyl_slope"), ("algebra", "mul"), ("gns", "BasisWindow"),
+        (None, "index_grids")]

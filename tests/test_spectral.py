@@ -1,6 +1,7 @@
 """Tests for counting functions, Weyl slopes, Dixmier estimates and the
 residue comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,11 +40,18 @@ from nctorus.spectral import (
     singular_values_descending,
     weyl_constant_closed_form,
     weyl_slope,
+    _section_dixmier,
 )
 from nctorus.symbols import GradedSymbol, classicalize_resolvent
 
 TAU_I = ModuliPoint(0.0, 1.0)
 U = make_monomial(1, 0)
+LATTICE_TAUS = [TAU_I, ModuliPoint(0.0, 2.0), ModuliPoint(1.0, 1.0),
+                ModuliPoint(0.3, 0.8), ModuliPoint(-0.45, 1.3)]
+
+
+def _tau_id(tau):
+    return f"{tau.re:g}{tau.im:+g}i"
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +214,77 @@ def test_lattice_disk_matches_brute_force_count(tau):
     assert resolvent_mu_disk(1.0, q_max, tau).size == count
 
 
+@pytest.mark.parametrize("tau", LATTICE_TAUS, ids=_tau_id)
+@pytest.mark.parametrize("q_max", [None, 0.0, 777.7])
+def test_lattice_half_box_equals_sorted_full_box(tau, q_max):
+    """The half-box build is the sorted full box byte for byte."""
+    band = 37
+    ms = np.arange(-band, band + 1)
+    q = quadratic_form_values(tau, ms[:, None], ms[None, :]).ravel()
+    ref = np.sort(q if q_max is None else q[q <= q_max])
+    assert lattice_eigenvalues(tau, band, q_max=q_max).tobytes() == ref.tobytes()
+
+
+def test_lattice_eigenvalues_edge_cases():
+    assert lattice_eigenvalues(TAU_I, 0).tolist() == [0.0]
+    # a negative q_max filters the origin too
+    assert lattice_eigenvalues(TAU_I, 5, q_max=-1e-3).size == 0
+    assert lattice_eigenvalues(TAU_I, 5, q_max=0.0).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("tau", LATTICE_TAUS, ids=_tau_id)
+@pytest.mark.parametrize("c0", [1e-3, 1.0, 37.5])
+def test_resolvent_mu_disk_equals_sorted_reference(tau, c0):
+    q = lattice_disk_eigenvalues(tau, 5.0e4)
+    ref = np.sort(1.0 / (c0 + q))[::-1]
+    assert resolvent_mu_disk(c0, 5.0e4, tau).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("c0", [0.0, -1.0, math.nan])
+def test_resolvent_mu_disk_rejects_nonpositive_shift(c0):
+    with pytest.raises(SpectralError, match="positive"):
+        resolvent_mu_disk(c0, 100.0)
+
+
+@pytest.mark.parametrize("M", [1000, 1001, 4097, 123457])
+def test_dixmier_estimate_equals_interp_reference(M):
+    """The Cesaro mean reads the partial sums at non-integer points exactly as
+    np.interp on the nodes 1..M does."""
+    rng = np.random.default_rng(M)
+    dd = DixmierData(np.sort(rng.random(M) / np.arange(1.0, M + 1.0))[::-1])
+    est = dixmier_estimate(dd)
+    ns = np.unique(np.geomspace(math.e, M, 512))
+    tr = np.interp(ns, np.arange(1, M + 1, dtype=float), dd.partial_sums)
+    u = np.log(ns)
+    cesaro = float(np.trapezoid(tr / u, u) / (u[-1] - u[0]))
+    assert est == dataclasses.replace(est, cesaro=cesaro)
+
+
+def test_dixmier_data_leaves_mu_unchanged():
+    mu = 1.0 / np.arange(1.0, 2001.0)
+    assert DixmierData(mu).mu is mu
+    rounded = np.concatenate([mu, [-1e-16, -5e-16]])
+    before = rounded.copy()
+    dd = DixmierData(rounded)
+    assert rounded.tobytes() == before.tobytes()
+    assert dd.mu.tobytes() == np.clip(before, 0.0, None).tobytes()
+    assert dd.partial_sums.tobytes() == np.cumsum(np.clip(before, 0.0, None)).tobytes()
+
+
+def test_counting_data_sorts_only_unsorted_input():
+    eigs = lattice_eigenvalues(ModuliPoint(0.3, 0.8), 30)
+    eigs[0] = -1e-9
+    shuffled = np.random.default_rng(3).permutation(eigs)
+    before = shuffled.copy()
+    ref = np.clip(np.sort(eigs), 0.0, None)
+    for spec in (eigs, shuffled):
+        cd = CountingData(spec, 30)
+        assert cd.eigenvalues.tobytes() == ref.tobytes()
+        assert cd.eigenvalues is not spec
+    assert eigs[0] == -1e-9
+    assert shuffled.tobytes() == before.tobytes()
+
+
 def test_connes_check_flat_resolvent():
     p = classicalize_resolvent(1.0, TAU_I, depth=3, angle=GOLDEN)
     rep = connes_trace_check(p, BasisWindow(48))
@@ -243,6 +322,14 @@ def test_connes_check_zero_leading_layer():
         rep = connes_trace_check(p, BasisWindow(32))
     assert rep.dixmier.value < 0.35
     assert rep.dixmier.drift > 0.2
+
+
+def test_perturbed_resolvent_mu_needs_no_sort(cd_default):
+    eigs = lattice_eigenvalues(ModuliPoint(0.3, 0.8), 30)
+    ref = _section_dixmier(np.sort(1.0 / (1.0 + eigs))[::-1])
+    shuffled = np.random.default_rng(4).permutation(eigs)
+    for spec in (eigs, shuffled):
+        assert perturbed_resolvent_check(spec, cd_default)["dixmier"] == ref
 
 
 def test_perturbed_resolvent_corollary(cd_default):
