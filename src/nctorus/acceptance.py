@@ -36,6 +36,8 @@ from .algebra import (
 from .config import PRESETS, ConfigError, ExperimentConfig
 from .gns import (
     BasisWindow,
+    Runs,
+    descending_runs,
     generalized_spectrum,
     gram_laplacian_matrix,
     hermitian_spectrum,
@@ -207,8 +209,10 @@ def connes_claim(cfg: ExperimentConfig):
         order = cfg.symbol[1]
         if order > -2.5:
             raise ConfigError("power preset expects order <= -3 (trace class)")
-        q = lattice_disk_eigenvalues(cfg.moduli, DISK_QMAX)
-        est = dixmier_estimate(DixmierData(np.sort((1.0 + q) ** (order / 2.0))[::-1]))
+        # pow is not correctly rounded, so the map need not reverse the order
+        disk = lattice_disk_eigenvalues(cfg.moduli, DISK_QMAX)
+        mu = descending_runs(Runs((1.0 + disk.values) ** (order / 2.0), disk.mult))
+        est = dixmier_estimate(DixmierData(mu))
         report = {"residue": 0.0, "dixmier": est.value, "drift": est.drift,
                   "vanishing": est.vanishing, "passed": est.vanishing,
                   "route": "trace-class decay, Dixmier trace vanishes"}

@@ -145,6 +145,38 @@ def ascending(values) -> np.ndarray:
     return v if np.all(v[:-1] <= v[1:]) else np.sort(v)
 
 
+@dataclass(frozen=True)
+class Runs:
+    """A sorted sequence as its values and their integer multiplicities:
+    np.repeat(values, mult) is the sequence.  Adjacent values are distinct
+    as found; a map applied to them afterwards may merge two."""
+
+    values: np.ndarray
+    mult: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """Length of the sequence the runs stand for."""
+        return int(self.mult.sum())
+
+
+def runs_of(sorted_values: np.ndarray) -> Runs:
+    """The runs of equal entries of a sorted array (none for an empty one)."""
+    v = sorted_values
+    starts = np.flatnonzero(np.concatenate(([v.size > 0], v[1:] != v[:-1])))
+    return Runs(v[starts], np.diff(starts, append=v.size))
+
+
+def descending_runs(runs: Runs) -> Runs:
+    """runs in descending order of value: the runs themselves when already
+    descending, else reordered by a stable sort on the values."""
+    v = runs.values
+    if np.all(v[:-1] >= v[1:]):
+        return runs
+    perm = np.argsort(-v, kind="stable")
+    return Runs(v[perm], runs.mult[perm])
+
+
 def quadratic_form_values(tau: ModuliPoint, m, n):
     """Q(m,n) = m^2 + 2 Re(tau) m n + |tau|^2 n^2 evaluated elementwise."""
     m = np.asarray(m, dtype=float)

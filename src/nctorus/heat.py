@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import ConformalData, ModuliPoint, NcElement, add, coeff_key, delta, mul, scale
 from .gns import (BasisWindow, FiniteSectionOperator, ascending, block_stacks,
-                  coupling_blocks, left_mult_matrix)
+                  coupling_blocks, left_mult_matrix, runs_of)
 from .symbols import _leibniz
 
 
@@ -603,11 +603,9 @@ def heat_trace_fit(eigenvalues, t_grid=None) -> HeatFitResult:
         raise HeatError(
             f"no admissible t-window: need t >= {t_min:.3e}; spectrum window too small"
         )
-    # distinct values and their multiplicities, from the runs of the sorted eigs
-    starts = np.flatnonzero(np.concatenate(([True], eigs[1:] != eigs[:-1])))
-    lams = eigs[starts]
-    mult = np.diff(starts, append=eigs.size).astype(float)
-    y = admissible * np.array([np.sum(mult * np.exp(-t * lams)) for t in admissible])
+    runs = runs_of(eigs)
+    mult = runs.mult.astype(float)
+    y = admissible * np.array([np.sum(mult * np.exp(-t * runs.values)) for t in admissible])
     design = np.stack([np.ones_like(admissible), admissible, admissible ** 2], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef

@@ -21,10 +21,12 @@ import scipy.sparse as sp
 from .algebra import ConformalData, ModuliPoint, invert_positive, mul, trace_t
 from .gns import (
     BasisWindow,
+    Runs,
     _as_real_if_possible,
     ascending,
     block_spectrum,
     quadratic_form_values,
+    runs_of,
     trace_kinv2_matrix_route,
 )
 from .symbols import GradedSymbol, finite_section_of_op, residue
@@ -165,23 +167,31 @@ def weyl_constant_closed_form(cdata: ConformalData) -> WeylConstant:
     return WeylConstant(slope, vol, t_matrix, gap)
 
 
-def lattice_eigenvalues(tau: ModuliPoint, band: int, q_max: float | None = None) -> np.ndarray:
-    """Sorted values of the quadratic form on the integer lattice box
-    |m|,|n| <= band, optionally restricted to Q <= q_max.
-
-    Q is evaluated on the half box {n > 0} and {n = 0, m > 0} only: the
-    rounded Q(-m,-n) equals Q(m,n) bit for bit, so each value is written
-    twice after the origin's 0, and the result equals the sorted full box
-    byte for byte.  q_max < 0 leaves no value, the origin included.
-    """
+def _half_box(tau: ModuliPoint, band: int, q_max: float | None) -> np.ndarray:
+    """Sorted Q over the half box {n > 0} and {n = 0, m > 0} of |m|,|n| <=
+    band, optionally restricted to Q <= q_max.  The rounded Q(-m,-n) equals
+    Q(m,n) bit for bit, so the full box is the origin's 0 and each of these
+    values twice."""
     ms = np.arange(-band, band + 1)
     # rows n = 0..band; the first band + 1 entries are n = 0, m <= 0
     q = quadratic_form_values(tau, ms[None, :], ms[band:, None]).ravel()[band + 1:]
     if q_max is not None:
-        if not q_max >= 0.0:
-            return np.empty(0)
         q = q[q <= q_max]
     q.sort()
+    return q
+
+
+def lattice_eigenvalues(tau: ModuliPoint, band: int, q_max: float | None = None) -> np.ndarray:
+    """Sorted values of the quadratic form on the integer lattice box
+    |m|,|n| <= band, optionally restricted to Q <= q_max.
+
+    Each half-box value is written twice after the origin's 0, and the
+    result equals the sorted full box byte for byte.  q_max < 0 leaves no
+    value, the origin included.
+    """
+    if q_max is not None and not q_max >= 0.0:
+        return np.empty(0)
+    q = _half_box(tau, band, q_max)
     out = np.empty(2 * q.size + 1)
     out[0] = 0.0
     out[1::2] = q
@@ -201,11 +211,22 @@ def box_containment_ceiling(tau: ModuliPoint, band: int) -> float:
     return band * band / stretch
 
 
-def lattice_disk_eigenvalues(tau: ModuliPoint, q_max: float) -> np.ndarray:
-    """Sorted values Q <= q_max over the whole lattice, read off the smallest
-    index box whose containment ceiling reaches q_max."""
+def lattice_disk_eigenvalues(tau: ModuliPoint, q_max: float) -> Runs:
+    """The values Q <= q_max over the whole lattice as ascending Runs, read
+    off the smallest index box whose containment ceiling reaches q_max.
+
+    The origin is a run of 1 at the front, and each run of the sorted half
+    box counts twice; np.repeat of the runs is the sorted full disk byte for
+    byte.  q_max < 0 gives no run, as lattice_eigenvalues gives no value; a
+    NaN or infinite q_max raises SpectralError.
+    """
+    if not math.isfinite(q_max):
+        raise SpectralError(f"q_max must be finite, got {q_max}")
+    if q_max < 0.0:
+        return runs_of(np.empty(0))
     band = math.isqrt(int(q_max / box_containment_ceiling(tau, 1))) + 2
-    return lattice_eigenvalues(tau, band, q_max=q_max)
+    half = runs_of(_half_box(tau, band, q_max))
+    return Runs(np.concatenate(([0.0], half.values)), np.concatenate(([1], 2 * half.mult)))
 
 
 def lattice_counting_data(tau: ModuliPoint, band: int) -> CountingData:
@@ -225,17 +246,30 @@ def lattice_counting_data(tau: ModuliPoint, band: int) -> CountingData:
 
 @dataclass(frozen=True)
 class DixmierData:
-    """Decreasing positive sequence with its partial sums.
+    """Decreasing nonnegative sequence, carried as runs, with its partial sums.
 
-    mu is kept by reference, not copied, unless a negative rounding-level
-    entry needs clipping to 0; the caller's array is never changed.
+    mu is given as Runs (a lattice spectrum) or as an array, which is runs
+    of multiplicity 1; the runs are never expanded.  Once built, mu holds
+    the run values and mult their multiplicities, and counts and
+    partial_sums the number and the sum of the values through each run: for
+    an array, partial_sums is np.cumsum(mu) bit for bit.  The values are
+    kept by reference, not copied, unless a negative rounding-level entry
+    needs clipping to 0; the caller's array is never changed.
     """
 
     mu: np.ndarray
+    mult: np.ndarray = field(init=False)
+    counts: np.ndarray = field(init=False)
     partial_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
+        if isinstance(self.mu, Runs):
+            mu, mult = np.asarray(self.mu.values, dtype=float), self.mu.mult
+        else:
+            mu = np.asarray(self.mu, dtype=float)
+            mult = np.ones(mu.size, dtype=np.intp)
+        if mult.shape != mu.shape or np.any(mult < 1):
+            raise SpectralError("multiplicities must be positive, one per value")
         if np.any(np.diff(mu) > 1e-12):
             raise SpectralError("singular values must be non-increasing")
         if mu.size and mu[-1] < -1e-15:
@@ -243,7 +277,9 @@ class DixmierData:
         if np.any(mu < 0.0):
             mu = np.clip(mu, 0.0, None)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "partial_sums", np.cumsum(mu))
+        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "counts", np.cumsum(mult))
+        object.__setattr__(self, "partial_sums", np.cumsum(mu * mult))
 
 
 @dataclass(frozen=True)
@@ -256,9 +292,17 @@ class DixmierEstimate:
     n_values: int
 
 
-def _log_slope(sums: np.ndarray, n_lo: int, n_hi: int) -> float:
+def _trace_n(dd: DixmierData, n: np.ndarray) -> np.ndarray:
+    """Trace_N, the sum of the N largest values, at integers N in 1..M: the
+    partial sum through the run that holds the N-th value, less the values
+    of that run beyond N."""
+    k = np.searchsorted(dd.counts, n)
+    return dd.partial_sums[k] - (dd.counts[k] - n) * dd.mu[k]
+
+
+def _log_slope(dd: DixmierData, n_lo: int, n_hi: int) -> float:
     ns = np.unique(np.geomspace(n_lo, n_hi, 48).astype(int))
-    ys = sums[ns - 1]
+    ys = _trace_n(dd, ns)
     xs = np.log(ns.astype(float))
     design = np.stack([np.ones_like(xs), xs], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, ys, rcond=None)
@@ -272,24 +316,24 @@ def dixmier_estimate(dd: DixmierData) -> DixmierEstimate:
     half in log scale); drift: relative change of the slope between the last
     two dyadic windows, a stand-in convergence diagnostic for the limiting
     state; cesaro: the Cesaro mean of Trace_r / log r at the endpoint;
-    vanishing: |value| < 0.05.
+    vanishing: |value| < 0.05.  M counts the values with multiplicity, and
+    Trace_N is read off the runs at each integer N the fits need.
     """
-    M = dd.mu.size
+    M = int(dd.counts[-1]) if dd.counts.size else 0
     if M < 1000:
         raise SpectralError(f"need at least 1000 singular values, got {M}")
-    sums = dd.partial_sums
     n_lo = max(2, int(math.sqrt(M)))
-    value = _log_slope(sums, n_lo, M)
-    s1 = _log_slope(sums, max(2, M // 4), M // 2)
-    s2 = _log_slope(sums, M // 2, M)
+    value = _log_slope(dd, n_lo, M)
+    s1 = _log_slope(dd, max(2, M // 4), M // 2)
+    s2 = _log_slope(dd, M // 2, M)
     drift = abs(s2 - s1) / abs(s2) if s2 != 0.0 else math.inf
     # Cesaro mean of Trace_r / log r over the multiplicative group, from r = e;
-    # Trace_r between integers is the linear interpolation of the partial sums
+    # Trace_r between integers is the linear interpolation of Trace_N
     # (np.interp on the nodes 1..M, bit for bit, without building the nodes)
     ns = np.unique(np.geomspace(math.e, M, 512))
-    j = ns.astype(int) - 1
-    slope = sums[np.minimum(j + 1, M - 1)] - sums[j]
-    tr = slope * (ns - (j + 1)) + sums[j]
+    j = ns.astype(int)
+    lo = _trace_n(dd, j)
+    tr = (_trace_n(dd, np.minimum(j + 1, M)) - lo) * (ns - j) + lo
     g = tr / np.log(ns)
     u = np.log(ns)
     cesaro = float(np.trapezoid(g, u) / (u[-1] - u[0]))
@@ -297,18 +341,21 @@ def dixmier_estimate(dd: DixmierData) -> DixmierEstimate:
     return DixmierEstimate(value, drift, cesaro, vanishing, (n_lo, M), M)
 
 
-def resolvent_mu_disk(c0: float, q_max: float, tau: ModuliPoint = ModuliPoint(0.0, 1.0)) -> np.ndarray:
-    """Decreasing eigenvalues (c0 + Q(m,n))^{-1} over the lattice disk Q <= q_max.
+def resolvent_mu_disk(c0: float, q_max: float, tau: ModuliPoint = ModuliPoint(0.0, 1.0)) -> Runs:
+    """Decreasing eigenvalues (c0 + Q(m,n))^{-1} over the lattice disk Q <= q_max,
+    as Runs: the disk runs with each value mapped, .size the count.
 
     For c0 > 0 the map q -> 1/(c0 + q) reverses the order of the ascending
     disk values (correctly rounded + and / are monotone), so the result
-    needs no sort; c0 <= 0 raises SpectralError.
+    needs no sort; c0 <= 0 raises SpectralError, as lattice_disk_eigenvalues
+    does for a NaN or infinite q_max.
     """
     if not c0 > 0.0:
         raise SpectralError(f"resolvent shift c0 must be positive, got {c0:g}")
-    q = lattice_disk_eigenvalues(tau, q_max)
+    disk = lattice_disk_eigenvalues(tau, q_max)
+    q = disk.values
     q += c0
-    return np.divide(1.0, q, out=q)
+    return Runs(np.divide(1.0, q, out=q), disk.mult)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from nctorus.algebra import (
 from nctorus import gns
 from nctorus.gns import (
     BasisWindow,
+    Runs,
     SectionError,
+    descending_runs,
     flat_laplacian_matrix,
     generalized_spectrum,
     gram_laplacian_matrix,
@@ -30,6 +32,7 @@ from nctorus.gns import (
     perturbed_laplacian_matrix,
     quadratic_form_values,
     right_mult_matrix,
+    runs_of,
     vacuum_expectation,
 )
 from nctorus.spectral import CountingData, SpectralError
@@ -396,6 +399,26 @@ def test_perturbed_section_stays_sparse(cd_default):
     K = left_mult_matrix(cd_default.k, w).matrix
     bound = sum(b.size ** 2 for b in gns.coupling_blocks(K))
     assert P.matrix.nnz <= bound < w.dim ** 2 // 50
+
+
+def test_runs_of_sorted_values():
+    v = np.array([0.0, 1.0, 1.0, 2.5, 2.5, 2.5, 4.0])
+    r = runs_of(v)
+    assert (r.values.tolist(), r.mult.tolist()) == ([0.0, 1.0, 2.5, 4.0], [1, 2, 3, 1])
+    assert r.size == v.size
+    assert np.repeat(r.values, r.mult).tobytes() == v.tobytes()
+    empty = runs_of(np.empty(0))
+    assert empty.size == 0 and empty.values.size == 0
+
+
+def test_descending_runs_sorts_only_unsorted_runs():
+    down = Runs(np.array([4.0, 2.5, 1.0, 0.0]), np.array([1, 3, 2, 1]))
+    assert descending_runs(down) is down
+    mixed = Runs(np.array([2.5, 0.0, 4.0, 1.0]), np.array([3, 1, 1, 2]))
+    out = descending_runs(mixed)
+    assert out.values.tobytes() == down.values.tobytes()
+    assert out.mult.tobytes() == down.mult.tobytes()
+    assert mixed.values.tolist() == [2.5, 0.0, 4.0, 1.0]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")

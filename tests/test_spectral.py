@@ -3,11 +3,13 @@ residue comparison."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nctorus import algebra as alg
+from nctorus.acceptance import connes_claim
 from nctorus.algebra import (
     GOLDEN,
     ConformalData,
@@ -41,7 +43,9 @@ from nctorus.spectral import (
     weyl_constant_closed_form,
     weyl_slope,
     _section_dixmier,
+    _trace_n,
 )
+from nctorus.config import preset
 from nctorus.symbols import GradedSymbol, classicalize_resolvent
 
 TAU_I = ModuliPoint(0.0, 1.0)
@@ -52,6 +56,11 @@ LATTICE_TAUS = [TAU_I, ModuliPoint(0.0, 2.0), ModuliPoint(1.0, 1.0),
 
 def _tau_id(tau):
     return f"{tau.re:g}{tau.im:+g}i"
+
+
+def _expanded(runs):
+    """The sequence that runs stand for."""
+    return np.repeat(runs.values, runs.mult)
 
 
 @pytest.fixture(scope="module")
@@ -151,14 +160,14 @@ def test_dixmier_anchor_resolvent_disk():
 
 
 def test_dixmier_trace_class_vanishes():
-    mu = np.sort(resolvent_mu_disk(1.0, 1.0e6) ** 1.5)[::-1]
+    mu = np.sort(_expanded(resolvent_mu_disk(1.0, 1.0e6)) ** 1.5)[::-1]
     est = dixmier_estimate(DixmierData(mu))
     assert est.vanishing
     assert est.drift > est.value or est.value < 0.05
 
 
 def test_dixmier_linearity_on_block_spectra():
-    a = resolvent_mu_disk(1.0, 1.0e5)
+    a = _expanded(resolvent_mu_disk(1.0, 1.0e5))
     b = 0.5 * a
     ea = dixmier_estimate(DixmierData(a))
     eb = dixmier_estimate(DixmierData(b))
@@ -169,7 +178,7 @@ def test_dixmier_linearity_on_block_spectra():
 
 
 def test_dixmier_depends_only_on_sorted_sequence():
-    mu = resolvent_mu_disk(1.0, 1.0e4)
+    mu = _expanded(resolvent_mu_disk(1.0, 1.0e4))
     rng = np.random.default_rng(0)
     shuffled = mu.copy()
     rng.shuffle(shuffled)
@@ -235,15 +244,133 @@ def test_lattice_eigenvalues_edge_cases():
 @pytest.mark.parametrize("tau", LATTICE_TAUS, ids=_tau_id)
 @pytest.mark.parametrize("c0", [1e-3, 1.0, 37.5])
 def test_resolvent_mu_disk_equals_sorted_reference(tau, c0):
-    q = lattice_disk_eigenvalues(tau, 5.0e4)
+    """np.repeat of the disk runs is the sorted full disk byte for byte: the
+    origin a run of 1 at the front, then distinct values."""
+    q_max, band = 5.0e4, 400
+    assert box_containment_ceiling(tau, band) > q_max
+    ms = np.arange(-band, band + 1)
+    q = quadratic_form_values(tau, ms[:, None], ms[None, :]).ravel()
+    q = np.sort(q[q <= q_max])
+    disk = lattice_disk_eigenvalues(tau, q_max)
+    assert _expanded(disk).tobytes() == q.tobytes()
+    assert (disk.values[0], disk.mult[0]) == (0.0, 1)
+    assert np.all(disk.values[:-1] < disk.values[1:])
     ref = np.sort(1.0 / (c0 + q))[::-1]
-    assert resolvent_mu_disk(c0, 5.0e4, tau).tobytes() == ref.tobytes()
+    assert _expanded(resolvent_mu_disk(c0, q_max, tau)).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("c0", [0.0, -1.0, math.nan])
 def test_resolvent_mu_disk_rejects_nonpositive_shift(c0):
     with pytest.raises(SpectralError, match="positive"):
         resolvent_mu_disk(c0, 100.0)
+
+
+@pytest.mark.parametrize("q_max", [math.nan, math.inf, -math.inf])
+def test_disk_rejects_nonfinite_q_max(q_max):
+    with pytest.raises(SpectralError, match="q_max"):
+        lattice_disk_eigenvalues(TAU_I, q_max)
+    with pytest.raises(SpectralError, match="q_max"):
+        resolvent_mu_disk(1.0, q_max)
+
+
+@pytest.mark.parametrize("q_max", [-1e-3, -50.0])
+def test_disk_negative_q_max_is_empty(q_max):
+    """As lattice_eigenvalues, a negative q_max filters the origin too."""
+    ref = lattice_eigenvalues(TAU_I, 5, q_max=q_max)
+    for runs in (lattice_disk_eigenvalues(TAU_I, q_max), resolvent_mu_disk(1.0, q_max)):
+        assert runs.size == 0
+        assert _expanded(runs).tobytes() == ref.tobytes()
+    origin = lattice_disk_eigenvalues(TAU_I, 0.0)
+    assert (origin.values.tolist(), origin.mult.tolist()) == ([0.0], [1])
+
+
+def _cumsum_estimate(mu):
+    """(value, drift, cesaro) of the Dixmier estimate read off np.cumsum of
+    the expanded sequence mu, the reference for the runs reads."""
+    sums, M = np.cumsum(mu), mu.size
+
+    def log_slope(lo, hi):
+        ns = np.unique(np.geomspace(lo, hi, 48).astype(int))
+        xs = np.log(ns.astype(float))
+        design = np.stack([np.ones_like(xs), xs], axis=1)
+        return float(np.linalg.lstsq(design, sums[ns - 1], rcond=None)[0][1])
+
+    value = log_slope(max(2, int(math.sqrt(M))), M)
+    s1, s2 = log_slope(max(2, M // 4), M // 2), log_slope(M // 2, M)
+    ns = np.unique(np.geomspace(math.e, M, 512))
+    tr = np.interp(ns, np.arange(1, M + 1, dtype=float), sums)
+    u = np.log(ns)
+    return value, abs(s2 - s1) / abs(s2), float(np.trapezoid(tr / u, u) / (u[-1] - u[0]))
+
+
+@pytest.mark.parametrize("M", [1000, 4097, 123457])
+def test_dixmier_array_equals_cumsum_reference(M):
+    """An array is runs of multiplicity 1: its partial sums and estimate are
+    bit for bit those of np.cumsum."""
+    rng = np.random.default_rng(M)
+    for mu in (1.0 / np.arange(1.0, M + 1.0),
+               np.sort(rng.random(M) / np.arange(1.0, M + 1.0))[::-1]):
+        dd = DixmierData(mu)
+        assert dd.partial_sums.tobytes() == np.cumsum(mu).tobytes()
+        est = dixmier_estimate(dd)
+        assert (est.value, est.drift, est.cesaro) == _cumsum_estimate(mu)
+        assert est.n_values == M
+
+
+@pytest.mark.parametrize("tau", [TAU_I, ModuliPoint(0.3, 0.8)], ids=_tau_id)
+def test_disk_partial_sums_no_farther_from_fsum(tau):
+    """Trace_N read off the runs, inside runs and at their ends, is no
+    farther from the correctly rounded sum than the cumsum of the expanded
+    disk is; the estimates agree to rounding."""
+    runs = resolvent_mu_disk(1.0, 1.0e5, tau)
+    dd = DixmierData(runs)
+    full = _expanded(runs)
+    assert int(dd.counts[-1]) == full.size == runs.size
+    reads = np.unique(np.geomspace(2, full.size, 10).astype(int))
+    exact = np.array([math.fsum(full[:n]) for n in reads])
+    err_runs = np.abs(_trace_n(dd, reads) - exact)
+    err_cumsum = np.abs(np.cumsum(full)[reads - 1] - exact)
+    assert np.max(err_runs) <= np.max(err_cumsum)
+    assert np.all(err_runs <= 1e-13 * exact)
+    est, ref = dixmier_estimate(dd), _cumsum_estimate(full)
+    assert est.n_values == full.size
+    assert est.value == pytest.approx(ref[0], rel=1e-11)
+    assert est.cesaro == pytest.approx(ref[2], rel=1e-12)
+
+
+def test_dixmier_data_checks_runs():
+    disk = resolvent_mu_disk(1.0, 1.0e3)
+    with pytest.raises(SpectralError, match="multiplicities"):
+        DixmierData(dataclasses.replace(disk, mult=0 * disk.mult))
+    with pytest.raises(SpectralError, match="multiplicities"):
+        DixmierData(dataclasses.replace(disk, mult=disk.mult[1:]))
+    with pytest.raises(SpectralError, match="non-increasing"):
+        DixmierData(dataclasses.replace(disk, values=disk.values[::-1]))
+
+
+def test_power_claim_equals_sorted_reference():
+    """connes-order3 maps the disk runs without a sort; its estimate matches
+    the sorted expanded sequence to rounding."""
+    cfg = preset("connes-order3")
+    report, est = connes_claim(cfg)
+    q = _expanded(lattice_disk_eigenvalues(cfg.moduli, 1.0e6))
+    ref = _cumsum_estimate(np.sort((1.0 + q) ** (cfg.symbol[1] / 2.0))[::-1])
+    assert report["vanishing"] and est.n_values == q.size
+    assert est.value == pytest.approx(ref[0], rel=1e-10)
+    assert est.drift == pytest.approx(ref[1], rel=1e-8)
+    assert est.cesaro == pytest.approx(ref[2], rel=1e-12)
+
+
+def test_anchor_dixmier_never_expands_the_disk():
+    """The anchor's Dixmier estimate peaks below 40 MB of traced memory; the
+    expanded disk of 3,141,549 values and its partial sums take 50 MB."""
+    tracemalloc.start()
+    try:
+        dixmier_estimate(DixmierData(resolvent_mu_disk(1.0, 1.0e6)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("M", [1000, 1001, 4097, 123457])
