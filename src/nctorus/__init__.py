@@ -1,62 +1,3 @@
 """Numerical spectral geometry of the noncommutative two torus."""
 
-from .algebra import (
-    GOLDEN,
-    ConformalData,
-    DeformationAngle,
-    ModuliPoint,
-    NcElement,
-    adjoint,
-    dbar,
-    dbar_star,
-    delta,
-    exp_selfadjoint,
-    make_monomial,
-    modular,
-    mul,
-    norm_bounds,
-    phi,
-    trace_t,
-    truncate,
-    unit,
-)
-from .gns import (
-    BasisWindow,
-    FiniteSectionOperator,
-    SpectrumResult,
-    flat_laplacian_matrix,
-    gram_laplacian_matrix,
-    hermitian_spectrum,
-    left_mult_matrix,
-    perturbed_laplacian_matrix,
-    vacuum_expectation,
-)
-from .symbols import (
-    GradedSymbol,
-    PolySymbol,
-    apply_op,
-    classicalize_resolvent,
-    compose,
-    ellipticity_check,
-    finite_section_of_op,
-    residue,
-    xi_derivative,
-)
-from .heat import (
-    ContourSpec,
-    heat_coefficient,
-    heat_trace_fit,
-    laplace_symbol,
-    parametrix_terms,
-)
-from .spectral import (
-    CountingData,
-    DixmierData,
-    connes_trace_check,
-    counting_function,
-    dixmier_estimate,
-    weyl_constant_closed_form,
-    weyl_slope,
-)
-
 __version__ = "0.1.0"

@@ -5,12 +5,12 @@ unitary generators U, V with VU = e^{2*pi*i*theta} UV.  All operations here are
 pure functions of immutable values: products never truncate, the trace reads
 the (0,0) coefficient, and the two torus derivations act diagonally on the
 monomial basis.  The conformal data (Weyl factor k = e^{h/2}, its inverse
-square, the weight phi and the modular automorphism) live here as well.
+square and the weight phi) live here as well, with the one sparse builder of
+multiplication sections and the JSON form {"theta", "coeffs"} of elements.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -300,16 +300,6 @@ def delta(axis: int, a: NcElement) -> NcElement:
     return _element(a.angle, a.bandwidth, a.corner, _indices(a)[axis - 1] * a.box)
 
 
-def dbar(a: NcElement, tau: ModuliPoint) -> NcElement:
-    """Dolbeault-type derivation delta_1 + conj(tau) * delta_2."""
-    return add(delta(1, a), scale(tau.value.conjugate(), delta(2, a)))
-
-
-def dbar_star(a: NcElement, tau: ModuliPoint) -> NcElement:
-    """Formal adjoint delta_1 + tau * delta_2."""
-    return add(delta(1, a), scale(tau.value, delta(2, a)))
-
-
 def is_selfadjoint(a: NcElement, tol: float = DEFAULT_TOL) -> bool:
     return a.isclose(adjoint(a), tol)
 
@@ -441,27 +431,6 @@ def phi(a: NcElement, cd: ConformalData) -> complex:
     return trace_of_product(a, cd.k_inv2)
 
 
-def modular(a: NcElement, cd: ConformalData) -> NcElement:
-    """Modular automorphism e^{-h} a e^{h} via the cached exponentials."""
-    k2 = mul(cd.k, cd.k)
-    return mul(cd.k_inv2, mul(a, k2))
-
-
-def norm_bounds(a: NcElement, window_size: int = 8):
-    """Two-sided bounds for the operator norm of left multiplication by a.
-
-    lower: largest singular value of the finite section on a window of the
-    given bandwidth (monotone nondecreasing in window_size); upper: l1 norm of
-    the coefficients.  lower <= ||a|| <= upper always.
-    """
-    upper = a.l1_norm()
-    if not a.box.size:
-        return 0.0, 0.0
-    mat = _mult_section(a.theta, a.coeffs, window_size).toarray()
-    lower = float(np.linalg.norm(mat, ord=2))
-    return min(lower, upper), upper
-
-
 def truncate(a: NcElement, band: int):
     """Clip to the band box; returns (element, discarded l1 mass)."""
     if band < 0:
@@ -505,11 +474,3 @@ def from_json_dict(d: dict) -> NcElement:
         coeffs[(int(m), int(n))] = coeffs.get((int(m), int(n)), 0.0) + complex(re, im)
     bw = max((max(abs(m), abs(n)) for (m, n) in coeffs), default=0)
     return NcElement(angle, bw, coeffs)
-
-
-def dumps(a: NcElement) -> str:
-    return json.dumps(to_json_dict(a))
-
-
-def loads(s: str) -> NcElement:
-    return from_json_dict(json.loads(s))

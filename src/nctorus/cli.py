@@ -38,7 +38,7 @@ def _resolve_config(args) -> cfgmod.ExperimentConfig:
     elif args.config:
         cfg = cfgmod.load(args.config)
     else:
-        cfg = cfgmod.default_config()
+        cfg = cfgmod.ExperimentConfig()
     overrides = {}
     if args.bandwidth is not None:
         overrides["bandwidth"] = args.bandwidth
@@ -79,7 +79,8 @@ def _staircase_rows(eigs, lam_max):
 def run_weyl(cfg: cfgmod.ExperimentConfig) -> int:
     report, eigs = acceptance.weyl_claim(cfg)
     out = _write_run(cfg, "weyl", "weyl_report.json", report)
-    iomod.write_eigenvalues_csv(out / "spectrum.csv", eigs)
+    iomod.write_csv(out / "spectrum.csv", ["index", "eigenvalue"],
+                    ((i, float(v)) for i, v in enumerate(eigs)))
     iomod.write_csv(out / "staircase.csv", ["lambda", "count"],
                     _staircase_rows(eigs, report["ceiling"]))
     print(f"weyl: slope {report['slope']:.6f} vs closed form {report['closed_form']:.6f} "

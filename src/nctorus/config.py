@@ -9,8 +9,9 @@ every tolerance is a DEFAULT_TOLERANCES entry times the scale, the same table
 `verify` reads.  The defaults are those of ExperimentConfig; a loaded dict
 fills the fields it omits from them.  Each field is checked on construction
 (ConfigError).  h must be selfadjoint, so h_spec keeps one row per pair
-(m, n), (-m, -n) and h_element adds the adjoint image; emitting writes the
-fully resolved dictionary that load reads back unchanged, bit for bit.
+(m, n), (-m, -n) and h_element adds the adjoint image; to_dict gives the
+fully resolved dictionary (a run manifest stores it under "config") that
+from_dict and load read back unchanged, bit for bit.
 """
 
 from __future__ import annotations
@@ -129,11 +130,6 @@ class ExperimentConfig:
         d["symbol"] = list(self.symbol)
         return d
 
-    def emit(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _is_real(value) -> bool:
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -201,10 +197,6 @@ def load(path) -> ExperimentConfig:
     if isinstance(d, dict) and isinstance(d.get("config"), dict):
         d = d["config"]
     return from_dict(d)
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 PRESETS = {

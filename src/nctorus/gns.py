@@ -1,10 +1,13 @@
 """Finite sections of operators on the GNS space of the noncommutative torus.
 
 The monomial basis U^m V^n with |m|,|n| <= N is enumerated row-major (m outer,
-n inner).  Left/right multiplication operators and the flat and conformally
-perturbed Laplacians are compressed to this window as sparse CSR matrices; a
-generalized eigenvalue pencil built from the weighted inner product provides
-an independent construction of the perturbed spectrum.
+n inner).  Left and right multiplication operators (``left_mult_matrix``,
+``right_mult_matrix``: every multiplication section here is built through
+one of the two) and the conformally perturbed Laplacian are compressed to
+this window as sparse CSR matrices; a generalized eigenvalue pencil built
+from the weighted inner product provides an independent construction of the
+perturbed spectrum.  The diagonal flat Laplacian (``flat_laplacian_matrix``)
+is a test oracle only.
 
 A section couples (m,n) only to (m,n) plus the lattice spanned by the support
 of its coefficients: for h on Z x {0}, 2N+1 independent rows.  Every solve
@@ -134,7 +137,7 @@ def left_mult_matrix(a: NcElement, w: BasisWindow) -> FiniteSectionOperator:
 
 
 def right_mult_matrix(a: NcElement, w: BasisWindow) -> FiniteSectionOperator:
-    """Finite section of right multiplication by a (used for weighted Grams)."""
+    """Finite section of right multiplication by a (the weighted Gram)."""
     return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w.bandwidth, right=True))
 
 
@@ -245,7 +248,7 @@ def perturbed_laplacian_matrix(cd: ConformalData, w: BasisWindow) -> FiniteSecti
     symmetrized as (M+M^H)/2; the discarded asymmetry magnitude and the
     coupling blocks of K are reported in diagnostics.
     """
-    K = _as_real_if_possible(_mult_section(cd.k.theta, cd.k.coeffs, w.bandwidth))
+    K = _as_real_if_possible(left_mult_matrix(cd.k, w).matrix)
     mm, nn = w.index_grids()
     M = K @ sp.diags(quadratic_form_values(cd.tau, mm, nn)) @ K
     MH = M.conj().T
@@ -275,8 +278,7 @@ def gram_laplacian_matrix(cd: ConformalData, w: BasisWindow):
     d = mm + cd.tau.value.conjugate() * nn
     stiffness = sp.diags(d.conj() * d)
     # G_phi is the transpose of the right-multiplication section of e^{-h}
-    k_inv2 = cd.k_inv2
-    gram = _mult_section(k_inv2.theta, k_inv2.coeffs, w.bandwidth, right=True).T
+    gram = right_mult_matrix(cd.k_inv2, w).matrix.T
     gram_h = gram.conj().T
     asym = float(abs(gram - gram_h).max())
     if asym > HERMITICITY_TOL:
@@ -311,12 +313,6 @@ def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator)
     return SpectrumResult(ev, {"dim": op.dim, **diag})
 
 
-def vacuum_expectation(op: FiniteSectionOperator) -> complex:
-    """Matrix entry at the vacuum basis vector; the trace of g(k^2) routes."""
-    v = op.window.vacuum
-    return complex(op.matrix[v, v])
-
-
 def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:
     """t(k^{-2}) via the vacuum expectation of the inverse of L_{k^2}.
 
@@ -326,7 +322,7 @@ def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:
     """
     k2 = mul(cd.k, cd.k).trimmed(1e-14)
     w = BasisWindow(k2.support_bandwidth() + pad)
-    K2 = _mult_section(k2.theta, k2.coeffs, w.bandwidth)
+    K2 = left_mult_matrix(k2, w).matrix
     block = next(b for b in coupling_blocks(K2) if w.vacuum in b)
     vac = block == w.vacuum
     ((_, (sub,)),) = block_stacks([block], K2)

@@ -239,15 +239,6 @@ def symbol_term_expr(ls: LaplaceSymbolData, k: int) -> tuple:
     raise HeatError("symbol order k must be 0, 1 or 2")
 
 
-@dataclass(frozen=True)
-class ParametrixTerms:
-    """Resolvent parametrix terms b_0 .. b_n in normal form, with their
-    term (word) counts."""
-
-    terms: tuple
-    term_counts: tuple
-
-
 def _pairings(db, da, order: int):
     """The nonzero products 1/l! d^l(b_j) delta^l(a_k) of relative order
     k - 2 - j - |l| = order, as (k, l, 1/l!, d^l(b_j), delta^l(a_k))."""
@@ -271,13 +262,14 @@ def _expansion(ls: LaplaceSymbolData, n_max: int):
     return bs, db, da
 
 
-def parametrix_terms(ls: LaplaceSymbolData, n_max: int = 2) -> ParametrixTerms:
-    """Expansion of the recursion
+def parametrix_terms(ls: LaplaceSymbolData, n_max: int = 2) -> tuple:
+    """The resolvent parametrix terms (b_0, .., b_n_max) in normal form, the
+    expansion of the recursion
     b_n = - sum 1/(l1! l2!) d^l(b_j) delta^l(a_k) b_0 over 2+j+l1+l2-k = n."""
     if n_max > 2:
         raise HeatError("parametrix terms beyond n = 2 are not supported")
     bs, _, _ = _expansion(ls, n_max)
-    return ParametrixTerms(tuple(bs), tuple(len(b) for b in bs))
+    return tuple(bs)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +318,6 @@ class _EigenEngine:
         self._blocks = coupling_blocks(*self._sections)
         self._vacuum = self._stacks = None
 
-    def _diagonalize(self, k2, *atoms) -> _Eigenblocks:
-        return _Eigenblocks(k2, dict(zip(self._keys, atoms)))
-
     @property
     def vacuum(self) -> tuple:
         """The vacuum's block, the only one that enters a vacuum expectation,
@@ -336,7 +325,7 @@ class _EigenEngine:
         if self._vacuum is None:
             b = next(b for b in self._blocks if self.window.vacuum in b)
             ((_, subs),) = block_stacks([b], *self._sections)
-            eig = self._diagonalize(*(sub[0] for sub in subs))
+            eig = _Eigenblocks(subs[0][0], dict(zip(self._keys, (sub[0] for sub in subs[1:]))))
             self._vacuum = eig, np.conj(eig.basis[np.searchsorted(b, self.window.vacuum)])
         return self._vacuum
 
@@ -345,7 +334,7 @@ class _EigenEngine:
         """Every block, stacked by size: (window indices, one row per block,
         and their eigenblocks)."""
         if self._stacks is None:
-            self._stacks = [(idx, self._diagonalize(*subs))
+            self._stacks = [(idx, _Eigenblocks(subs[0], dict(zip(self._keys, subs[1:]))))
                             for idx, subs in block_stacks(self._blocks, *self._sections)]
         return self._stacks
 
@@ -484,7 +473,7 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
         element_trim = 1e-7
     if element_trim is not None:
         ls = trimmed_symbol_data(ls, element_trim)
-    terms = B0 if n == 0 else parametrix_terms(ls, 2).terms[2]
+    terms = B0 if n == 0 else parametrix_terms(ls, 2)[2]
     engine = _EigenEngine(ls, BasisWindow(ls.k2.support_bandwidth() + window_pad), (terms,))
     eig, vac = engine.vacuum
     s = eig.svals

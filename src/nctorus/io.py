@@ -33,11 +33,6 @@ def write_csv(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_eigenvalues_csv(path, eigenvalues) -> None:
-    write_csv(path, ["index", "eigenvalue"],
-              ((i, float(v)) for i, v in enumerate(eigenvalues)))
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -58,8 +53,3 @@ def write_report(path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

@@ -73,15 +73,6 @@ class CountingData:
         object.__setattr__(self, "lambda_max", ceiling)
 
 
-def counting_function(cd: CountingData, lam: float) -> int:
-    """Number of eigenvalues strictly below lam (only below the ceiling)."""
-    if lam > cd.lambda_max * (1.0 + 1e-12):
-        raise SpectralError(
-            f"lambda {lam:g} beyond the validity ceiling {cd.lambda_max:g}"
-        )
-    return int(np.searchsorted(cd.eigenvalues, lam, side="left"))
-
-
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float

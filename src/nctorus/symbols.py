@@ -5,13 +5,15 @@ angular spectrum, winding number w maps to an algebra element, and evaluation
 at xi = r (cos a, sin a) means sum_d r^d sum_w e^{i w a} coef(d, w).  In this
 representation homogeneity is structural, the xi derivatives act exactly on
 (degree, winding) pairs, and the noncommutative residue is a single read-out
-of the winding-zero coefficient at degree -2.
+of the winding-zero coefficient at degree -2.  Pointwise evaluation
+(``eval_at``) and the exact polynomial symbols of differential operators
+(``PolySymbol``) are the references that the finite sections and the graded
+calculus are tested against.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -525,52 +527,6 @@ def residue(p: GradedSymbol) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# ellipticity
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    verdict: str
-    c_empirical: float
-    min_singular: float
-    n_directions: int
-    window: int
-
-
-def ellipticity_check(p: GradedSymbol, grid: int = 64, window: int = 6) -> EllipticityReport:
-    """Sample the principal layer over directions and test invertibility.
-
-    For each sampled direction the finite section of the principal value is
-    assembled; the smallest singular value decides invertibility (elliptic
-    above 1e-8, degenerate below 1e-12) and the empirical ellipticity
-    constant is sup over directions of the inverse norm scaled by
-    (1+|xi|)^{top order} on the unit circle.
-    """
-    spectrum = p.layer(p.top_order)
-    smin_all = math.inf
-    c_emp = 0.0
-    for idx in range(grid):
-        ang = 2.0 * math.pi * idx / grid
-        val = zero(p.angle)
-        for wind, elem in spectrum.items():
-            val = add(val, scale(cmath.exp(1j * wind * ang), elem))
-        if not val.l1_norm():
-            smin_all = 0.0
-            break
-        mat = _mult_section(p.angle.theta, val.coeffs, window).toarray()
-        smin = float(np.linalg.svd(mat, compute_uv=False)[-1])
-        smin_all = min(smin_all, smin)
-        if smin > 0.0:
-            c_emp = max(c_emp, (2.0 ** p.top_order) / smin)
-    if smin_all > 1e-8:
-        verdict = "elliptic"
-    elif smin_all < 1e-12:
-        verdict = "degenerate"
-    else:
-        verdict = "inconclusive"
-    return EllipticityReport(verdict, c_emp, smin_all, grid, window)
-
-
-# ---------------------------------------------------------------------------
 # serialization and pretty printing
 
 def symbol_to_json_dict(p: GradedSymbol) -> dict:
@@ -595,14 +551,6 @@ def symbol_from_json_dict(d: dict) -> GradedSymbol:
             _layer_add(layers, int(ds), int(ws), from_json_dict(ej))
     return GradedSymbol(angle, int(d["top_order"]), int(d["depth"]), layers,
                         int(d.get("winding_cutoff", DEFAULT_WINDING_CUTOFF)))
-
-
-def symbol_dumps(p: GradedSymbol) -> str:
-    return json.dumps(symbol_to_json_dict(p), sort_keys=True)
-
-
-def symbol_loads(s: str) -> GradedSymbol:
-    return symbol_from_json_dict(json.loads(s))
 
 
 def format_symbol(p: GradedSymbol) -> str:

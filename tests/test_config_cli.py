@@ -16,7 +16,7 @@ from nctorus.symbols import classicalize_resolvent, symbol_to_json_dict
 
 
 def test_config_defaults_and_tolerance_scale():
-    cfg = cfgmod.default_config()
+    cfg = cfgmod.ExperimentConfig()
     assert cfg.theta == pytest.approx((math.sqrt(5) - 1) / 2, abs=0)
     assert cfg.tolerance("weyl_flat") == 0.03
     d = cfg.to_dict()
@@ -29,11 +29,11 @@ def test_config_defaults_and_tolerance_scale():
 def test_config_round_trip(tmp_path):
     cfg = cfgmod.preset("perturbed")
     path = tmp_path / "cfg.json"
-    cfg.emit(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     again = cfgmod.load(path)
     assert again == cfg
     # loading twice is stable (symmetrization is idempotent)
-    again.emit(path)
+    path.write_text(json.dumps(again.to_dict()))
     assert cfgmod.load(path) == again
 
 
@@ -86,7 +86,7 @@ def test_config_rejects_bad_input():
     with pytest.raises(cfgmod.ConfigError):
         cfgmod.from_dict({"nonsense_key": 1})
     with pytest.raises(cfgmod.ConfigError):
-        cfgmod.default_config().tolerance("no_such_tolerance")
+        cfgmod.ExperimentConfig().tolerance("no_such_tolerance")
     for bad in ({"tau": [1.0]}, {"tau": [0.0, math.nan]}, {"contour": [1, 1, 4]},
                 {"h_spec": [[1, 0, 0.4]]}, {"bandwidth": 2.5},
                 {"theta": "x"}, {"tau": 5}, {"h_spec": 5}, {"h_spec": [5]},
@@ -110,13 +110,13 @@ def _run(argv):
 
 
 def small_flat_config(tmp_path, **overrides):
-    d = cfgmod.default_config().to_dict()
+    d = cfgmod.ExperimentConfig().to_dict()
     d.pop("config_schema_version")
     d.update({"flat_band": 60, "out_dir": str(tmp_path / "runs")})
     d.update(overrides)
     path = tmp_path / "config.json"
     cfg = cfgmod.from_dict(d)
-    cfg.emit(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     return path
 
 
@@ -124,7 +124,7 @@ def test_cli_weyl_flat_and_manifest_replay(tmp_path):
     cfg_path = small_flat_config(tmp_path)
     assert _run(["weyl", "--config", str(cfg_path)]) == 0
     out = tmp_path / "runs" / "weyl"
-    report = iomod.read_report(out / "weyl_report.json")
+    report = json.loads((out / "weyl_report.json").read_text())
     assert report["schema_version"] == 1
     assert report["passed"] is True
     spectrum1 = (out / "spectrum.csv").read_bytes()
@@ -180,7 +180,7 @@ def test_cli_preset_and_config_are_exclusive(tmp_path, capsys):
 def test_cli_heat_flat(tmp_path):
     cfg_path = small_flat_config(tmp_path, flat_band=120)
     assert _run(["heat", "--config", str(cfg_path)]) == 0
-    report = iomod.read_report(tmp_path / "runs" / "heat" / "heat_report.json")
+    report = json.loads((tmp_path / "runs" / "heat" / "heat_report.json").read_text())
     assert abs(report["b0_quadrature"] - math.pi) < 1e-4
     assert report["b2_quadrature"] == 0.0
     for key in ("b0_imag_residual", "b2_imag_residual"):
@@ -194,21 +194,21 @@ def test_cli_heat_flat_non_rectangular_tau(tmp_path):
     # corners of the box do not bias b0 for tau = 1 + i
     assert _run(["heat", "--preset", "flat-tau1plusi",
                  "--out", str(tmp_path / "runs")]) == 0
-    report = iomod.read_report(tmp_path / "runs" / "heat" / "heat_report.json")
+    report = json.loads((tmp_path / "runs" / "heat" / "heat_report.json").read_text())
     assert abs(report["b0_fit"] - math.pi) < 1e-9
 
 
 def test_cli_contour_sanity(tmp_path):
     assert _run(["heat", "--preset", "contour-sanity",
                  "--out", str(tmp_path / "runs")]) == 0
-    report = iomod.read_report(tmp_path / "runs" / "heat" / "heat_report.json")
+    report = json.loads((tmp_path / "runs" / "heat" / "heat_report.json").read_text())
     assert report["matrix_identity_error"] < 1e-8
 
 
 def test_cli_residue_and_compose(tmp_path):
     assert _run(["residue", "--preset", "connes-flat-resolvent",
                  "--out", str(tmp_path / "runs")]) == 0
-    report = iomod.read_report(tmp_path / "runs" / "residue" / "residue_report.json")
+    report = json.loads((tmp_path / "runs" / "residue" / "residue_report.json").read_text())
     assert report["residue"] == pytest.approx(2 * math.pi, abs=1e-10)
     p = classicalize_resolvent(1.0, ModuliPoint(0.0, 1.0), depth=2, angle=GOLDEN)
     left = tmp_path / "p.json"
@@ -230,7 +230,7 @@ def test_cli_connes_k_weighted_counts_warnings(tmp_path):
     # OriginRegularization warning, counted in the report instead of silenced
     _run(["connes-trace", "--preset", "connes-k-weighted", "--bandwidth", "24",
           "--out", str(tmp_path / "runs")])
-    report = iomod.read_report(tmp_path / "runs" / "connes_trace" / "connes_report.json")
+    report = json.loads((tmp_path / "runs" / "connes_trace" / "connes_report.json").read_text())
     assert report["warnings"] == {"OriginRegularization": 1}
 
 
@@ -242,10 +242,10 @@ def test_cli_verify_subset(tmp_path, capsys):
     assert "1..2" in out
     assert "ok 1 - criterion 1" in out
     assert "ok 2 - criterion 5" in out
-    report = iomod.read_report(tmp_path / "runs" / "verify" / "verify_report.json")
+    report = json.loads((tmp_path / "runs" / "verify" / "verify_report.json").read_text())
     assert report["all_passed"] is True
     # each criterion ran its preset with the verify run's settings
-    manifest = iomod.read_report(tmp_path / "runs" / "verify" / "manifest.json")
+    manifest = json.loads((tmp_path / "runs" / "verify" / "manifest.json").read_text())
     want = {"1": "flat", "5": "connes-flat-resolvent"}
     assert {k: list(v) for k, v in manifest["criteria"].items()} == {
         k: [name] for k, name in want.items()}
@@ -260,7 +260,7 @@ def test_cli_verify_matches_runner_reports(tmp_path, capsys):
     # the runner reports for the criterion's preset at the same settings
     cfg_path = small_flat_config(tmp_path, bandwidth=16)
     assert _run(["verify", "--config", str(cfg_path), "--criteria", "1,3,7"]) == 0
-    report = iomod.read_report(tmp_path / "runs" / "verify" / "verify_report.json")
+    report = json.loads((tmp_path / "runs" / "verify" / "verify_report.json").read_text())
     details = {r["criterion"]: r["details"] for r in report["results"]}
     runs = {}
     for sub, name, report_file in (("weyl", "flat", "weyl_report.json"),
@@ -270,9 +270,10 @@ def test_cli_verify_matches_runner_reports(tmp_path, capsys):
         d.pop("config_schema_version")
         d.update(cfgmod.PRESETS[name], out_dir=str(tmp_path / name))
         path = tmp_path / f"{name}.json"
-        cfgmod.from_dict(d).emit(path)
+        path.write_text(json.dumps(cfgmod.from_dict(d).to_dict()))
         assert _run([sub, "--config", str(path)]) == 0
-        runs[name] = iomod.read_report(tmp_path / name / sub.replace("-", "_") / report_file)
+        report_path = tmp_path / name / sub.replace("-", "_") / report_file
+        runs[name] = json.loads(report_path.read_text())
     flat, perturbed, connes = runs["flat"], runs["perturbed"], runs["connes-k-weighted"]
     for key in ("slope", "stderr", "rel_error", "ceiling", "tolerance"):
         assert details[1][key] == flat[key]
@@ -292,7 +293,7 @@ def test_cli_verify_report_is_deterministic(tmp_path, capsys):
         assert _run(["verify", "--preset", "flat", "--out", str(out),
                      "--criteria", "1,2,5"]) == 0
         reports.append((out / "verify" / "verify_report.json").read_bytes())
-        manifest = iomod.read_report(out / "verify" / "manifest.json")
+        manifest = json.loads((out / "verify" / "manifest.json").read_text())
         assert sorted(manifest["timings"]) == ["1", "2", "5"]
     assert reports[0] == reports[1]
     assert b"seconds" not in reports[0]

@@ -92,15 +92,14 @@ def test_laplace_symbol_matches_composition_oracle(cd_default, ls_default):
 def test_parametrix_flat_terms_vanish():
     flat = ConformalData.build(TAU_I, alg.zero(), pad=2)
     pt = parametrix_terms(laplace_symbol(flat), 2)
-    assert pt.term_counts == (1, 0, 0)
+    assert tuple(map(len, pt)) == (1, 0, 0)
 
 
 def test_parametrix_b1_contains_first_order_term(ls_default):
     # for h along the U axis with tau = i the xi2 channels vanish identically,
     # leaving the -b0 a1 b0 leaf and one derivative leaf
-    pt = parametrix_terms(ls_default, 1)
-    assert pt.term_counts[1] == 2
-    terms = pt.terms[1]
+    terms = parametrix_terms(ls_default, 1)[1]
+    assert len(terms) == 2
     # the -b0 a1 b0 contribution: word (B0, a1_1, B0) with polynomial -xi1
     keys = {heat._word_key(w): p for p, w in terms}
     want = ("B0", heat.ElementAtom(ls_default.a1_1).key, "B0")
@@ -150,7 +149,7 @@ def test_eval_expr_matches_dense_inverse(block_case):
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    for b in parametrix_terms(ls, 2).terms[1:]:
+    for b in parametrix_terms(ls, 2)[1:]:
         assert_close(eval_expr(b, xi, lam, w, ls).entries, dense(b))
     # the resolvent's delta leaf against delta(A^{-1}) = -A^{-1} delta(A) A^{-1}
     for axis in (1, 2):
@@ -179,7 +178,7 @@ def test_block_engine_matches_whole_window(block_case, monkeypatch):
         b2 = heat_coefficient(2, ls, contour=ContourSpec(nodes=64), radial_nodes=16,
                               rmax=rmax[1], window_pad=1, element_trim=1e-4)
         return b0, b2, [eval_expr(b, xi, lam, w, ls).entries
-                        for b in parametrix_terms(ls, 2).terms]
+                        for b in parametrix_terms(ls, 2)]
 
     b0, b2, mats = run()
     _whole_window(monkeypatch)
@@ -223,7 +222,7 @@ def test_xi_derivative_matches_finite_differences(ls_default):
     w = BasisWindow(5)
     lam = -1.0 + 2.0j
     xi = (0.9, 0.6)
-    for b in parametrix_terms(ls_default, 2).terms:
+    for b in parametrix_terms(ls_default, 2):
         errs = []
         for hstep in (1e-3, 5e-4):
             for axis, e1 in ((1, (hstep, 0.0)), (2, (0.0, hstep))):
@@ -252,7 +251,7 @@ def test_delta_is_commutator_on_parametrix_terms(block_case):
     ls = laplace_symbol(cd)
     w = BasisWindow(3)
     xi, lam = (0.8, -0.5), -1.0 + 2.0j
-    for b in parametrix_terms(ls, 2).terms:
+    for b in parametrix_terms(ls, 2):
         m = eval_expr(b, xi, lam, w, ls).entries
         for axis, grid in zip((1, 2), w.index_grids()):
             d = np.diag(grid.astype(float))

@@ -1,9 +1,12 @@
 """Source hygiene: every name a module imports is used in that module,
 imports sit at module level, every function, class and method of the
-library is referenced somewhere, and every default of the library is
-overridden by some caller, calls resolved through imports."""
+library is referenced by the library or the benchmark (tests are not
+callers; an oracle that only tests read is named in ORACLES), and every
+default of the library is overridden by some caller, calls resolved
+through imports."""
 
 import ast
+import importlib.util
 from functools import lru_cache
 from pathlib import Path
 
@@ -14,6 +17,22 @@ SRC = ROOT / "src" / "nctorus"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 LIBRARY = frozenset(p.stem for p in MODULES)
 CALLERS = ("src", "tests", "perfbench")
+BENCH = ROOT / "perfbench"
+
+# Definitions kept only as independent references: (module, name) -> the
+# test, "file::function", that compares a claim path against the oracle.
+ORACLES = {
+    ("symbols", "GradedSymbol.eval_at"):
+        "test_symbols.py::test_finite_section_matches_column_evaluation",
+    ("symbols", "PolySymbol.eval_at"):
+        "test_symbols.py::test_finite_section_matches_column_evaluation",
+    ("symbols", "PolySymbol.to_graded"):
+        "test_symbols.py::test_graded_compose_agrees_with_poly_compose",
+    ("symbols", "flat_laplacian_symbol"):
+        "test_heat.py::test_laplace_symbol_matches_composition_oracle",
+    ("gns", "flat_laplacian_matrix"): "test_gns.py::test_block_path_matches_dense_reference",
+    ("heat", "eval_expr"): "test_heat.py::test_xi_derivative_matches_finite_differences",
+}
 
 
 def _unused_imports(tree: ast.AST):
@@ -48,9 +67,13 @@ def _caller_trees():
 
 @lru_cache(maxsize=None)
 def _references():
-    """(names read or imported, attributes accessed) over every caller file."""
+    """(names read or imported, attributes accessed) over the library modules
+    and the benchmark, the real callers; the benchmark's string constants
+    count as attributes, since its tracer names the functions it wraps."""
     names, attrs = set(), set()
-    for _, tree in _caller_trees():
+    for path, tree in _caller_trees():
+        if path not in MODULES and BENCH not in path.parents:
+            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -58,24 +81,18 @@ def _references():
                 names.add(node.name)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and BENCH in path.parents):
+                attrs.add(node.value)
     return names, attrs
-
-
-@lru_cache(maxsize=None)
-def _exports():
-    """{name: (module, name)} for the names the package re-exports."""
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    return {alias.asname or alias.name: (node.module, alias.name)
-            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
-            for alias in node.names}
 
 
 def _bindings(path: Path, tree: ast.Module) -> dict:
     """{local name: binding} for what a file binds: ("module", m) for the
     library module m ("" for the package), ("def", m, f) for the top-level
-    definition f of m, ("outside",) for any other import.  A name assigned
-    an attribute named after a library module (alg = nct.algebra, the
-    package passed in as nct) binds that module."""
+    definition f of m ("" for a name of the package), ("outside",) for any
+    other import.  A name assigned an attribute named after a library module
+    (alg = nct.algebra, the package passed in as nct) binds that module."""
     module = path.stem if path.parent == SRC and path.stem in LIBRARY else None
     bind = {} if module is None else {
         node.name: ("def", module, node.name) for node in tree.body
@@ -101,7 +118,7 @@ def _bindings(path: Path, tree: ast.Module) -> dict:
                 elif alias.name in LIBRARY:
                     bind[local] = ("module", alias.name)
                 else:
-                    bind[local] = ("def", *_exports().get(alias.name, ("", alias.name)))
+                    bind[local] = ("def", "", alias.name)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target, value = node.targets[0], node.value
@@ -146,9 +163,7 @@ def _resolved_calls(path: Path, tree: ast.Module):
             root = func.value
             while isinstance(root, ast.Attribute):
                 root = root.value
-            if m == "":
-                yield _exports().get(func.attr, ("", func.attr)), node
-            elif m is not None:
+            if m is not None:
                 yield (m, func.attr), node
             elif not (isinstance(root, ast.Name) and bind.get(root.id) == ("outside",)):
                 yield (None, func.attr), node
@@ -221,22 +236,25 @@ def _passes(call: ast.Call, param: str, position) -> bool:
             or position is not None and len(call.args) > position)
 
 
-def _unreferenced(tree: ast.Module):
-    """Top-level functions and classes that no caller names, and methods
-    (dunders aside) that no caller reaches as an attribute."""
-    names, attrs = _references()
+def _definitions(tree: ast.Module):
+    """(line, name) of each top-level function and class and of each method
+    (dunders aside), a method named Class.method."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    known, dead = names | attrs, []
     for node in tree.body:
-        if not isinstance(node, defs):
-            continue
-        if node.name not in known:
-            dead.append((node.lineno, node.name))
+        if isinstance(node, defs):
+            yield node.lineno, node.name
         if isinstance(node, ast.ClassDef):
-            dead.extend((item.lineno, f"{node.name}.{item.name}") for item in node.body
-                        if isinstance(item, defs[:2]) and not item.name.startswith("__")
-                        and item.name not in attrs)
-    return dead
+            yield from ((item.lineno, f"{node.name}.{item.name}") for item in node.body
+                        if isinstance(item, defs[:2]) and not item.name.startswith("__"))
+
+
+def _unreferenced(tree: ast.Module, module: str):
+    """Top-level functions and classes that no caller names, and methods
+    that no caller reaches as an attribute, oracles aside."""
+    names, attrs = _references()
+    return [(line, name) for line, name in _definitions(tree)
+            if (module, name) not in ORACLES
+            and name.rpartition(".")[2] not in (attrs if "." in name else names | attrs)]
 
 
 def test_scan_sees_modules():
@@ -257,8 +275,65 @@ def test_no_imports_inside_functions(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unreferenced_definitions(path):
-    dead = _unreferenced(ast.parse(path.read_text(encoding="utf-8")))
+    dead = _unreferenced(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert not dead, ", ".join(f"{path.name}:{line} {name}" for line, name in dead)
+
+
+def test_oracles_exist_and_are_tested():
+    """Each ORACLES entry is a definition of its module, and the test named
+    with it exists in a test file that reads the oracle."""
+    missing = []
+    for (module, name), test in ORACLES.items():
+        source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+        defined = {n for _, n in _definitions(ast.parse(source))}
+        file, _, func = test.partition("::")
+        tree = ast.parse((ROOT / "tests" / file).read_text(encoding="utf-8"))
+        read = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(tree)}
+        tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        if name not in defined or func not in tests or name.rpartition(".")[2] not in read:
+            missing.append(f"{module}.{name} ({test})")
+    assert not missing, ", ".join(missing)
+
+
+def _library_bindings(modules) -> dict:
+    """{(module, name): value} over the module namespaces and the namespaces
+    of the classes each module defines."""
+    out = {}
+    for mod in modules:
+        for name, value in vars(mod).items():
+            out[(mod.__name__, name)] = value
+            if isinstance(value, type) and value.__module__ == mod.__name__:
+                out.update({(mod.__name__, f"{name}.{k}"): v for k, v in vars(value).items()})
+    return out
+
+
+def test_bench_tracer_restores_every_binding():
+    """The benchmark's tracer wraps library functions it names as strings and
+    puts every original back on uninstall.  A wrapped name the library no
+    longer has fails here, not only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", BENCH / "ncbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    nct = importlib.import_module("nctorus")
+    modules = [importlib.import_module(f"nctorus.{m}") for m in sorted(LIBRARY)]
+    before = _library_bindings(modules)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(nct)
+        during = _library_bindings(modules)
+    finally:
+        tracer.uninstall()
+    replaced = [key for key, value in during.items() if value is not before[key]]
+    assert replaced
+    for key in replaced:
+        wrapper = getattr(during[key], "__func__", during[key])
+        original = getattr(before[key], "__func__", before[key])
+        assert wrapper.__wrapped__ is original, key
+    after = _library_bindings(modules)
+    assert after.keys() == before.keys()
+    assert [key for key, value in after.items() if value is not before[key]] == []
+    assert nct.heat.mul is nct.algebra.mul
 
 
 def test_element_storage_stays_in_algebra():
@@ -314,7 +389,7 @@ def test_every_default_is_passed_by_a_caller():
 CALL_FORMS = """
 import numpy as np
 import nctorus
-from nctorus import spectral as spc, heat_trace_fit as fit
+from nctorus import spectral as spc
 from nctorus.algebra import mul
 
 
@@ -328,8 +403,6 @@ def run(nct, x, isclose):
     alg.exp_selfadjoint(1)
     gns.quadratic_form_values(1)
     spc.weyl_slope(1)
-    fit(1)
-    nctorus.weyl_slope(1)
     nctorus.heat.laplace_symbol(1)
     nct.symbols.residue(1)
 """
@@ -360,8 +433,7 @@ def test_call_resolution_sees_each_form():
     assert resolve(ROOT / "tests" / "x.py", CALL_FORMS) == [
         (None, "isclose"), ("algebra", "mul"), ("algebra", "exp_selfadjoint"),
         ("gns", "quadratic_form_values"), ("spectral", "weyl_slope"),
-        ("heat", "heat_trace_fit"), ("spectral", "weyl_slope"), ("heat", "laplace_symbol"),
-        ("symbols", "residue")]
+        ("heat", "laplace_symbol"), ("symbols", "residue")]
     assert resolve(SRC / "spectral.py", LIBRARY_CALL_FORMS) == [
         ("spectral", "weyl_slope"), ("algebra", "mul"), ("gns", "BasisWindow"),
         (None, "index_grids")]

@@ -32,7 +32,6 @@ from nctorus.spectral import (
     adaptive_counting_ceiling,
     box_containment_ceiling,
     connes_trace_check,
-    counting_function,
     dixmier_estimate,
     lattice_counting_data,
     lattice_disk_eigenvalues,
@@ -70,17 +69,16 @@ def cd_default():
 
 
 def test_counting_function_small_values():
+    """N(lambda), the count of eigenvalues below lambda, at small lambda."""
     cdata = lattice_counting_data(TAU_I, 40)
-    assert counting_function(cdata, 0.5) == 1
-    assert counting_function(cdata, 1.5) == 5
-    with pytest.raises(SpectralError):
-        counting_function(cdata, cdata.lambda_max * 2.0)
+    assert np.searchsorted(cdata.eigenvalues, [0.5, 1.5]).tolist() == [1, 5]
 
 
 def test_counting_function_gauss_circle():
     cdata = lattice_counting_data(TAU_I, 150)
     lam = 1.0e4
-    assert abs(counting_function(cdata, lam) - math.pi * lam) < 300
+    assert lam <= cdata.lambda_max
+    assert abs(np.searchsorted(cdata.eigenvalues, lam) - math.pi * lam) < 300
 
 
 def test_weyl_slope_flat_cases():

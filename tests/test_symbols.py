@@ -1,6 +1,7 @@
-"""Tests for the graded symbol calculus, residue and ellipticity."""
+"""Tests for the graded symbol calculus, the residue and symbol JSON."""
 
 import cmath
+import json
 import math
 import warnings
 
@@ -36,7 +37,6 @@ from nctorus.symbols import (
     classicalize_resolvent,
     compose,
     compose_poly,
-    ellipticity_check,
     finite_section_of_op,
     flat_laplacian_symbol,
     residue,
@@ -490,32 +490,10 @@ def test_residue_is_tracial_on_composition():
         assert abs(residue(pq) - residue(qp)) < 1e-10
 
 
-def test_ellipticity_reports():
-    flat = flat_laplacian_symbol(TAU_I, GOLDEN).to_graded()
-    rep = ellipticity_check(flat, grid=16, window=4)
-    assert rep.verdict == "elliptic"
-    z = GradedSymbol(GOLDEN, 2, 1, {})
-    assert ellipticity_check(z, grid=8, window=3).verdict == "degenerate"
-    # principal symbol Q(xi) k^2 of the perturbed Laplacian
-    h = scale(0.4, add(U, adjoint(U)))
-    k2, _ = alg.exp_selfadjoint(h, 1.0, pad=12)
-    k2 = k2.trimmed(1e-13)
-    pk = PolySymbol(GOLDEN, {
-        (2, 0): k2, (0, 2): k2,
-    }).to_graded()
-    rep = ellipticity_check(pk, grid=16, window=5)
-    assert rep.verdict == "elliptic"
-    kinv2, _ = alg.exp_selfadjoint(h, -1.0, pad=12)
-    lo, hi = alg.norm_bounds(kinv2.trimmed(1e-13), 8)
-    # c is about ||k^{-2}|| / min_dir Q scaled by 2^order on the unit circle
-    assert rep.c_empirical == pytest.approx((2.0 ** 2) * lo, rel=0.05)
-
-
 def test_symbol_json_round_trip():
     p = classicalize_resolvent(1.0, ModuliPoint(0.5, 1.5), depth=2, angle=GOLDEN,
                                winding_cutoff=48)
-    s = sym.symbol_dumps(p)
-    q = sym.symbol_loads(s)
+    q = sym.symbol_from_json_dict(json.loads(json.dumps(sym.symbol_to_json_dict(p))))
     assert q.top_order == p.top_order and q.depth == p.depth
     for d in p.layers:
         for w in p.layer(d):
