@@ -255,10 +255,6 @@ class AcceptanceContext:
         self._shared = {}
 
     @property
-    def bandwidth(self) -> int:
-        return self.base.bandwidth
-
-    @property
     def angle(self) -> alg.DeformationAngle:
         return self.base.angle
 
@@ -275,10 +271,6 @@ class AcceptanceContext:
 
     def tol(self, value: float) -> float:
         return value * self.base.tolerance_scale
-
-    @property
-    def cd(self) -> ConformalData:
-        return self.shared(ExperimentConfig.conformal_data, self.config("perturbed"))
 
     @property
     def perturbed_spectrum(self) -> np.ndarray:

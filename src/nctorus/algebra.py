@@ -147,30 +147,8 @@ class NcElement:
         return kept
 
     def isclose(self, other: "NcElement", tol: float = DEFAULT_TOL) -> bool:
-        return self.angle == other.angle and bool((np.abs((self - other).box) <= tol).all())
-
-    # arithmetic sugar; the canonical entry points are the module functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, scale(-1.0, other))
-
-    def __mul__(self, other):
-        if isinstance(other, NcElement):
-            return mul(self, other)
-        return scale(other, self)
-
-    def __rmul__(self, other):
-        return scale(other, self)
-
-    def __neg__(self):
-        return scale(-1.0, self)
-
-    def __eq__(self, other):
-        if not isinstance(other, NcElement):
-            return NotImplemented
-        return self.isclose(other)
+        return self.angle == other.angle and bool(
+            (np.abs(add(self, scale(-1.0, other)).box) <= tol).all())
 
     __hash__ = None
 
@@ -360,7 +338,7 @@ def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16):
     bw = h.support_bandwidth()
     full = _exp_image(h, scl, bw + pad)
     prev = _exp_image(h, scl, bw + pad - 1)
-    convergence = (full - prev).l1_norm()
+    convergence = add(full, scale(-1.0, prev)).l1_norm()
     if convergence > EXP_CONV_TOL:
         raise NonConvergence(
             f"exp_selfadjoint pad={pad} convergence metric {convergence:.3e} > {EXP_CONV_TOL:.1e}"

@@ -157,11 +157,6 @@ class Runs:
     values: np.ndarray
     mult: np.ndarray
 
-    @property
-    def size(self) -> int:
-        """Length of the sequence the runs stand for."""
-        return int(self.mult.sum())
-
 
 def runs_of(sorted_values: np.ndarray) -> Runs:
     """The runs of equal entries of a sorted array (none for an empty one)."""

@@ -449,13 +449,14 @@ def _radial_rule(n: int, rmax: float):
 
 def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None = None,
                      radial_nodes: int | None = None, rmax: float | None = None,
-                     window_pad: int | None = None,
-                     element_trim: float | None = None) -> HeatCoefficientResult:
+                     window_pad: int | None = None) -> HeatCoefficientResult:
     """Heat trace coefficient by the double integral of the parametrix trace,
     lambda over the contour and xi over the sheared polar grid.
 
-    n = 0 integrates the bare resolvent B0, n = 2 the second parametrix term;
-    each normal-form word is paired with the angular integral of its
+    n = 0 integrates the bare resolvent B0, n = 2 the second parametrix term,
+    built from the symbol data with coefficients of magnitude <= 1e-7
+    dropped (trimmed_symbol_data; a caller wanting a coarser trim applies it
+    first).  Each normal-form word is paired with the angular integral of its
     polynomial (a trigonometric polynomial, exact on the angular rule of
     ANGULAR_NODES points).  The radial truncation tail of the n = 0 integrand
     is added in closed form from the spectral decay e^{-r^2 s_i} and
@@ -469,10 +470,8 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
         radial_nodes = 64 if n == 0 else 24
     if window_pad is None:
         window_pad = 8 if n == 0 else 4
-    if element_trim is None and n == 2:
-        element_trim = 1e-7
-    if element_trim is not None:
-        ls = trimmed_symbol_data(ls, element_trim)
+    if n == 2:
+        ls = trimmed_symbol_data(ls, 1e-7)
     terms = B0 if n == 0 else parametrix_terms(ls, 2)[2]
     engine = _EigenEngine(ls, BasisWindow(ls.k2.support_bandwidth() + window_pad), (terms,))
     eig, vac = engine.vacuum
@@ -571,12 +570,14 @@ class HeatFitResult:
     residual_rms: float
 
 
-def heat_trace_fit(eigenvalues, t_grid=None) -> HeatFitResult:
+def heat_trace_fit(eigenvalues) -> HeatFitResult:
     """Fit t * sum e^{-t lambda_j} to b0 + b2 t + guard t^2 on small t.
 
-    Only t with e^{-t lambda_max} < FIT_TAIL_TOL are admissible (larger
-    windows would see the missing spectral tail); the default grid has 40
-    points.  If the grid has no admissible points the fit fails loudly.
+    The grid is 40 geometric points from 1.02 t_min to min(0.2, 60 t_min),
+    t_min = log(1/FIT_TAIL_TOL) / lambda_max.  Only t with
+    e^{-t lambda_max} < FIT_TAIL_TOL are admissible (larger windows would see
+    the missing spectral tail); when fewer than 3 are (lambda_max below about
+    96, where the grid runs down past t_min), the fit fails loudly.
     The heat trace sums mult * e^{-t lambda} over the distinct eigenvalues
     (a lattice spectrum repeats each value, the flat 801^2 box about 12
     times on average), one t at a time.
@@ -584,9 +585,7 @@ def heat_trace_fit(eigenvalues, t_grid=None) -> HeatFitResult:
     eigs = ascending(eigenvalues)
     lam_max = eigs[-1]
     t_min = math.log(1.0 / FIT_TAIL_TOL) / lam_max
-    if t_grid is None:
-        t_grid = np.geomspace(t_min * 1.02, min(0.2, 60.0 * t_min), 40)
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.geomspace(t_min * 1.02, min(0.2, 60.0 * t_min), 40)
     admissible = t_grid[np.exp(-t_grid * lam_max) < FIT_TAIL_TOL]
     if admissible.size < 3:
         raise HeatError(

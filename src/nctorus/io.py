@@ -18,10 +18,6 @@ SCHEMA_VERSION = 1
 def _fmt(value):
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
     return str(value)
 
 
@@ -40,10 +36,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: _jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
     return obj
 
 

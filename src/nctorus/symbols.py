@@ -8,7 +8,8 @@ representation homogeneity is structural, the xi derivatives act exactly on
 of the winding-zero coefficient at degree -2.  Pointwise evaluation
 (``eval_at``) and the exact polynomial symbols of differential operators
 (``PolySymbol``) are the references that the finite sections and the graded
-calculus are tested against.
+calculus are tested against.  Every route reads a graded symbol through
+its layers, the resolvent's classical expansion included.
 """
 
 from __future__ import annotations
@@ -72,20 +73,15 @@ class GradedSymbol:
     """Classical symbol graded by homogeneity degree and angular winding.
 
     layers: {degree d: {winding w: NcElement}}; absent entries are zero.
-    Retained degrees run from top_order down to top_order - depth + 1.  An
-    optional exact evaluator (callable (x1, x2) -> NcElement) represents the
-    full symbol when one is available in closed form; it takes precedence in
-    pointwise evaluation, the layers being its classical expansion.  Finite
-    sections and apply_op read it on index grids, which needs the scalar
-    kind (_ScalarEval) that classicalize_resolvent attaches.
+    Retained degrees run from top_order down to top_order - depth + 1;
+    evaluation, finite sections and apply_op read the layers alone.
     """
 
-    __slots__ = ("angle", "top_order", "depth", "layers", "winding_cutoff",
-                 "exact_eval", "diagnostics")
+    __slots__ = ("angle", "top_order", "depth", "layers", "winding_cutoff", "diagnostics")
 
     def __init__(self, angle: DeformationAngle, top_order: int, depth: int,
                  layers: dict, winding_cutoff: int = DEFAULT_WINDING_CUTOFF,
-                 exact_eval=None, diagnostics: dict | None = None):
+                 diagnostics: dict | None = None):
         if depth < 1:
             raise SymbolError("depth must be >= 1")
         lo = top_order - depth + 1
@@ -104,7 +100,6 @@ class GradedSymbol:
         self.depth = int(depth)
         self.layers = clean
         self.winding_cutoff = int(winding_cutoff)
-        self.exact_eval = exact_eval
         self.diagnostics = dict(diagnostics or {})
 
     def layer(self, d: int) -> dict:
@@ -117,11 +112,8 @@ class GradedSymbol:
         """Pointwise value as an algebra element.
 
         Negative-order homogeneous layers are singular at the origin; there
-        the exact evaluator is used when attached, otherwise those layers are
-        treated as zero and a warning is emitted.
+        those layers are treated as zero and a warning is emitted.
         """
-        if self.exact_eval is not None:
-            return self.exact_eval(x1, x2)
         r = math.hypot(x1, x2)
         if r == 0.0:
             out = self.coefficient(0, 0)
@@ -155,18 +147,6 @@ class GradedSymbol:
         degs = sorted(self.layers, reverse=True)
         return (f"GradedSymbol(top={self.top_order}, depth={self.depth}, "
                 f"degrees={degs})")
-
-
-@dataclass(frozen=True)
-class _ScalarEval:
-    """Exact evaluator xi -> f(xi1, xi2) elem of a GradedSymbol, with a scalar
-    f that reads index arrays too (finite sections evaluate it on grids)."""
-
-    f: object
-    elem: NcElement
-
-    def __call__(self, x1: float, x2: float) -> NcElement:
-        return scale(self.f(x1, x2), self.elem)
 
 
 @dataclass
@@ -360,12 +340,10 @@ def compose(p: GradedSymbol, q: GradedSymbol, order_cutoff: int | None = None) -
                         diagnostics=diag)
 
 
-def adjoint_symbol(p: GradedSymbol, order_cutoff: int | None = None) -> GradedSymbol:
-    """Truncated adjoint expansion sum_l (1/l!) d_xi^l delta^l (p*)."""
-    if order_cutoff is None:
-        order_cutoff = p.top_order - DEFAULT_EXTRA_LAYERS
-    if order_cutoff > p.top_order:
-        raise SymbolError("order_cutoff above the symbol's top order")
+def adjoint_symbol(p: GradedSymbol) -> GradedSymbol:
+    """Truncated adjoint expansion sum_l (1/l!) d_xi^l delta^l (p*), keeping
+    DEFAULT_EXTRA_LAYERS layers below the leading degree."""
+    order_cutoff = p.top_order - DEFAULT_EXTRA_LAYERS
     layers: dict = {}
     lost = 0.0
     # d_xi^l delta^l = (d_xi1 delta_1)^l1 (d_xi2 delta_2)^l2: the two commute
@@ -403,16 +381,12 @@ def _column_terms(p, mm, nn) -> dict:
     """{shift (r, s): coefficient of U^r V^s in p(mm[i], nn[i]), for each i}.
 
     The symbol is expanded once into (weights over the grid, element) pairs.
-    A GradedSymbol without exact evaluator keeps only its (0, 0) layer at the
-    origin, as eval_at does, with one warning for all such grid points."""
+    A GradedSymbol keeps only its (0, 0) layer at the origin, as eval_at
+    does, with one warning for all such grid points."""
     mm = np.asarray(mm, dtype=float)
     nn = np.asarray(nn, dtype=float)
     if isinstance(p, PolySymbol):
         pairs = [(mm ** j1 * nn ** j2, c) for (j1, j2), c in p.monomials.items()]
-    elif p.exact_eval is not None:
-        if not isinstance(p.exact_eval, _ScalarEval):
-            raise SymbolError("only a scalar exact evaluator can be read on index grids")
-        pairs = [(p.exact_eval.f(mm, nn), p.exact_eval.elem)]
     else:
         origin = (mm == 0.0) & (nn == 0.0)
         r = np.where(origin, 1.0, np.sqrt(mm * mm + nn * nn))
@@ -471,15 +445,15 @@ def finite_section_of_op(p, w: BasisWindow) -> FiniteSectionOperator:
 
 def classicalize_resolvent(c0: float, tau: ModuliPoint, depth: int,
                            angle: DeformationAngle,
-                           winding_cutoff: int = DEFAULT_WINDING_CUTOFF,
-                           insufficiency_tol: float = 1e-9) -> GradedSymbol:
+                           winding_cutoff: int = DEFAULT_WINDING_CUTOFF) -> GradedSymbol:
     """Classical expansion of (c0 + flat Laplacian)^{-1}.
 
     Layer j sits at degree -2-2j and equals (-c0)^j Q(xi)^{-1-j}, expanded in
     angular windings by FFT projection on N_ANGULAR points of the unit circle
     (a single winding when tau = i).  The trailing angular mass beyond the
-    winding cutoff is recorded in diagnostics and warned about above
-    insufficiency_tol.
+    winding cutoff is recorded in diagnostics and warned about above 1e-9.
+    The symbol is these layers alone: its residue reads them, and a finite
+    section drops them at the origin column as for any graded symbol.
     """
     if depth < 1:
         raise SymbolError("depth must be >= 1")
@@ -503,21 +477,14 @@ def classicalize_resolvent(c0: float, tau: ModuliPoint, depth: int,
                 lost += abs(c)
                 continue
             _layer_add(layers, -2 - 2 * j, w, scale(c, one))
-    if lost > insufficiency_tol:
+    if lost > 1e-9:
         warnings.warn(
             f"angular winding cutoff {W} insufficient: discarded mass {lost:.3e}",
             UserWarning,
             stacklevel=2,
         )
-    qq = [1.0, 2.0 * tau.re, tau.abs2]
-
-    def exact(x1, x2):
-        qval = qq[0] * x1 * x1 + qq[1] * x1 * x2 + qq[2] * x2 * x2
-        return 1.0 / (qval + c0)
-
     diag = {"discarded_winding_mass": lost} if lost > 0.0 else {}
-    return GradedSymbol(angle, -2, 2 * depth - 1, layers, W,
-                        exact_eval=_ScalarEval(exact, one), diagnostics=diag)
+    return GradedSymbol(angle, -2, 2 * depth - 1, layers, W, diagnostics=diag)
 
 
 def residue(p: GradedSymbol) -> complex:

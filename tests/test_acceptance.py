@@ -6,10 +6,10 @@ once for the session and shared between criteria 3, 4 and the refinement
 check.
 """
 
-import numpy as np
 import pytest
 
 from nctorus import acceptance as acc
+from nctorus.config import ExperimentConfig
 from nctorus.gns import BasisWindow, hermitian_spectrum, perturbed_laplacian_matrix
 from nctorus.spectral import CountingData, weyl_constant_closed_form, weyl_slope
 
@@ -69,16 +69,17 @@ def test_criterion_10_cross_construction(ctx):
 def test_monotone_refinement_of_perturbed_slope(ctx):
     """|slope - closed form| non-increasing over N in {24, 32, 48} at a fixed
     fit window (empirical refinement check; red flag if violated)."""
-    wc = weyl_constant_closed_form(ctx.cd)
+    cd = ctx.shared(ExperimentConfig.conformal_data, ctx.config("perturbed"))
+    wc = weyl_constant_closed_form(cd)
     window = (30.0, 300.0)
     errors = []
     for N in (24, 32):
         spec = hermitian_spectrum(
-            perturbed_laplacian_matrix(ctx.cd, BasisWindow(N))
+            perturbed_laplacian_matrix(cd, BasisWindow(N))
         ).eigenvalues
         fit = weyl_slope(CountingData(spec, N), fit_window=window)
         errors.append(abs(fit.slope - wc.slope))
-    fit48 = weyl_slope(CountingData(ctx.perturbed_spectrum, ctx.bandwidth),
+    fit48 = weyl_slope(CountingData(ctx.perturbed_spectrum, ctx.base.bandwidth),
                        fit_window=window)
     errors.append(abs(fit48.slope - wc.slope))
     print("\nrefinement errors over N=24,32,48:", errors)

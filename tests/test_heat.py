@@ -15,7 +15,6 @@ from nctorus.algebra import (
     adjoint,
     add,
     make_monomial,
-    mul,
     scale,
     unit,
 )
@@ -174,9 +173,9 @@ def test_block_engine_matches_whole_window(block_case, monkeypatch):
     xi, lam = (0.8, -0.5), -1.0 + 2.0j
 
     def run(rmax=(None, None)):
-        b0 = heat_coefficient(0, ls, rmax=rmax[0], element_trim=1e-6, window_pad=2)
-        b2 = heat_coefficient(2, ls, contour=ContourSpec(nodes=64), radial_nodes=16,
-                              rmax=rmax[1], window_pad=1, element_trim=1e-4)
+        b0 = heat_coefficient(0, trimmed_symbol_data(ls, 1e-6), rmax=rmax[0], window_pad=2)
+        b2 = heat_coefficient(2, trimmed_symbol_data(ls, 1e-4), contour=ContourSpec(nodes=64),
+                              radial_nodes=16, rmax=rmax[1], window_pad=1)
         return b0, b2, [eval_expr(b, xi, lam, w, ls).entries
                         for b in parametrix_terms(ls, 2)]
 
@@ -212,7 +211,7 @@ def test_heat_coefficient_solves_the_vacuum_block(block_case, request):
     generates meets the window of bandwidth W in 2W+1 sites (rank-1), in the
     sites of even m on the row n = 0 (parity), or in all (2W+1)^2 (generic)."""
     cd, _ = block_case
-    res = heat_coefficient(0, laplace_symbol(cd), element_trim=1e-6, window_pad=2)
+    res = heat_coefficient(0, trimmed_symbol_data(laplace_symbol(cd), 1e-6), window_pad=2)
     W = res.params["window"]
     want = {"rank1": 2 * W + 1, "parity": 2 * (W // 2) + 1, "generic": (2 * W + 1) ** 2}
     assert res.params["block"] == want[request.node.callspec.params["block_case"]]
@@ -320,8 +319,8 @@ def test_heat_b2_flat_zero():
 
 
 def test_heat_b2_perturbed_finite(ls_default):
-    res = heat_coefficient(2, ls_default, radial_nodes=16,
-                           contour=ContourSpec(nodes=64), element_trim=1e-5)
+    res = heat_coefficient(2, trimmed_symbol_data(ls_default, 1e-5), radial_nodes=16,
+                           contour=ContourSpec(nodes=64))
     assert np.isfinite(res.value)
     assert res.imag_residual < 1e-6 * (1.0 + abs(res.value))
 
@@ -362,20 +361,28 @@ def test_heat_trace_fit_matches_plain_sum(kind):
         assert np.unique(eigs).size < eigs.size / 4
     else:
         eigs = np.sort(np.random.default_rng(5).uniform(0.0, 4.0e4, 60_000))
-    t_min = math.log(1.0e12) / eigs[-1]
-    t_grid = np.geomspace(1.02 * t_min, 60.0 * t_min, 40)
-    fit = heat_trace_fit(eigs, t_grid=t_grid)
+    # the fit's own grid, every point of it admissible
+    t_min = math.log(1.0 / heat.FIT_TAIL_TOL) / eigs[-1]
+    t_grid = np.geomspace(t_min * 1.02, min(0.2, 60.0 * t_min), 40)
+    fit = heat_trace_fit(eigs)
+    assert fit.n_points == t_grid.size and fit.t_window == (t_grid[0], t_grid[-1])
     ref = _plain_heat_fit_b0(eigs, t_grid)
     assert abs(fit.b0 - ref) <= 1e-13 * abs(ref)
     shuffled = np.random.default_rng(6).permutation(eigs)
-    assert heat_trace_fit(shuffled, t_grid=t_grid) == fit
+    assert heat_trace_fit(shuffled) == fit
 
 
 def test_heat_trace_fit_rejects_small_window():
-    ms = np.arange(-30, 31)
-    eigs = (ms[:, None] ** 2 + ms[None, :] ** 2).ravel()
-    with pytest.raises(HeatError):
-        heat_trace_fit(eigs, t_grid=np.geomspace(1e-5, 2e-5, 10))
+    """Below lambda_max of about 96 the grid runs down past t_min and fewer
+    than 3 points are admissible: the flat band-6 lattice (lambda_max = 72)
+    is refused, band 7 (98) is fitted on 3 points."""
+    def flat(band):
+        ms = np.arange(-band, band + 1)
+        return (ms[:, None] ** 2 + ms[None, :] ** 2).ravel()
+
+    with pytest.raises(HeatError, match="no admissible t-window"):
+        heat_trace_fit(flat(6))
+    assert heat_trace_fit(flat(7)).n_points == 3
 
 
 def test_heat_rejects_excessive_tail():

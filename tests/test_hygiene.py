@@ -1,9 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module,
-imports sit at module level, every function, class and method of the
-library is referenced by the library or the benchmark (tests are not
-callers; an oracle that only tests read is named in ORACLES), and every
-default of the library is overridden by some caller, calls resolved
-through imports."""
+"""Source hygiene: every name a library module or test file imports is used
+in that file, imports sit at module level, every function, class and method
+of the library is referenced by the library or the benchmark, and every
+default of the library is overridden by a call in the library or the
+benchmark, calls resolved through imports.  Tests are not callers: an oracle
+that only tests read is named in ORACLES, a default that only tests vary in
+TEST_VARIED."""
 
 import ast
 import importlib.util
@@ -15,8 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nctorus"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 LIBRARY = frozenset(p.stem for p in MODULES)
-CALLERS = ("src", "tests", "perfbench")
+CALLERS = ("src", "perfbench")
 BENCH = ROOT / "perfbench"
 
 # Definitions kept only as independent references: (module, name) -> the
@@ -32,6 +34,24 @@ ORACLES = {
         "test_heat.py::test_laplace_symbol_matches_composition_oracle",
     ("gns", "flat_laplacian_matrix"): "test_gns.py::test_block_path_matches_dense_reference",
     ("heat", "eval_expr"): "test_heat.py::test_xi_derivative_matches_finite_differences",
+}
+
+# Defaults that no caller passes and a test varies, kept as parameters:
+# (module, function, parameter) -> (the test, "file::function", that passes
+# it; why the value is not fixed).
+TEST_VARIED = {
+    ("cli", "main", "argv"): (
+        "test_config_cli.py::test_cli_preset_and_config_are_exclusive",
+        "the program's input; None reads the command line"),
+    ("heat", "heat_coefficient", "radial_nodes"): (
+        "test_heat.py::test_block_engine_matches_whole_window",
+        "the radial rule of b2 is open work (ROADMAP item 1)"),
+    ("heat", "heat_coefficient", "rmax"): (
+        "test_heat.py::test_block_engine_matches_whole_window",
+        "the whole-window reference takes the block run's radial cut"),
+    ("symbols", "classicalize_resolvent", "winding_cutoff"): (
+        "test_symbols.py::test_classicalize_resolvent_generic_tau_pointwise",
+        "at 32 windings tau = 1+i discards 4.1e-6 of the winding mass, tau = 2i 1.2e-8"),
 }
 
 
@@ -261,7 +281,7 @@ def test_scan_sees_modules():
     assert len(MODULES) >= 8
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, ", ".join(f"{path.name}:{line} {name}" for line, name in unused)
@@ -378,12 +398,37 @@ def test_default_scan_sees_each_kind():
 
 def test_every_default_is_passed_by_a_caller():
     """A default that no call in CALLERS overrides has one value in use: it is
-    a constant in the body, not a parameter or a field."""
+    a constant in the body, not a parameter or a field, unless TEST_VARIED
+    names it."""
     calls = _calls()
     unused = [f"{module}:{line} {callee[1]}({param})"
               for module, line, callee, param, pos in _library_defaults()
-              if not any(_passes(c, param, pos) for c in calls.get(callee, ()))]
+              if (*callee, param) not in TEST_VARIED
+              and not any(_passes(c, param, pos) for c in calls.get(callee, ()))]
     assert not unused, ", ".join(unused)
+
+
+def test_test_varied_defaults_are_test_only():
+    """Each TEST_VARIED entry is a default of the library that no call in
+    CALLERS passes and that its named test passes."""
+    calls = _calls()
+    positions = {(*callee, param): pos for _, _, callee, param, pos in _library_defaults()}
+    wrong = []
+    for key, (test, _) in TEST_VARIED.items():
+        file, _, func = test.partition("::")
+        path = ROOT / "tests" / file
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        body = {id(node) for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name == func
+                for node in ast.walk(top)}
+        callee, param = key[:2], key[2]
+        if (key not in positions
+                or any(_passes(c, param, positions[key]) for c in calls.get(callee, ()))
+                or not any(c == callee and id(node) in body
+                           and _passes(node, param, positions[key])
+                           for c, node in _resolved_calls(path, tree))):
+            wrong.append(f"{'.'.join(callee)}({param}) ({test})")
+    assert not wrong, ", ".join(wrong)
 
 
 CALL_FORMS = """
