@@ -36,6 +36,9 @@ XI_SAMPLES = ((1.3, 0.4), (-0.7, 1.1), (0.9, -1.2))  # parametrix_residual's poi
 ANGULAR_NODES = 32
 # heat_trace_fit admits only t with e^{-t lambda_max} < FIT_TAIL_TOL
 FIT_TAIL_TOL = 1e-12
+# bytes of heat_coefficient's resolvent diagonals per chunk of radial nodes
+# (at least one node): 512 KB keeps a chunk's word chain in cache
+CHUNK_BYTES = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +342,9 @@ class _EigenEngine:
         return self._stacks
 
     def word_vacuum(self, word, rdiag: np.ndarray) -> np.ndarray:
-        """w^H (product of word factors) w, batched over the lambda axis of
-        rdiag (n_lambda, block size); returns shape (n_lambda,)."""
+        """w^H (product of word factors) w, batched over the rows of rdiag
+        (rows, block size), one resolvent diagonal per row; returns shape
+        (rows,)."""
         eig, vac = self.vacuum
         return eig.apply(word, vac, rdiag) @ np.conj(vac)
 
@@ -458,9 +462,15 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     dropped (trimmed_symbol_data; a caller wanting a coarser trim applies it
     first).  Each normal-form word is paired with the angular integral of its
     polynomial (a trigonometric polynomial, exact on the angular rule of
-    ANGULAR_NODES points).  The radial truncation tail of the n = 0 integrand
-    is added in closed form from the spectral decay e^{-r^2 s_i} and
-    reported.  Words are evaluated on the vacuum's coupling block alone
+    ANGULAR_NODES points), taken for all radial nodes at once.  In the
+    eigenbasis of k^2 only the resolvent diagonals change from node to node,
+    so the radial nodes run in chunks: each word is evaluated once per chunk,
+    on the stacked diagonals of all its (node, lambda) pairs, whose size
+    CHUNK_BYTES bounds (a block too large for two nodes runs one node per
+    chunk).  The sum runs node by node, term by term, in the order of a
+    per-node loop.  The radial truncation tail of the n = 0 integrand is
+    added in closed form from the spectral decay e^{-r^2 s_i} and reported.
+    Words are evaluated on the vacuum's coupling block alone
     (params["block"] is its size); the radial cut, the tail and the contour
     gate read its spectrum.
     """
@@ -501,21 +511,30 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
                         f"tolerance {TAIL_TOL:.1e}; increase rmax")
     lam, wq = contour.points()
     rs, wr = _radial_rule(radial_nodes, rmax)
-    # angular rule: xi(r, a) = r * (cos a - (Re tau / Im tau) sin a, sin a / Im tau)
+    # angular rule: xi(r, a) = r * (cos a - (Re tau / Im tau) sin a, sin a / Im tau),
+    # every radial node at once: ang[t, i] is term t's angular integral at rs[i]
     angs = 2.0 * math.pi * np.arange(ANGULAR_NODES) / ANGULAR_NODES
     dir1 = np.cos(angs) - ls.tau.re / im_tau * np.sin(angs)
     dir2 = np.sin(angs) / im_tau
     w_ang = 2.0 * math.pi / ANGULAR_NODES
-    exp_lam = np.exp(-lam)
+    x1, x2 = rs[:, np.newaxis] * dir1, rs[:, np.newaxis] * dir2
+    ang = np.array([w_ang * np.sum(_poly_eval(poly, x1, x2), axis=1) for poly, _ in terms])
+    live = np.abs(ang) >= 1e-300
+    wlam = wq * np.exp(-lam)
+    per_chunk = max(1, CHUNK_BYTES // (16 * lam.size * s.size))
     total = 0.0 + 0.0j
-    for r, wgt in zip(rs, wr):
-        rdiag = 1.0 / ((r * r) * s[np.newaxis, :] - lam[:, np.newaxis])
-        for poly, word in terms:
-            ang_int = w_ang * np.sum(_poly_eval(poly, r * dir1, r * dir2))
-            if abs(ang_int) < 1e-300:
-                continue
-            lam_int = np.sum(wq * exp_lam * engine.word_vacuum(word, rdiag))
-            total += wgt * r * ang_int * lam_int
+    for lo in range(0, radial_nodes, per_chunk):
+        hi = min(lo + per_chunk, radial_nodes)
+        rc = rs[lo:hi]
+        # the resolvent diagonals of the chunk's nodes, node-major rows
+        rdiag = (1.0 / ((rc * rc)[:, np.newaxis, np.newaxis] * s - lam[:, np.newaxis])
+                 ).reshape(-1, s.size)
+        lam_int = [np.sum(wlam * engine.word_vacuum(word, rdiag).reshape(hi - lo, -1), axis=1)
+                   if live[t, lo:hi].any() else None for t, (_, word) in enumerate(terms)]
+        # radial node outer, term inner: the order of the per-node sum
+        for i in range(lo, hi):
+            for t in np.flatnonzero(live[:, i]):
+                total += wr[i] * rs[i] * ang[t, i] * lam_int[t][i - lo]
     total /= im_tau
     return HeatCoefficientResult(
         value=total.real + tail, tail=tail, contour_error=cerr,

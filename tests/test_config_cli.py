@@ -12,6 +12,7 @@ from nctorus import config as cfgmod
 from nctorus import io as iomod
 from nctorus.algebra import GOLDEN, ModuliPoint, add, adjoint, is_selfadjoint, make_monomial, scale
 from nctorus.cli import main
+from nctorus.heat import ContourSpec, heat_coefficient, laplace_symbol
 from nctorus.symbols import classicalize_resolvent, symbol_to_json_dict
 
 
@@ -183,10 +184,27 @@ def test_cli_heat_flat(tmp_path):
     report = json.loads((tmp_path / "runs" / "heat" / "heat_report.json").read_text())
     assert abs(report["b0_quadrature"] - math.pi) < 1e-4
     assert report["b2_quadrature"] == 0.0
+    assert report["radial_gap"] == 0.0
     for key in ("b0_imag_residual", "b2_imag_residual"):
         assert report[key] < 1e-10
     trace = (tmp_path / "runs" / "heat" / "heat_trace.csv").read_text()
     assert trace.splitlines()[0] == "t,t_times_trace"
+
+
+def test_cli_heat_perturbed_radial_gap(tmp_path):
+    """The heat report carries the change of b2 with 16 more radial nodes,
+    and labels b2 and b2_fit as ungated."""
+    out = tmp_path / "runs"
+    assert _run(["heat", "--preset", "perturbed", "--bandwidth", "12", "--out", str(out)]) == 0
+    report = json.loads((out / "heat" / "heat_report.json").read_text())
+    ls = laplace_symbol(cfgmod.preset("perturbed").conformal_data())
+    b2 = heat_coefficient(2, ls, contour=ContourSpec(nodes=64))
+    more = heat_coefficient(2, ls, contour=ContourSpec(nodes=64),
+                            radial_nodes=b2.params["radial_nodes"] + 16)
+    assert report["b2_quadrature"] == b2.value
+    assert report["radial_gap"] == abs(more.value - b2.value) < 1e-7
+    assert "internal consistency" in report["b2_note"]
+    assert report["b2_fit_note"].startswith("ungated")
 
 
 def test_cli_heat_flat_non_rectangular_tau(tmp_path):

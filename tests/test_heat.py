@@ -325,6 +325,89 @@ def test_heat_b2_perturbed_finite(ls_default):
     assert res.imag_residual < 1e-6 * (1.0 + abs(res.value))
 
 
+def _per_node_heat(n, ls, contour, window_pad):
+    """(value, tail, imaginary residual) of heat_coefficient at its default
+    radial rule and cut, by the per-node loop: every word evaluated once per
+    radial node, on that node's resolvent diagonals alone."""
+    radial_nodes = 64 if n == 0 else 24
+    if window_pad is None:
+        window_pad = 8 if n == 0 else 4
+    if contour is None:
+        contour = ContourSpec()
+    if n == 2:
+        ls = trimmed_symbol_data(ls, 1e-7)
+    terms = B0 if n == 0 else parametrix_terms(ls, 2)[2]
+    engine = heat._EigenEngine(ls, BasisWindow(ls.k2.support_bandwidth() + window_pad), (terms,))
+    eig, vac = engine.vacuum
+    s = eig.svals
+    rmax = math.sqrt(math.log(1.0 / heat.TAIL_EPS) / float(s.min()))
+    im_tau = ls.tau.im
+    w0sq = np.abs(vac) ** 2
+    tail = math.pi / im_tau * float(np.sum(w0sq * np.exp(-rmax * rmax * s) / s)) if n == 0 else 0.0
+    lam, wq = contour.points()
+    rs, wr = heat._radial_rule(radial_nodes, rmax)
+    angs = 2.0 * math.pi * np.arange(heat.ANGULAR_NODES) / heat.ANGULAR_NODES
+    dir1 = np.cos(angs) - ls.tau.re / im_tau * np.sin(angs)
+    dir2 = np.sin(angs) / im_tau
+    w_ang = 2.0 * math.pi / heat.ANGULAR_NODES
+    exp_lam = np.exp(-lam)
+    total = 0.0 + 0.0j
+    for r, wgt in zip(rs, wr):
+        rdiag = 1.0 / ((r * r) * s[np.newaxis, :] - lam[:, np.newaxis])
+        for poly, word in terms:
+            ang_int = w_ang * np.sum(heat._poly_eval(poly, r * dir1, r * dir2))
+            if abs(ang_int) < 1e-300:
+                continue
+            lam_int = np.sum(wq * exp_lam * engine.word_vacuum(word, rdiag))
+            total += wgt * r * ang_int * lam_int
+    total /= im_tau
+    return total.real + tail, tail, abs(total.imag)
+
+
+# name -> (tau, h, trim applied first, window pad; None: the default)
+PER_NODE_CASES = {
+    "flat": (TAU_I, alg.zero(), None, None),
+    "rank1": (TAU_I, scale(0.4, add(U, adjoint(U))), None, None),
+    "parity": (TAU_I, scale(0.2, add(U2, adjoint(U2))), None, None),
+    "generic-pad1": (ModuliPoint(0.3, 0.8),
+                     add(scale(0.3, add(U, adjoint(U))), scale(0.2, add(V, adjoint(V)))),
+                     1e-4, 1),
+}
+
+
+def _nodes_per_chunk(res):
+    return max(1, heat.CHUNK_BYTES // (16 * res.params["contour_nodes"] * res.params["block"]))
+
+
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("case", sorted(PER_NODE_CASES))
+def test_heat_coefficient_matches_per_node_loop(case, n):
+    """The quadrature over chunks of radial nodes equals the per-node loop
+    bit for bit: the same products, summed in the same order."""
+    tau, h, trim, pad = PER_NODE_CASES[case]
+    ls = laplace_symbol(ConformalData.build(tau, h, pad=16))
+    if trim is not None:
+        ls = trimmed_symbol_data(ls, trim)
+    contour = ContourSpec(nodes=64) if n == 2 else None
+    res = heat_coefficient(n, ls, contour=contour, window_pad=pad)
+    assert (res.value, res.tail, res.imag_residual) == _per_node_heat(n, ls, contour, pad)
+    if case == "rank1" and n == 2:
+        # 24 nodes in chunks of 22 (block 23): the last chunk is partial
+        assert 1 < _nodes_per_chunk(res) < 24 and 24 % _nodes_per_chunk(res)
+    if case == "generic-pad1":
+        assert _nodes_per_chunk(res) > 1 and res.params["block"] == 121
+
+
+def test_heat_coefficient_one_node_per_chunk(ls_default, monkeypatch):
+    """A chunk bound below one node's diagonals runs one node per chunk, the
+    per-node loop itself."""
+    contour = ContourSpec(nodes=64)
+    want = heat_coefficient(2, ls_default, contour=contour)
+    monkeypatch.setattr(heat, "CHUNK_BYTES", 1)
+    got = heat_coefficient(2, ls_default, contour=contour)
+    assert (got.value, got.tail, got.imag_residual) == (want.value, want.tail, want.imag_residual)
+
+
 def test_parametrix_residual_orders(ls_default):
     ls = trimmed_symbol_data(ls_default, 1e-10)
     res = parametrix_residual(ls, lam=-1.0 + 3.0j, window=BasisWindow(6))

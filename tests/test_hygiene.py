@@ -43,9 +43,6 @@ TEST_VARIED = {
     ("cli", "main", "argv"): (
         "test_config_cli.py::test_cli_preset_and_config_are_exclusive",
         "the program's input; None reads the command line"),
-    ("heat", "heat_coefficient", "radial_nodes"): (
-        "test_heat.py::test_block_engine_matches_whole_window",
-        "the radial rule of b2 is open work (ROADMAP item 1)"),
     ("heat", "heat_coefficient", "rmax"): (
         "test_heat.py::test_block_engine_matches_whole_window",
         "the whole-window reference takes the block run's radial cut"),
@@ -256,16 +253,22 @@ def _passes(call: ast.Call, param: str, position) -> bool:
             or position is not None and len(call.args) > position)
 
 
+# The dunder methods a class may define without a caller naming them: the
+# constructor, the dataclass check and the repr.  Any other (an operator such
+# as __add__) counts as a definition that a caller must reach by name.
+ALLOWED_DUNDERS = frozenset({"__init__", "__post_init__", "__repr__"})
+
+
 def _definitions(tree: ast.Module):
     """(line, name) of each top-level function and class and of each method
-    (dunders aside), a method named Class.method."""
+    (the ALLOWED_DUNDERS aside), a method named Class.method."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
             yield node.lineno, node.name
         if isinstance(node, ast.ClassDef):
             yield from ((item.lineno, f"{node.name}.{item.name}") for item in node.body
-                        if isinstance(item, defs[:2]) and not item.name.startswith("__"))
+                        if isinstance(item, defs[:2]) and item.name not in ALLOWED_DUNDERS)
 
 
 def _unreferenced(tree: ast.Module, module: str):
@@ -297,6 +300,16 @@ def test_no_imports_inside_functions(path):
 def test_no_unreferenced_definitions(path):
     dead = _unreferenced(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert not dead, ", ".join(f"{path.name}:{line} {name}" for line, name in dead)
+
+
+def test_definitions_see_operator_dunders():
+    """An operator method is a definition a caller must reach; the allowed
+    dunders are not."""
+    tree = ast.parse("class A:\n"
+                     "    def __init__(self): pass\n"
+                     "    def __repr__(self): pass\n"
+                     "    def __add__(self, other): pass\n")
+    assert [name for _, name in _definitions(tree)] == ["A", "A.__add__"]
 
 
 def test_oracles_exist_and_are_tested():
