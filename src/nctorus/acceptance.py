@@ -111,6 +111,7 @@ def weyl_claim(cfg: ExperimentConfig, spectrum=None):
         "closed_form": wc.slope,
         "volume": wc.volume,
         "trace_kinv2": wc.trace_kinv2,
+        "route_gap": wc.route_gap,
         "rel_error": rel,
         "tolerance": tol,
         "fit_window": list(fit.window),
@@ -279,13 +280,17 @@ class AcceptanceContext:
 
 def _criterion(ident: int, name: str, *presets: str):
     """fn(ctx, *resolved preset configs) -> (passed, details) as the timed
-    criterion `ident`."""
+    criterion `ident`.  A criterion that raises fails with details
+    {"error": "<type>: <message>"}, and the other criteria still run."""
     def wrap(fn):
         @functools.wraps(fn)
         def run(ctx: AcceptanceContext) -> CriterionResult:
             t0 = time.time()
             configs = {p: ctx.config(p) for p in presets}
-            passed, details = fn(ctx, *configs.values())
+            try:
+                passed, details = fn(ctx, *configs.values())
+            except Exception as exc:
+                passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
             return CriterionResult(ident, name, passed, details, time.time() - t0, configs)
         return run
     return wrap

@@ -20,8 +20,6 @@ import scipy.sparse.linalg as spla
 
 DEFAULT_TOL = 1e-12
 EXP_CONV_TOL = 1e-8        # largest admissible l1 change of e^{h} between pads
-NEUMANN_TOL = 1e-13        # l1 norm of the last Neumann term kept
-NEUMANN_MAX_TERMS = 4000   # Neumann terms before the inverse gives up
 
 GOLDEN_RATIO_THETA = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -346,32 +344,6 @@ def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16):
     return full, convergence
 
 
-def invert_positive(a: NcElement, bandwidth_cap: int) -> NcElement:
-    """Inverse of a positive invertible element by a scaled Neumann series.
-
-    Writes a = c(1 - x) with c = l1 norm of a, so the series sum x^j / c
-    converges; coefficients are truncated to bandwidth_cap each step.  Stops
-    once the l1 norm of the running term drops below NEUMANN_TOL; raises
-    NonConvergence after NEUMANN_MAX_TERMS terms.
-    """
-    c = a.l1_norm()
-    if c == 0.0:
-        raise AlgebraError("cannot invert the zero element")
-    x = add(unit(a.angle), scale(-1.0 / c, a))
-    x, _ = truncate(x, bandwidth_cap)
-    term = unit(a.angle)
-    acc = unit(a.angle)
-    for _ in range(NEUMANN_MAX_TERMS):
-        term = mul(term, x)
-        term, _ = truncate(term, bandwidth_cap)
-        acc = add(acc, term)
-        if term.l1_norm() < NEUMANN_TOL:
-            return scale(1.0 / c, acc)
-    raise NonConvergence(
-        f"Neumann inverse did not reach tol={NEUMANN_TOL:.1e} in {NEUMANN_MAX_TERMS} terms"
-    )
-
-
 @dataclass(frozen=True)
 class ConformalData:
     """Conformal modulus plus the Weyl factor caches k = e^{h/2}, k^{-2} = e^{-h}."""
@@ -407,16 +379,6 @@ def phi(a: NcElement, cd: ConformalData) -> complex:
     """The conformal weight phi(a) = trace(a e^{-h})."""
     _check_same_angle(a, cd.h)
     return trace_of_product(a, cd.k_inv2)
-
-
-def truncate(a: NcElement, band: int):
-    """Clip to the band box; returns (element, discarded l1 mass)."""
-    if band < 0:
-        raise AlgebraError("truncation bandwidth must be >= 0")
-    m, n = _indices(a)
-    inside = (np.abs(m) <= band) & (np.abs(n) <= band)
-    return (_element(a.angle, band, a.corner, np.where(inside, a.box, 0)),
-            float(np.abs(a.box[~inside]).sum()))
 
 
 def random_element(rng: np.random.Generator, band: int, n_terms: int = 6,

@@ -118,12 +118,10 @@ def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
     ls = laplace_symbol(cfg.conformal_data())
     b2 = heat_coefficient(2, ls, contour=ContourSpec(nodes=64))
     # radial rule convergence: the change of b2 with 16 more radial nodes
-    # (a term that vanishes identically has no radial rule)
-    nodes = b2.params.get("radial_nodes")
-    radial_gap = 0.0 if nodes is None else abs(heat_coefficient(
-        2, ls, contour=ContourSpec(nodes=64), radial_nodes=nodes + 16).value - b2.value)
+    more = heat_coefficient(2, ls, contour=ContourSpec(nodes=64),
+                            radial_nodes=b2.params["radial_nodes"] + 16)
     report.update(b2_quadrature=b2.value, b2_imag_residual=b2.imag_residual,
-                  radial_gap=radial_gap,
+                  radial_gap=abs(more.value - b2.value),
                   b2_note="subleading coefficient reported for internal consistency only",
                   b2_fit_note="ungated: the fit's coefficient of t, whose true value is 0; it "
                               "reads rounding noise on the flat presets and the truncation "

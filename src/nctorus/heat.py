@@ -496,10 +496,9 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     params = {"radial_nodes": radial_nodes, "rmax": rmax, "window": engine.window.bandwidth,
               "block": int(s.size), "contour_nodes": contour.nodes}
     if not terms:
-        return HeatCoefficientResult(
-            value=0.0, tail=0.0, contour_error=cerr, imag_residual=0.0,
-            params={"note": "second parametrix term vanishes identically"},
-        )
+        params["note"] = "second parametrix term vanishes identically"
+        return HeatCoefficientResult(value=0.0, tail=0.0, contour_error=cerr,
+                                     imag_residual=0.0, params=params)
     if n == 2:
         params.update(angular_nodes=ANGULAR_NODES, terms=len(terms))
     # n = 0 adds its radial tail in closed form; n = 2 bounds it by the decay scale

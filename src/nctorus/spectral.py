@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import ConformalData, ModuliPoint, invert_positive, mul, trace_t
+from .algebra import ConformalData, ModuliPoint, trace_t
 from .gns import (
     BasisWindow,
     Runs,
@@ -141,18 +141,13 @@ class WeylConstant:
 
 
 def weyl_constant_closed_form(cdata: ConformalData) -> WeylConstant:
-    """The slope via two functional-calculus routes for t(k^{-2}).
-
-    Route one inverts the left-multiplication section of k^2 and reads the
-    vacuum entry; route two sums the Neumann series of the inverse in the
-    algebra, truncated 16 past the support of k^2.  Their gap is reported
-    (and should sit at rounding level).
+    """The slope pi/Im(tau) t(k^{-2}) and the volume, with t(k^{-2}) by the
+    matrix route: the vacuum entry of the inverse of the section of k k,
+    k = e^{h/2}.  route_gap is its distance to t(e^{-h}), read off the
+    separately exponentiated k^{-2} of cdata (it should sit at rounding level).
     """
     t_matrix = trace_kinv2_matrix_route(cdata)
-    k2 = mul(cdata.k, cdata.k).trimmed(1e-15)
-    cap = k2.support_bandwidth() + 16
-    t_neumann = float(trace_t(invert_positive(k2, bandwidth_cap=cap)).real)
-    gap = abs(t_matrix - t_neumann)
+    gap = abs(t_matrix - trace_t(cdata.k_inv2).real)
     slope = math.pi / cdata.tau.im * t_matrix
     vol = 4.0 * math.pi ** 2 / cdata.tau.im * t_matrix
     return WeylConstant(slope, vol, t_matrix, gap)

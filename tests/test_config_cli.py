@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from nctorus import config as cfgmod
+from nctorus import acceptance, config as cfgmod
 from nctorus import io as iomod
 from nctorus.algebra import GOLDEN, ModuliPoint, add, adjoint, is_selfadjoint, make_monomial, scale
 from nctorus.cli import main
@@ -128,6 +128,7 @@ def test_cli_weyl_flat_and_manifest_replay(tmp_path):
     report = json.loads((out / "weyl_report.json").read_text())
     assert report["schema_version"] == 1
     assert report["passed"] is True
+    assert report["route_gap"] == 0.0  # k = 1: both routes read t(1) exactly
     spectrum1 = (out / "spectrum.csv").read_bytes()
     staircase1 = (out / "staircase.csv").read_bytes()
     # replay from the manifest into a fresh directory: identical bytes
@@ -271,6 +272,26 @@ def test_cli_verify_subset(tmp_path, capsys):
         cfg = dataclasses.replace(cfgmod.preset(name), out_dir=str(tmp_path / "runs"))
         assert manifest["criteria"][ident][name] == cfg.to_dict()
     assert sorted(manifest["timings"]) == ["1", "5"]
+
+
+def test_cli_verify_survives_a_raising_criterion(tmp_path, capsys, monkeypatch):
+    # a criterion that raises fails with the error as its details; the
+    # other criteria still run and the report is still written
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(acceptance, "weyl_claim", broken)
+    rc = _run(["verify", "--out", str(tmp_path / "runs"), "--criteria", "1,5"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "not ok 1 - criterion 1" in out
+    assert "ok 2 - criterion 5" in out
+    report = json.loads((tmp_path / "runs" / "verify" / "verify_report.json").read_text())
+    results = {r["criterion"]: r for r in report["results"]}
+    assert results[1]["passed"] is False
+    assert results[1]["details"] == {"error": "RuntimeError: injected failure"}
+    assert results[5]["passed"] is True
+    assert report["all_passed"] is False
 
 
 def test_cli_verify_matches_runner_reports(tmp_path, capsys):

@@ -316,6 +316,9 @@ def test_heat_b2_flat_zero():
     flat = ConformalData.build(TAU_I, alg.zero(), pad=2)
     res = heat_coefficient(2, laplace_symbol(flat))
     assert res.value == 0.0
+    # the vanishing term keeps the computed params and says why it is 0
+    assert res.params["radial_nodes"] == 24 and res.params["window"] == 4
+    assert "vanishes identically" in res.params["note"]
 
 
 def test_heat_b2_perturbed_finite(ls_default):

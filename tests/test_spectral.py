@@ -13,6 +13,7 @@ from nctorus.acceptance import connes_claim
 from nctorus.algebra import (
     GOLDEN,
     ConformalData,
+    DeformationAngle,
     ModuliPoint,
     add,
     adjoint,
@@ -117,6 +118,17 @@ def test_weyl_constant_closed_form(cd_default):
     assert wf.volume == pytest.approx(4 * math.pi ** 2, rel=1e-10)
     flat2 = ConformalData.build(ModuliPoint(0.0, 2.0), alg.zero(), pad=2)
     assert weyl_constant_closed_form(flat2).slope == pytest.approx(math.pi / 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("theta", [GOLDEN.theta, 0.5])
+def test_weyl_constant_route_gap_generic_h(theta):
+    # h spans Z^2 on a non-rectangular tau, at an irrational and a rational
+    # angle: the inverse of the section of k k against t(e^{-h})
+    angle = DeformationAngle(theta)
+    u, v = make_monomial(1, 0, 1.0, angle), make_monomial(0, 1, 1.0, angle)
+    h = add(scale(0.3, add(u, adjoint(u))), scale(0.2, add(v, adjoint(v))))
+    wc = weyl_constant_closed_form(ConformalData.build(ModuliPoint(0.3, 0.8), h))
+    assert wc.route_gap <= 1e-13
 
 
 def test_perturbed_weyl_slope_adaptive(cd_default):
