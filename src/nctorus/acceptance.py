@@ -93,7 +93,8 @@ def weyl_claim(cfg: ExperimentConfig, spectrum=None):
     """The eigenvalue counting slope against pi t(k^{-2}) / Im(tau): the
     report and the counted spectrum.  spectrum: section_spectrum(cfg), when
     it is already at hand (a perturbed cfg only)."""
-    wc = weyl_constant_closed_form(cfg.conformal_data())
+    cd = cfg.conformal_data()
+    wc = weyl_constant_closed_form(cd)
     if cfg.is_flat:
         counting = lattice_counting_data(cfg.moduli, cfg.flat_band)
         tol = cfg.tolerance("weyl_flat")
@@ -112,6 +113,9 @@ def weyl_claim(cfg: ExperimentConfig, spectrum=None):
         "volume": wc.volume,
         "trace_kinv2": wc.trace_kinv2,
         "route_gap": wc.route_gap,
+        # ungated: the exponentials' padding convergence over EXP_CONV_TOL
+        "exp_convergence_fractions": {"k": cd.k_convergence / alg.EXP_CONV_TOL,
+                                      "k_inv2": cd.k_inv2_convergence / alg.EXP_CONV_TOL},
         "rel_error": rel,
         "tolerance": tol,
         "fit_window": list(fit.window),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,14 +70,27 @@ class ModuliPoint:
         return self.re * self.re + self.im * self.im
 
 
+@lru_cache(maxsize=8)
+def _twist_table(theta: float) -> list:
+    """[e^{2 pi i theta j} over |j| <= K]: the angle's table, which _twist
+    grows to twice the largest |k| asked for."""
+    return [np.ones(1, dtype=complex)]
+
+
 def _twist(theta: float, k: np.ndarray) -> np.ndarray:
-    """The twist e^{2 pi i theta k} of an integer array k."""
-    return np.exp(2j * math.pi * theta * k)
+    """The twist e^{2 pi i theta k} of an integer array k, read from the angle's table."""
+    held = _twist_table(theta)
+    top = int(np.abs(k).max(initial=0))
+    if 2 * top >= held[0].size:
+        held[0] = np.exp(2j * math.pi * theta * np.arange(-2 * top, 2 * top + 1))
+    return held[0][k + held[0].size // 2]
 
 
 def _crop(corner, box: np.ndarray):
     """(corner, box) cut down to the smallest box holding the nonzero entries;
     ((0, 0), an empty box) when there are none."""
+    if box.size and all(map(np.count_nonzero, (box[0], box[-1], box[:, 0], box[:, -1]))):
+        return (int(corner[0]), int(corner[1])), box
     rows = np.flatnonzero(box.any(axis=1))
     if not rows.size:
         return (0, 0), np.zeros((0, 0), dtype=complex)
@@ -117,13 +131,17 @@ class NcElement:
     def theta(self) -> float:
         return self.angle.theta
 
+    def terms(self):
+        """(m, n, c) arrays over the nonzero coefficients, in lexicographic order."""
+        i, j = np.nonzero(self.box)
+        return i + self.corner[0], j + self.corner[1], self.box[i, j]
+
     @property
     def coeffs(self) -> dict:
         """{(m, n): c} with int keys and complex values over the nonzero
         coefficients, in lexicographic order."""
-        i, j = np.nonzero(self.box)
-        keys = zip((i + self.corner[0]).tolist(), (j + self.corner[1]).tolist())
-        return dict(zip(keys, self.box[i, j].tolist()))
+        m, n, c = self.terms()
+        return dict(zip(zip(m.tolist(), n.tolist()), c.tolist()))
 
     def coeff(self, m: int, n: int) -> complex:
         i, j = m - self.corner[0], n - self.corner[1]
@@ -180,7 +198,7 @@ def coeff_key(a: NcElement) -> bytes:
 
 def make_monomial(m: int, n: int, c: complex = 1.0, angle: DeformationAngle = GOLDEN) -> NcElement:
     """The single-term element c * U^m V^n."""
-    return NcElement(angle, max(abs(m), abs(n)), {(m, n): c})
+    return _element(angle, max(abs(m), abs(n)), (m, n), np.full((1, 1), c, dtype=complex))
 
 
 def unit(angle: DeformationAngle = GOLDEN) -> NcElement:
@@ -254,8 +272,14 @@ def trace_t(a: NcElement) -> complex:
 
 def trace_of_product(a: NcElement, b: NcElement) -> complex:
     """trace(a b) = <a, b*>, without materializing the product:
-    sum over (m,n) of a_{m,n} b_{-m,-n} e^{-2 pi i theta m n}."""
-    return inner_product(a, adjoint(b))
+    sum over (m,n) of a_{m,n} b_{-m,-n} e^{-2 pi i theta m n}, read over the
+    overlap of a's box with b's box flipped through the origin."""
+    _check_same_angle(a, b)
+    (am, an), (bm, bn), (rows, cols) = a.corner, b.corner, b.box.shape
+    m = np.arange(max(am, 1 - bm - rows), min(am + a.box.shape[0], 1 - bm))[:, None]
+    n = np.arange(max(an, 1 - bn - cols), min(an + a.box.shape[1], 1 - bn))
+    flipped = np.conj(b.box[-m - bm, -n - bn]) * _twist(a.theta, m * n)
+    return complex(np.vdot(flipped, a.box[m - am, n - an]))
 
 
 def inner_product(a: NcElement, b: NcElement) -> complex:
@@ -301,7 +325,7 @@ def _mult_section(theta: float, terms: dict, band: int, right: bool = False) -> 
     tn = nn + q
     ok = (np.abs(tm) <= band) & (np.abs(tn) <= band)
     shift, grid = (p, nn) if right else (q, mm)
-    vals = (coef * np.exp(2j * math.pi * theta * shift * grid))[ok]
+    vals = (coef * _twist(theta, shift * grid))[ok]
     rows = (tm[ok] + band) * side + (tn[ok] + band)
     cols = np.nonzero(ok)[1]
     order = np.lexsort((cols, rows))  # row-major: the CSR arrays directly
@@ -346,12 +370,15 @@ def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16):
 
 @dataclass(frozen=True)
 class ConformalData:
-    """Conformal modulus plus the Weyl factor caches k = e^{h/2}, k^{-2} = e^{-h}."""
+    """Conformal modulus plus the Weyl factor caches k = e^{h/2}, k^{-2} = e^{-h},
+    with exp_selfadjoint's convergence metric of each."""
 
     tau: ModuliPoint
     h: NcElement
     k: NcElement
     k_inv2: NcElement
+    k_convergence: float
+    k_inv2_convergence: float
 
     def __post_init__(self):
         if not is_selfadjoint(self.h, 1e-10):
@@ -366,9 +393,10 @@ class ConformalData:
     @classmethod
     def build(cls, tau: ModuliPoint, h: NcElement, pad: int = 16,
               trim: float = 1e-15) -> "ConformalData":
-        k, _ = exp_selfadjoint(h, 0.5, pad)
-        k_inv2, _ = exp_selfadjoint(h, -1.0, pad)
-        return cls(tau=tau, h=h, k=k.trimmed(trim), k_inv2=k_inv2.trimmed(trim))
+        k, k_conv = exp_selfadjoint(h, 0.5, pad)
+        k_inv2, k_inv2_conv = exp_selfadjoint(h, -1.0, pad)
+        return cls(tau=tau, h=h, k=k.trimmed(trim), k_inv2=k_inv2.trimmed(trim),
+                   k_convergence=k_conv, k_inv2_convergence=k_inv2_conv)
 
     @property
     def angle(self) -> DeformationAngle:

@@ -27,6 +27,7 @@ from .algebra import (
     NcElement,
     _element,
     _mult_section,
+    _twist,
     adjoint,
     add,
     delta,
@@ -415,9 +416,7 @@ def apply_op(p, a: NcElement) -> NcElement:
     """
     if not a.l1_norm():
         return zero(a.angle)
-    coeffs = a.coeffs
-    m, n = np.array(list(coeffs)).T
-    vals = np.array(list(coeffs.values()))
+    m, n, vals = a.terms()
     terms = _column_terms(p, m, n)
     if not terms:
         return zero(a.angle)
@@ -425,8 +424,7 @@ def apply_op(p, a: NcElement) -> NcElement:
     lo = np.array([m.min(), n.min()]) + shifts.min(axis=0)
     out = np.zeros(np.array([m.max(), n.max()]) + shifts.max(axis=0) - lo + 1, dtype=complex)
     for (r, s), coef in terms.items():
-        out[m + r - lo[0], n + s - lo[1]] += (
-            vals * coef * np.exp(2j * math.pi * a.theta * s * m))
+        out[m + r - lo[0], n + s - lo[1]] += vals * coef * _twist(a.theta, s * m)
     bw = a.support_bandwidth() + int(np.abs(shifts).max())
     return _element(a.angle, bw, lo, out)
 

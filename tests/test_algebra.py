@@ -417,3 +417,98 @@ def test_trace_of_product_pairing():
         assert alg.trace_of_product(a, b) == pytest.approx(
             trace_t(mul(a, b)), abs=1e-13
         )
+
+
+# the largest |k| a real caller twists: mul on criterion 9's KMS weight
+# (pad 32) reaches 1440, trace_of_product 1320, _mult_section 312
+TWIST_REACH = 38
+
+
+@pytest.mark.parametrize("theta", (GOLDEN.theta, 0.5, 0.1))
+def test_twist_table_matches_direct_exp(theta):
+    """The table gives the bits of np.exp(2j pi theta k) for the integer
+    arrays mul (n p) and adjoint (m n) build, read before and after the
+    table has grown."""
+    alg._twist_table.cache_clear()
+    for reach in (2, TWIST_REACH):
+        r = np.arange(-reach, reach + 1)
+        for k in (r[:, None] * r[None, :], r[::-1, None] * r[None, 1:4], r):
+            assert alg._twist(theta, k).tobytes() == np.exp(2j * math.pi * theta * k).tobytes()
+
+
+def test_twist_tables_are_per_angle_and_grow():
+    alg._twist_table.cache_clear()
+    small = alg._twist(0.1, np.array([3]))
+    table = alg._twist_table(0.1)
+    assert alg._twist_table(0.5) is not table
+    assert alg._twist(0.5, np.array([3]))[0] != small[0]
+    size = table[0].size
+    alg._twist(0.1, np.array([-5 * size]))
+    assert table[0].size >= 10 * size + 1
+    assert alg._twist_table(0.5)[0].size < table[0].size
+
+
+def _overlap_scale(a, b) -> float:
+    """sum of |a_{m,n}| |b_{-m,-n}|: the size of trace(a b)'s terms."""
+    return sum(abs(v) * abs(b.coeff(-m, -n)) for (m, n), v in a.coeffs.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), theta=st.sampled_from(MUL_THETAS))
+def test_trace_of_product_matches_adjoint_route(data, theta):
+    """The flipped-overlap sum against the route it replaced,
+    <a, b*> = inner_product(a, adjoint(b))."""
+    angle = DeformationAngle(theta)
+    a, b = data.draw(boxed_elements(angle)), data.draw(boxed_elements(angle))
+    got = alg.trace_of_product(a, b)
+    scale_ = _overlap_scale(a, b)
+    if scale_ == 0.0:
+        assert got == 0j
+    assert abs(got - inner_product(a, adjoint(b))) <= 1e-14 * scale_
+
+
+def test_trace_of_product_edge_supports():
+    a = NcElement(GOLDEN, 4, {(1, 2): 2.0, (3, 3): 1j})
+    far = NcElement(GOLDEN, 4, {(1, 2): 1.0, (-1, 4): 1.0})   # flipped box misses a's
+    assert alg.trace_of_product(a, far) == 0j
+    assert alg.trace_of_product(a, alg.zero()) == 0j
+    assert alg.trace_of_product(alg.zero(), a) == 0j
+    one = NcElement(GOLDEN, 4, {(-3, -3): 0.5, (0, 4): 1.0})   # overlap: (3, 3) alone
+    assert alg.trace_of_product(a, one) == pytest.approx(
+        1j * 0.5 * cmath.exp(-2j * math.pi * THETA * 9), abs=1e-15)
+    assert alg.trace_of_product(a, one) == pytest.approx(trace_t(mul(a, one)), abs=1e-15)
+
+
+def test_phi_is_the_trace_of_the_weighted_product(cd_default):
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        a = alg.random_element(rng, 5)
+        assert phi(a, cd_default) == pytest.approx(
+            trace_t(mul(a, cd_default.k_inv2)), rel=1e-13, abs=1e-15)
+
+
+def test_crop_after_cancelling_edges():
+    """Boxes whose edge rows or columns cancel are still cut to the support,
+    and equal elements keep equal coeff_key."""
+    a = NcElement(GOLDEN, 3, {(0, 0): 1.0, (2, 1): 2.0, (1, -1): 1.0})
+    minus_edge = NcElement(GOLDEN, 3, {(2, 1): -2.0})
+    cut = add(a, minus_edge)                   # row m = 2 and column n = 1 cancel
+    want = NcElement(GOLDEN, 3, {(0, 0): 1.0, (1, -1): 1.0})
+    assert (cut.corner, cut.box.shape) == ((0, -1), (2, 2))
+    assert alg.coeff_key(cut) == alg.coeff_key(want)
+    assert delta(1, a).corner == (1, -1)        # delta_1 zeroes the row m = 0
+    tiny = NcElement(GOLDEN, 1, {(0, 0): 1e-200, (1, 0): 1.0})
+    prod = mul(tiny, tiny)                      # the (0, 0) coefficient underflows
+    assert (prod.corner, prod.box.shape) == ((1, 0), (2, 1))
+    assert alg.coeff_key(prod) == alg.coeff_key(
+        NcElement(GOLDEN, 2, {(1, 0): 2e-200, (2, 0): 1.0}))
+    for e in (a, cut, prod):
+        gone = add(e, scale(-1, e))
+        assert gone.box.shape == (0, 0) and gone.corner == (0, 0)
+        assert alg.coeff_key(gone) == alg.coeff_key(alg.zero())
+
+
+def test_conformal_data_keeps_exp_convergence(cd_default):
+    assert cd_default.k_convergence == exp_selfadjoint(cd_default.h, 0.5, 16)[1]
+    assert cd_default.k_inv2_convergence == exp_selfadjoint(cd_default.h, -1.0, 16)[1]
+    assert cd_default.k_inv2_convergence <= alg.EXP_CONV_TOL

@@ -371,12 +371,59 @@ def test_bench_tracer_restores_every_binding():
 
 def test_element_storage_stays_in_algebra():
     """Only algebra.py reads NcElement's storage (box and corner); the other
-    modules read elements through .coeffs and the algebra functions."""
+    modules read elements through .coeffs, .terms() and the algebra functions."""
     reads = [f"{path.name}:{node.lineno} .{node.attr}"
              for path in MODULES if path.name != "algebra.py"
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in ("box", "corner")]
     assert not reads, ", ".join(reads)
+
+
+# (module file, function) -> the direct twists e^{2 pi i theta k} it may compute:
+# the table itself, and the commutation check's omega, which stays off the
+# table as that check's independent route.
+DIRECT_TWISTS = {("algebra.py", "_twist"): 1, ("acceptance.py", "_identity_suite"): 1}
+
+
+def _direct_twists(tree: ast.Module):
+    """(innermost function or "<module>", line) of each exp(...) call whose
+    argument holds 2j and theta."""
+    owner = {}
+    for func in ast.walk(tree):  # outer functions first: inner ones overwrite
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(func), func.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "exp" and node.args):
+            arg = ast.unparse(node.args[0])
+            if "2j" in arg and "theta" in arg.lower():
+                yield owner.get(node, "<module>"), node.lineno
+
+
+def test_one_twist_path():
+    """Every twist of the library reads algebra._twist's table per angle; a
+    direct np.exp(2j ... theta ...) elsewhere recomputes it on every call."""
+    found = {}
+    for path in MODULES:
+        for func, line in _direct_twists(ast.parse(path.read_text(encoding="utf-8"))):
+            found.setdefault((path.name, func), []).append(line)
+    extra = [f"{name}:{lines} in {func}" for (name, func), lines in found.items()
+             if len(lines) > DIRECT_TWISTS.get((name, func), 0)]
+    assert not extra, ", ".join(extra)
+    assert set(found) == set(DIRECT_TWISTS)
+
+
+def test_direct_twist_scan_sees_each_form():
+    tree = ast.parse(
+        "W = np.exp(2j * math.pi * THETA)\n"
+        "def f(theta, k, s, m):\n"
+        "    a = np.exp(2j * math.pi * theta * k)\n"
+        "    def g(x):\n"
+        "        return cmath.exp(2j * np.pi * x.theta * s * m)\n"
+        "    c = np.exp(1j * theta)\n"
+        "    return np.exp(-k)\n")
+    found = sorted(_direct_twists(tree), key=lambda t: t[1])
+    assert found == [("<module>", 1), ("f", 3), ("g", 5)]
 
 
 def _hand_sliced_block(node: ast.AST) -> bool:
