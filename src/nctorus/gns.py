@@ -15,9 +15,12 @@ runs on the blocks ``coupling_blocks`` finds, the connected components of the
 joint nonzero pattern; a connected pattern (generic h) is one block, the dense
 solve on the whole window.  ``block_stacks`` is the one reader of blocks: it
 groups them by size and yields each stack with its window indices, for the
-spectra here (``block_spectrum``) and for ``heat``'s word evaluator.  A
-section stays sparse from assembly to solve; only the blocks handed to
-LAPACK, and ``FiniteSectionOperator.entries``, are dense.
+spectra here (``block_spectrum``) and for ``heat``'s window matrices.
+``vacuum_block`` is the one selector of the vacuum's block, the only block a
+vacuum expectation reads: the closed form of t(k^{-2}) here and ``heat``'s
+quadrature solve it alone.  A section stays sparse from assembly to solve;
+only the blocks handed to LAPACK, and ``FiniteSectionOperator.entries``, are
+dense.
 """
 
 from __future__ import annotations
@@ -226,6 +229,16 @@ def block_stacks(blocks, *mats):
         yield idx, [np.asarray(m[rows.ravel(), cols.ravel()]).reshape(rows.shape) for m in mats]
 
 
+def vacuum_block(w: BasisWindow, *mats):
+    """The vacuum's coupling block in the joint pattern of the sparse mats:
+    the vacuum's position in the block, and the dense diagonal block of each
+    mat there.  The one selector of the vacuum's block, for the closed form
+    of t(k^{-2}) and for heat's vacuum expectations."""
+    block = next(b for b in coupling_blocks(*mats) if w.vacuum in b)
+    ((_, stacks),) = block_stacks([block], *mats)
+    return int(np.searchsorted(block, w.vacuum)), [s[0] for s in stacks]
+
+
 def block_spectrum(solve, *mats):
     """Ascending values of solve(*stacks) over the coupling blocks of the
     joint pattern of mats, and the block count and largest block size: which
@@ -318,8 +331,7 @@ def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:
     k2 = mul(cd.k, cd.k).trimmed(1e-14)
     w = BasisWindow(k2.support_bandwidth() + pad)
     K2 = left_mult_matrix(k2, w).matrix
-    block = next(b for b in coupling_blocks(K2) if w.vacuum in b)
-    vac = block == w.vacuum
-    ((_, (sub,)),) = block_stacks([block], K2)
-    col = np.linalg.solve(sub[0], vac.astype(K2.dtype))
-    return float(col[vac][0].real)
+    pos, (sub,) = vacuum_block(w, K2)
+    vac = np.arange(sub.shape[0]) == pos
+    col = np.linalg.solve(sub, vac.astype(K2.dtype))
+    return float(col[pos].real)

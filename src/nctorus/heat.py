@@ -5,10 +5,15 @@ xi-polynomials times ordered words over two kinds of factor: the resolvent
 (Q(xi) k^2 - lambda)^{-1} and fixed algebra elements acting by left
 multiplication.  The xi-derivative and the torus derivation act on that
 normal form by the Leibniz rule, so every term of the recursion for the
-subleading symbols is exact.  Heat coefficients come from a nested
-quadrature: lambda over a parabolic contour around the positive axis
-(validated against the matrix exponential before every run) and xi over the
-sheared polar grid in which the leading quadratic form is exactly r^2.
+subleading symbols is exact.  A word is evaluated in the eigenbasis of the
+k^2 section, where the resolvent is diagonal, on the coupling blocks of the
+window sections of k^2 and the word's element factors: window matrices
+(eval_expr, parametrix_residual) solve every block, and a vacuum expectation
+reads the vacuum's block alone, selected by gns.vacuum_block.  Heat
+coefficients come from a nested quadrature: lambda over a parabolic contour
+around the positive axis (validated against e^{-s} before every run) and xi
+over the sheared polar grid in which the leading quadratic form is exactly
+r^2.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .algebra import ConformalData, ModuliPoint, NcElement, add, coeff_key, delta, mul, scale
 from .gns import (BasisWindow, FiniteSectionOperator, ascending, block_stacks,
-                  coupling_blocks, left_mult_matrix, runs_of)
+                  coupling_blocks, left_mult_matrix, runs_of, vacuum_block)
 from .symbols import _leibniz
 
 
@@ -299,76 +304,47 @@ class _Eigenblocks:
         return V
 
 
-class _EigenEngine:
-    """The word evaluator for the expressions exprs on a window.
+def _window_sections(ls: LaplaceSymbolData, window: BasisWindow, exprs):
+    """The keys of the element factors of exprs, and the sparse window
+    sections of the symmetrized k^2 and of those factors.  Every factor maps
+    each coupling block of their joint pattern into itself, so a word is
+    evaluated block by block; an h whose support spans Z^2 makes the window
+    one block."""
+    atoms = {f.key: f.elem for e in exprs for _, word in e for f in word
+             if isinstance(f, ElementAtom)}
+    k2 = left_mult_matrix(ls.k2, window).matrix
+    return list(atoms), [(k2 + k2.conj().T) / 2.0,
+                         *(left_mult_matrix(a, window).matrix for a in atoms.values())]
 
-    Every factor maps each coupling block of the joint pattern of k^2 and the
-    element factors of exprs into itself, so a word is evaluated block by
-    block: the vacuum expectation on the vacuum's block alone, a window matrix
-    on every block, blocks of one size stacked.  An h whose support spans Z^2
-    makes the window one block, the dense eigensolve of the whole section.
-    """
 
-    def __init__(self, ls: LaplaceSymbolData, window: BasisWindow, exprs):
-        self.ls = ls
-        self.window = window
-        atoms = {f.key: f.elem for e in exprs for _, word in e for f in word
-                 if isinstance(f, ElementAtom)}
-        k2 = left_mult_matrix(ls.k2, window).matrix
-        self._keys = list(atoms)
-        self._sections = [(k2 + k2.conj().T) / 2.0,
-                          *(left_mult_matrix(a, window).matrix for a in atoms.values())]
-        self._blocks = coupling_blocks(*self._sections)
-        self._vacuum = self._stacks = None
-
-    @property
-    def vacuum(self) -> tuple:
-        """The vacuum's block, the only one that enters a vacuum expectation,
-        and the conjugate of the vacuum vector in its eigenbasis."""
-        if self._vacuum is None:
-            b = next(b for b in self._blocks if self.window.vacuum in b)
-            ((_, subs),) = block_stacks([b], *self._sections)
-            eig = _Eigenblocks(subs[0][0], dict(zip(self._keys, (sub[0] for sub in subs[1:]))))
-            self._vacuum = eig, np.conj(eig.basis[np.searchsorted(b, self.window.vacuum)])
-        return self._vacuum
-
-    @property
-    def stacks(self) -> list:
-        """Every block, stacked by size: (window indices, one row per block,
-        and their eigenblocks)."""
-        if self._stacks is None:
-            self._stacks = [(idx, _Eigenblocks(subs[0], dict(zip(self._keys, subs[1:]))))
-                            for idx, subs in block_stacks(self._blocks, *self._sections)]
-        return self._stacks
-
-    def word_vacuum(self, word, rdiag: np.ndarray) -> np.ndarray:
-        """w^H (product of word factors) w, batched over the rows of rdiag
-        (rows, block size), one resolvent diagonal per row; returns shape
-        (rows,)."""
-        eig, vac = self.vacuum
-        return eig.apply(word, vac, rdiag) @ np.conj(vac)
-
-    def matrix(self, e: tuple, xi, lam: complex) -> np.ndarray:
-        """The expression e at (xi, lambda) as a window matrix in the
-        standard basis; lambda near the spectrum is refused."""
-        x1, x2 = float(xi[0]), float(xi[1])
-        q = _poly_eval(_q_poly(self.ls), x1, x2).real
-        dist = min(float(np.min(np.abs(q * b.svals - lam))) for _, b in self.stacks)
-        if dist < DIST_TOL:
-            raise HeatError(f"lambda {lam:g} within {dist:.2e} of the section spectrum")
-        vals = [(_poly_eval(poly, x1, x2), word) for poly, word in e]
-        out = np.zeros((self.window.dim,) * 2, dtype=complex)
-        for idx, b in self.stacks:
-            rdiag = 1.0 / (q * b.svals[:, np.newaxis, :] - lam)
-            eye = np.broadcast_to(np.eye(idx.shape[1]), b.basis.shape)
-            total = np.zeros(b.basis.shape, dtype=complex)
-            for val, word in vals:
-                if val != 0.0:
-                    total += val * b.apply(word, eye, rdiag)
-            bh = np.conj(np.swapaxes(b.basis, 1, 2))
-            out[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = (
-                b.basis @ np.swapaxes(total, 1, 2) @ bh)
-        return out
+def _window_matrices(ls: LaplaceSymbolData, window: BasisWindow, exprs, xis, lam: complex):
+    """Yield each expression of exprs at each point xi of xis (expressions
+    outer) and at lambda as a window matrix in the standard basis, solved on
+    every coupling block, blocks of one size stacked; lambda near the
+    spectrum is refused."""
+    keys, sections = _window_sections(ls, window, exprs)
+    stacks = [(idx, _Eigenblocks(subs[0], dict(zip(keys, subs[1:]))))
+              for idx, subs in block_stacks(coupling_blocks(*sections), *sections)]
+    for e in exprs:
+        for xi in xis:
+            x1, x2 = float(xi[0]), float(xi[1])
+            q = _poly_eval(_q_poly(ls), x1, x2).real
+            dist = min(float(np.min(np.abs(q * b.svals - lam))) for _, b in stacks)
+            if dist < DIST_TOL:
+                raise HeatError(f"lambda {lam:g} within {dist:.2e} of the section spectrum")
+            vals = [(_poly_eval(poly, x1, x2), word) for poly, word in e]
+            m = np.zeros((window.dim,) * 2, dtype=complex)
+            for idx, b in stacks:
+                rdiag = 1.0 / (q * b.svals[:, np.newaxis, :] - lam)
+                eye = np.broadcast_to(np.eye(idx.shape[1]), b.basis.shape)
+                total = np.zeros(b.basis.shape, dtype=complex)
+                for val, word in vals:
+                    if val != 0.0:
+                        total += val * b.apply(word, eye, rdiag)
+                bh = np.conj(np.swapaxes(b.basis, 1, 2))
+                m[idx[:, :, np.newaxis], idx[:, np.newaxis, :]] = (
+                    b.basis @ np.swapaxes(total, 1, 2) @ bh)
+            yield m
 
 
 def eval_expr(e: tuple, xi, lam: complex, w: BasisWindow,
@@ -376,7 +352,7 @@ def eval_expr(e: tuple, xi, lam: complex, w: BasisWindow,
     """Evaluate an expression to a dense matrix at the point (xi, lambda),
     through the eigenbasis of the k^2 section on each coupling block; lambda
     within DIST_TOL of the spectrum of Q(xi) k^2 is refused."""
-    return FiniteSectionOperator(w, _EigenEngine(ls, w, (e,)).matrix(e, xi, lam))
+    return FiniteSectionOperator(w, next(_window_matrices(ls, w, (e,), (xi,), lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,20 +389,15 @@ class ContourSpec:
         wts[-1] *= 0.5
         return lam, wts * dlam / (2j * math.pi)
 
-    def exp_values(self, svals) -> np.ndarray:
-        """Quadrature estimate of e^{-s} for each s >= 0."""
-        lam, wq = self.points()
-        s = np.asarray(svals, dtype=float).reshape(-1, 1)
-        return np.sum(wq * np.exp(-lam) / (s - lam), axis=1)
-
-    def max_exp_error(self, svals) -> float:
-        return float(np.max(np.abs(self.exp_values(svals) - np.exp(-np.asarray(svals)))))
-
 
 def contour_gate(contour: ContourSpec, s_max: float, tol: float = 1e-8) -> float:
-    """Validate the contour calculus against e^{-s} before use; raises on failure."""
+    """Validate the contour calculus against e^{-s} before use: the largest
+    error of its quadrature estimate of e^{-s} over samples s in [0, s_max];
+    raises on failure."""
     samples = np.concatenate([[0.0], np.geomspace(1e-3, max(s_max, 1.0), 40)])
-    err = contour.max_exp_error(samples)
+    lam, wq = contour.points()
+    quad = np.sum(wq * np.exp(-lam) / (samples[:, np.newaxis] - lam), axis=1)
+    err = float(np.max(np.abs(quad - np.exp(-samples))))
     if err > tol:
         raise HeatError(
             f"contour sanity gate failed: max |quad - exp| = {err:.3e} > {tol:.1e}"
@@ -483,8 +454,12 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     if n == 2:
         ls = trimmed_symbol_data(ls, 1e-7)
     terms = B0 if n == 0 else parametrix_terms(ls, 2)[2]
-    engine = _EigenEngine(ls, BasisWindow(ls.k2.support_bandwidth() + window_pad), (terms,))
-    eig, vac = engine.vacuum
+    window = BasisWindow(ls.k2.support_bandwidth() + window_pad)
+    keys, sections = _window_sections(ls, window, (terms,))
+    pos, (k2, *subs) = vacuum_block(window, *sections)
+    eig = _Eigenblocks(k2, dict(zip(keys, subs)))
+    # the conjugate of the vacuum vector in the eigenbasis of its block
+    vac = np.conj(eig.basis[pos])
     s = eig.svals
     smin = float(s.min())
     if rmax is None:
@@ -493,7 +468,7 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
         contour = ContourSpec()
     cerr = contour_gate(contour, s_max=float(s.max()) * rmax * rmax)
     im_tau = ls.tau.im
-    params = {"radial_nodes": radial_nodes, "rmax": rmax, "window": engine.window.bandwidth,
+    params = {"radial_nodes": radial_nodes, "rmax": rmax, "window": window.bandwidth,
               "block": int(s.size), "contour_nodes": contour.nodes}
     if not terms:
         params["note"] = "second parametrix term vanishes identically"
@@ -528,7 +503,8 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
         # the resolvent diagonals of the chunk's nodes, node-major rows
         rdiag = (1.0 / ((rc * rc)[:, np.newaxis, np.newaxis] * s - lam[:, np.newaxis])
                  ).reshape(-1, s.size)
-        lam_int = [np.sum(wlam * engine.word_vacuum(word, rdiag).reshape(hi - lo, -1), axis=1)
+        # each word's vacuum expectation, one per row of rdiag
+        lam_int = [np.sum(wlam * (eig.apply(word, vac, rdiag) @ vac.conj()).reshape(hi - lo, -1), 1)
                    if live[t, lo:hi].any() else None for t, (_, word) in enumerate(terms)]
         # radial node outer, term inner: the order of the per-node sum
         for i in range(lo, hi):
@@ -562,16 +538,11 @@ def parametrix_residual(ls: LaplaceSymbolData, lam: complex, window: BasisWindow
                 # leading symbol carries -lambda
                 pieces.append(_prod(_const(-lam * f), pb))
         orders[g] = _sum(pieces)
-    engine = _EigenEngine(ls, window, orders.values())
+    mats = _window_matrices(ls, window, orders.values(), XI_SAMPLES, lam)
     out = {}
-    for g, terms in orders.items():
-        worst = 0.0
-        for xi in XI_SAMPLES:
-            m = engine.matrix(terms, xi, lam)
-            if g == 0:
-                m = m - np.eye(window.dim)
-            worst = max(worst, float(np.max(np.abs(m))))
-        out[g] = worst
+    for g in orders:
+        eye = np.eye(window.dim) if g == 0 else 0.0
+        out[g] = max(float(np.max(np.abs(next(mats) - eye))) for _ in XI_SAMPLES)
     return out
 
 
@@ -595,12 +566,15 @@ def heat_trace_fit(eigenvalues) -> HeatFitResult:
     t_min = log(1/FIT_TAIL_TOL) / lambda_max.  Only t with
     e^{-t lambda_max} < FIT_TAIL_TOL are admissible (larger windows would see
     the missing spectral tail); when fewer than 3 are (lambda_max below about
-    96, where the grid runs down past t_min), the fit fails loudly.
+    96, where the grid runs down past t_min), the fit fails loudly, as it
+    does on an empty spectrum or one with no positive value.
     The heat trace sums mult * e^{-t lambda} over the distinct eigenvalues
     (a lattice spectrum repeats each value, the flat 801^2 box about 12
     times on average), one t at a time.
     """
     eigs = ascending(eigenvalues)
+    if not (eigs.size and eigs[-1] > 0.0):
+        raise HeatError("heat trace fit needs a spectrum with a positive largest eigenvalue")
     lam_max = eigs[-1]
     t_min = math.log(1.0 / FIT_TAIL_TOL) / lam_max
     t_grid = np.geomspace(t_min * 1.02, min(0.2, 60.0 * t_min), 40)

@@ -173,9 +173,12 @@ def lattice_eigenvalues(tau: ModuliPoint, band: int, q_max: float | None = None)
 
     Each half-box value is written twice after the origin's 0, and the
     result equals the sorted full box byte for byte.  q_max < 0 leaves no
-    value, the origin included.
+    value, the origin included, q_max = inf is no cap, and a NaN q_max
+    raises SpectralError.
     """
-    if q_max is not None and not q_max >= 0.0:
+    if q_max is not None and math.isnan(q_max):
+        raise SpectralError("q_max must not be NaN")
+    if q_max is not None and q_max < 0.0:
         return np.empty(0)
     q = _half_box(tau, band, q_max)
     out = np.empty(2 * q.size + 1)

@@ -463,14 +463,14 @@ def classicalize_resolvent(c0: float, tau: ModuliPoint, depth: int,
     layers: dict = {}
     lost = 0.0
     W = winding_cutoff
+    windings = np.arange(-N_ANGULAR // 2 + 1, N_ANGULAR // 2 + 1)
     for j in range(depth):
         vals = ((-c0) ** j) * q ** (-1.0 - j)
         fc = np.fft.fft(vals) / N_ANGULAR
         tiny = 1e-15 * float(np.max(np.abs(fc)))
-        for w in range(-N_ANGULAR // 2 + 1, N_ANGULAR // 2 + 1):
+        # the windings not at or below tiny, ascending: the lost mass sums in that order
+        for w in windings[~(np.abs(fc[windings % N_ANGULAR]) <= tiny)].tolist():
             c = complex(fc[w % N_ANGULAR])
-            if abs(c) <= tiny:
-                continue
             if abs(w) > W:
                 lost += abs(c)
                 continue

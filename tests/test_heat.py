@@ -1,6 +1,7 @@
 """Tests for parametrix expressions, contour calculus and heat coefficients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from nctorus.algebra import (
     unit,
 )
 from nctorus.gns import BasisWindow, left_mult_matrix
-from nctorus import heat
+from nctorus import gns, heat
 from nctorus.heat import (
     B0,
     ContourSpec,
@@ -158,8 +159,12 @@ def test_eval_expr_matches_dense_inverse(block_case):
 
 
 def _whole_window(monkeypatch):
-    """Make the engine solve one block that spans the window: the dense reference."""
-    monkeypatch.setattr(heat, "coupling_blocks", lambda *mats: [np.arange(mats[0].shape[0])])
+    """Make every solve run on one block that spans the window, the dense
+    reference: heat's window matrices and gns.vacuum_block, the vacuum read
+    of heat_coefficient, both find their blocks through coupling_blocks."""
+    for module in (heat, gns):
+        monkeypatch.setattr(module, "coupling_blocks",
+                            lambda *mats: [np.arange(mats[0].shape[0])])
 
 
 def test_block_engine_matches_whole_window(block_case, monkeypatch):
@@ -340,8 +345,11 @@ def _per_node_heat(n, ls, contour, window_pad):
     if n == 2:
         ls = trimmed_symbol_data(ls, 1e-7)
     terms = B0 if n == 0 else parametrix_terms(ls, 2)[2]
-    engine = heat._EigenEngine(ls, BasisWindow(ls.k2.support_bandwidth() + window_pad), (terms,))
-    eig, vac = engine.vacuum
+    window = BasisWindow(ls.k2.support_bandwidth() + window_pad)
+    keys, sections = heat._window_sections(ls, window, (terms,))
+    pos, (k2, *subs) = gns.vacuum_block(window, *sections)
+    eig = heat._Eigenblocks(k2, dict(zip(keys, subs)))
+    vac = np.conj(eig.basis[pos])
     s = eig.svals
     rmax = math.sqrt(math.log(1.0 / heat.TAIL_EPS) / float(s.min()))
     im_tau = ls.tau.im
@@ -361,7 +369,7 @@ def _per_node_heat(n, ls, contour, window_pad):
             ang_int = w_ang * np.sum(heat._poly_eval(poly, r * dir1, r * dir2))
             if abs(ang_int) < 1e-300:
                 continue
-            lam_int = np.sum(wq * exp_lam * engine.word_vacuum(word, rdiag))
+            lam_int = np.sum(wq * exp_lam * (eig.apply(word, vac, rdiag) @ np.conj(vac)))
             total += wgt * r * ang_int * lam_int
     total /= im_tau
     return total.real + tail, tail, abs(total.imag)
@@ -469,6 +477,17 @@ def test_heat_trace_fit_rejects_small_window():
     with pytest.raises(HeatError, match="no admissible t-window"):
         heat_trace_fit(flat(6))
     assert heat_trace_fit(flat(7)).n_points == 3
+
+
+@pytest.mark.parametrize("eigs", [[], [0.0, 0.0], [-2.0, -1.0], [1.0, math.nan]],
+                         ids=["empty", "zeros", "negative", "nan"])
+def test_heat_trace_fit_rejects_spectrum_without_positive_top(eigs):
+    """Refused before t_min = log(1/FIT_TAIL_TOL) / lambda_max is formed: no
+    IndexError, no divide-by-zero warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HeatError, match="positive largest eigenvalue"):
+            heat_trace_fit(eigs)
 
 
 def test_heat_rejects_excessive_tail():

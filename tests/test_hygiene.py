@@ -446,6 +446,23 @@ def test_blocks_are_read_through_block_stacks():
     assert not slices, ", ".join(slices)
 
 
+def _vacuum_selector(node: ast.AST) -> bool:
+    """x.vacuum in b: the test that picks the block holding the vacuum."""
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
+            and node.left.attr == "vacuum" and any(isinstance(op, ast.In) for op in node.ops))
+
+
+def test_vacuum_block_is_selected_once():
+    """Exactly one x.vacuum in b in the library: gns.vacuum_block is the one
+    selector of the vacuum's coupling block, for the closed form of t(k^-2)
+    and for the heat quadrature alike."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _vacuum_selector(node)]
+    assert len(found) == 1, ", ".join(found)
+
+
 def test_default_scan_sees_each_kind():
     """The scan finds a function's default, an __init__'s under its class,
     a classmethod's past cls, and a dataclass field's (not a field(init=False))."""

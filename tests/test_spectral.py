@@ -251,6 +251,16 @@ def test_lattice_eigenvalues_edge_cases():
     assert lattice_eigenvalues(TAU_I, 5, q_max=0.0).tolist() == [0.0]
 
 
+def test_lattice_eigenvalues_q_max_nan_inf():
+    """NaN fails loudly, as in lattice_disk_eigenvalues; inf is no cap and
+    -inf, like any negative q_max, leaves no value."""
+    with pytest.raises(SpectralError, match="q_max"):
+        lattice_eigenvalues(TAU_I, 5, q_max=math.nan)
+    assert (lattice_eigenvalues(TAU_I, 5, q_max=math.inf).tobytes()
+            == lattice_eigenvalues(TAU_I, 5).tobytes())
+    assert lattice_eigenvalues(TAU_I, 5, q_max=-math.inf).size == 0
+
+
 @pytest.mark.parametrize("tau", LATTICE_TAUS, ids=_tau_id)
 @pytest.mark.parametrize("c0", [1e-3, 1.0, 37.5])
 def test_resolvent_mu_disk_equals_sorted_reference(tau, c0):

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ from nctorus.algebra import (
     unit,
     zero,
 )
-from nctorus.gns import BasisWindow, flat_laplacian_matrix, left_mult_matrix
+from nctorus.gns import BasisWindow, flat_laplacian_matrix, left_mult_matrix, quadratic_form_values
 from nctorus import symbols as sym
 from nctorus.symbols import (
     GradedSymbol,
@@ -500,6 +501,58 @@ def test_winding_overflow_reported():
         p = classicalize_resolvent(1.0, ModuliPoint(0.9, 0.35), depth=1, angle=GOLDEN,
                                    winding_cutoff=8)
     assert p.diagnostics.get("discarded_winding_mass", 0.0) > 0.0
+
+
+def _classicalize_loop_reference(c0, tau, depth, W):
+    """classicalize_resolvent's winding loop as it read when it visited every
+    FFT coefficient: its (degree, winding, coefficient) layer additions in
+    order, and the discarded mass."""
+    phis = 2.0 * math.pi * np.arange(sym.N_ANGULAR) / sym.N_ANGULAR
+    q = quadratic_form_values(tau, np.cos(phis), np.sin(phis))
+    adds, lost = [], 0.0
+    for j in range(depth):
+        fc = np.fft.fft(((-c0) ** j) * q ** (-1.0 - j)) / sym.N_ANGULAR
+        tiny = 1e-15 * float(np.max(np.abs(fc)))
+        for w in range(-sym.N_ANGULAR // 2 + 1, sym.N_ANGULAR // 2 + 1):
+            c = complex(fc[w % sym.N_ANGULAR])
+            if abs(c) <= tiny:
+                continue
+            if abs(w) > W:
+                lost += abs(c)
+                continue
+            adds.append((-2 - 2 * j, w, c))
+    return adds, lost
+
+
+@pytest.mark.parametrize("c0, tau, depth, W", [
+    (1.0, TAU_I, 3, sym.DEFAULT_WINDING_CUTOFF),
+    (0.7, ModuliPoint(0.3, 0.8), 2, sym.DEFAULT_WINDING_CUTOFF),
+    (1.0, ModuliPoint(0.5, 1.5), 2, 48),
+    (1.0, ModuliPoint(0.9, 0.35), 2, 8),
+], ids=["tau-i", "generic", "cutoff-48", "lossy"])
+def test_classicalize_resolvent_matches_full_loop(c0, tau, depth, W, monkeypatch):
+    """Visiting only the windings above tiny makes the same layer additions
+    in the same order, with int windings, and the same discarded mass bit for
+    bit, as the loop over all N_ANGULAR coefficients."""
+    adds = []
+
+    def recording(layers, d, w, elem):
+        # the loop's own calls, not GradedSymbol's re-adds of the finished layers
+        if sys._getframe(1).f_code.co_name == "classicalize_resolvent":
+            adds.append((d, w, elem.coeff(0, 0)))
+            assert type(w) is int and elem.coeffs.keys() == {(0, 0)}
+        add_layer(layers, d, w, elem)
+
+    add_layer = sym._layer_add
+    monkeypatch.setattr(sym, "_layer_add", recording)
+    want_adds, want_lost = _classicalize_loop_reference(c0, tau, depth, W)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        p = classicalize_resolvent(c0, tau, depth, GOLDEN, winding_cutoff=W)
+    assert adds == want_adds
+    assert p.diagnostics.get("discarded_winding_mass", 0.0) == want_lost
+    if W == 8:
+        assert want_lost > 1e-9
 
 
 def _assert_well_formed(e: NcElement):
