@@ -59,7 +59,6 @@ from .spectral import (
     dixmier_estimate,
     lattice_counting_data,
     lattice_disk_eigenvalues,
-    lattice_eigenvalues,
     perturbed_resolvent_check,
     resolvent_mu_disk,
     weyl_constant_closed_form,
@@ -139,8 +138,9 @@ def heat_claim(cfg: ExperimentConfig, spectrum=None):
     window_gap = abs(heat_coefficient(0, ls, window_pad=pad + 4).value - quad.value)
     if cfg.is_flat:
         # the sublevel ellipse the index box contains, as the flat Weyl fit cuts it
-        eigs = lattice_eigenvalues(cfg.moduli, cfg.flat_band,
-                                   q_max=box_containment_ceiling(cfg.moduli, cfg.flat_band))
+        disk = lattice_disk_eigenvalues(cfg.moduli,
+                                        box_containment_ceiling(cfg.moduli, cfg.flat_band))
+        eigs = np.repeat(disk.values, disk.mult)
     else:
         eigs = section_spectrum(cfg) if spectrum is None else spectrum
     fit = heat_trace_fit(eigs)
@@ -196,14 +196,16 @@ def connes_claim(cfg: ExperimentConfig):
     kind = cfg.symbol[0]
     tol = cfg.tolerance("connes_ratio")
     if kind == "flat_resolvent":
-        res = residue(graded_symbol(cfg)).real
+        p = graded_symbol(cfg)
+        res = residue(p).real
         est = dixmier_estimate(DixmierData(resolvent_mu_disk(cfg.symbol[1], DISK_QMAX,
                                                              cfg.moduli)))
         ratio = est.value / res
         report = {"residue": res, "dixmier": est.value, "drift": est.drift,
                   "cesaro": est.cesaro, "ratio": ratio,
                   "passed": abs(ratio - 0.5) <= 0.5 * tol,
-                  "route": "analytic disk eigenvalues"}
+                  "route": "analytic disk eigenvalues",
+                  "discarded_winding_mass": p.diagnostics.get("discarded_winding_mass", 0.0)}
     elif kind == "k_weighted":
         rep, caught = counted_connes_trace_check(graded_symbol(cfg), BasisWindow(cfg.bandwidth))
         est = rep.dixmier

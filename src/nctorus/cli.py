@@ -139,7 +139,8 @@ def run_residue(cfg: cfgmod.ExperimentConfig) -> int:
     p = acceptance.graded_symbol(cfg)
     val = residue(p)
     _write_run(cfg, "residue", "residue_report.json",
-               {"residue": val.real, "symbol_kind": cfg.symbol[0], "top_order": p.top_order})
+               {"residue": val.real, "symbol_kind": cfg.symbol[0], "top_order": p.top_order,
+                "discarded_winding_mass": p.diagnostics.get("discarded_winding_mass", 0.0)})
     print(f"residue: {val.real:.12f}")
     return 0
 

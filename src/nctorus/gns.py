@@ -6,8 +6,9 @@ n inner).  Left and right multiplication operators (``left_mult_matrix``,
 one of the two) and the conformally perturbed Laplacian are compressed to
 this window as sparse CSR matrices; a generalized eigenvalue pencil built
 from the weighted inner product provides an independent construction of the
-perturbed spectrum.  The diagonal flat Laplacian (``flat_laplacian_matrix``)
-is a test oracle only.
+perturbed spectrum.  A selfadjoint section (K D K, the pencil, ``heat``'s k^2)
+is checked and made Hermitian once, by ``FiniteSectionOperator``.  The
+diagonal flat Laplacian (``flat_laplacian_matrix``) is a test oracle only.
 
 A section couples (m,n) only to (m,n) plus the lattice spanned by the support
 of its coefficients: for h on Z x {0}, 2N+1 independent rows.  Every solve
@@ -53,6 +54,10 @@ class BasisWindow:
 
     bandwidth: int
 
+    def __post_init__(self):
+        if self.bandwidth < 0:
+            raise SectionError(f"window bandwidth must be >= 0, got {self.bandwidth}")
+
     @property
     def side(self) -> int:
         return 2 * self.bandwidth + 1
@@ -90,13 +95,15 @@ class FiniteSectionOperator:
     matrix is kept as a canonical CSR matrix (sorted indices, no duplicates):
     the real and imaginary parts of a CSR matrix share its index arrays, and
     some scipy operations sort them in place.  A dense array is accepted and
-    converted; entries is the dense matrix, built on each read.
+    converted; entries is the dense matrix, built on each read.  Here alone a
+    selfadjoint section becomes its Hermitian part (M+M^H)/2: the asymmetry
+    |M - M^H|, refused above HERMITICITY_TOL, is in diagnostics.
     """
 
     window: BasisWindow
     matrix: sp.csr_matrix
     selfadjoint: bool = False
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         self.matrix = sp.csr_matrix(self.matrix)
@@ -107,9 +114,12 @@ class FiniteSectionOperator:
                 f"matrix shape {self.matrix.shape} does not match window dim {d}"
             )
         if self.selfadjoint:
-            asym = float(abs(self.matrix - self.matrix.conj().T).max())
+            mh = self.matrix.conj().T.tocsr()
+            asym = float(abs(self.matrix - mh).max())
             if asym > HERMITICITY_TOL:
                 raise SectionError(f"selfadjoint flag set but asymmetry {asym:.3e}")
+            self.matrix = (self.matrix + mh) / 2.0
+            self.diagnostics["asymmetry"] = asym
 
     @property
     def entries(self) -> np.ndarray:
@@ -249,27 +259,13 @@ def block_spectrum(solve, *mats):
 
 
 def perturbed_laplacian_matrix(cd: ConformalData, w: BasisWindow) -> FiniteSectionOperator:
-    """Finite section of the conformally perturbed Laplacian k (flat) k.
-
-    Assembled as the sparse product K D K with K the left-multiplication
-    section of the Weyl factor and D the diagonal flat Laplacian, then
-    symmetrized as (M+M^H)/2; the discarded asymmetry magnitude and the
-    coupling blocks of K are reported in diagnostics.
-    """
+    """Finite section of the conformally perturbed Laplacian k (flat) k: the
+    Hermitian part of the sparse product K D K, K the left-multiplication
+    section of the Weyl factor and D the diagonal flat Laplacian."""
     K = _as_real_if_possible(left_mult_matrix(cd.k, w).matrix)
     mm, nn = w.index_grids()
     M = K @ sp.diags(quadratic_form_values(cd.tau, mm, nn)) @ K
-    MH = M.conj().T
-    asym = float(abs(M - MH).max())
-    if asym > 1e-8:
-        raise SectionError(
-            f"perturbed Laplacian asymmetry {asym:.3e}; Weyl factor cache inconsistent"
-        )
-    sizes = [b.size for b in coupling_blocks(K)]
-    return FiniteSectionOperator(
-        w, (M + MH) / 2.0, selfadjoint=True,
-        diagnostics={"asymmetry": asym, "blocks": len(sizes), "max_block": max(sizes)},
-    )
+    return FiniteSectionOperator(w, M, selfadjoint=True)
 
 
 def gram_laplacian_matrix(cd: ConformalData, w: BasisWindow):
@@ -284,16 +280,10 @@ def gram_laplacian_matrix(cd: ConformalData, w: BasisWindow):
     """
     mm, nn = w.index_grids()
     d = mm + cd.tau.value.conjugate() * nn
-    stiffness = sp.diags(d.conj() * d)
     # G_phi is the transpose of the right-multiplication section of e^{-h}
     gram = right_mult_matrix(cd.k_inv2, w).matrix.T
-    gram_h = gram.conj().T
-    asym = float(abs(gram - gram_h).max())
-    if asym > HERMITICITY_TOL:
-        raise SectionError(f"weighted Gram asymmetry {asym:.3e}")
-    op = FiniteSectionOperator(w, stiffness, selfadjoint=True)
-    gm = FiniteSectionOperator(w, (gram + gram_h) / 2.0, selfadjoint=True)
-    return op, gm
+    return (FiniteSectionOperator(w, sp.diags(d.conj() * d), selfadjoint=True),
+            FiniteSectionOperator(w, gram, selfadjoint=True))
 
 
 def hermitian_spectrum(op: FiniteSectionOperator) -> SpectrumResult:

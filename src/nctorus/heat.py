@@ -6,8 +6,9 @@ xi-polynomials times ordered words over two kinds of factor: the resolvent
 multiplication.  The xi-derivative and the torus derivation act on that
 normal form by the Leibniz rule, so every term of the recursion for the
 subleading symbols is exact.  A word is evaluated in the eigenbasis of the
-k^2 section, where the resolvent is diagonal, on the coupling blocks of the
-window sections of k^2 and the word's element factors: window matrices
+k^2 section, selfadjoint and so symmetrized by gns.FiniteSectionOperator,
+where the resolvent is diagonal, on the coupling blocks of the window
+sections of k^2 and the word's element factors: window matrices
 (eval_expr, parametrix_residual) solve every block, and a vacuum expectation
 reads the vacuum's block alone, selected by gns.vacuum_block.  Heat
 coefficients come from a nested quadrature: lambda over a parabolic contour
@@ -306,15 +307,14 @@ class _Eigenblocks:
 
 def _window_sections(ls: LaplaceSymbolData, window: BasisWindow, exprs):
     """The keys of the element factors of exprs, and the sparse window
-    sections of the symmetrized k^2 and of those factors.  Every factor maps
-    each coupling block of their joint pattern into itself, so a word is
-    evaluated block by block; an h whose support spans Z^2 makes the window
-    one block."""
+    sections of k^2, selfadjoint and so symmetrized, and of those factors.
+    Every factor maps each coupling block of their joint pattern into
+    itself, so a word is evaluated block by block; an h whose support spans
+    Z^2 makes the window one block."""
     atoms = {f.key: f.elem for e in exprs for _, word in e for f in word
              if isinstance(f, ElementAtom)}
-    k2 = left_mult_matrix(ls.k2, window).matrix
-    return list(atoms), [(k2 + k2.conj().T) / 2.0,
-                         *(left_mult_matrix(a, window).matrix for a in atoms.values())]
+    k2 = FiniteSectionOperator(window, left_mult_matrix(ls.k2, window).matrix, selfadjoint=True)
+    return list(atoms), [k2.matrix, *(left_mult_matrix(a, window).matrix for a in atoms.values())]
 
 
 def _window_matrices(ls: LaplaceSymbolData, window: BasisWindow, exprs, xis, lam: complex):

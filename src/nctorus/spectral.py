@@ -167,20 +167,17 @@ def _half_box(tau: ModuliPoint, band: int, q_max: float | None) -> np.ndarray:
     return q
 
 
-def lattice_eigenvalues(tau: ModuliPoint, band: int, q_max: float | None = None) -> np.ndarray:
+def lattice_eigenvalues(tau: ModuliPoint, band: int) -> np.ndarray:
     """Sorted values of the quadratic form on the integer lattice box
-    |m|,|n| <= band, optionally restricted to Q <= q_max.
+    |m|,|n| <= band; a negative band raises SpectralError.
 
     Each half-box value is written twice after the origin's 0, and the
-    result equals the sorted full box byte for byte.  q_max < 0 leaves no
-    value, the origin included, q_max = inf is no cap, and a NaN q_max
-    raises SpectralError.
+    result equals the sorted full box byte for byte.  The values Q <= q_max
+    over the whole lattice are lattice_disk_eigenvalues.
     """
-    if q_max is not None and math.isnan(q_max):
-        raise SpectralError("q_max must not be NaN")
-    if q_max is not None and q_max < 0.0:
-        return np.empty(0)
-    q = _half_box(tau, band, q_max)
+    if band < 0:
+        raise SpectralError(f"lattice band must be >= 0, got {band}")
+    q = _half_box(tau, band, None)
     out = np.empty(2 * q.size + 1)
     out[0] = 0.0
     out[1::2] = q
@@ -206,8 +203,8 @@ def lattice_disk_eigenvalues(tau: ModuliPoint, q_max: float) -> Runs:
 
     The origin is a run of 1 at the front, and each run of the sorted half
     box counts twice; np.repeat of the runs is the sorted full disk byte for
-    byte.  q_max < 0 gives no run, as lattice_eigenvalues gives no value; a
-    NaN or infinite q_max raises SpectralError.
+    byte.  q_max < 0 gives no run, the origin's included; a NaN or infinite
+    q_max raises SpectralError.
     """
     if not math.isfinite(q_max):
         raise SpectralError(f"q_max must be finite, got {q_max}")

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,25 @@ def test_cli_contour_sanity(tmp_path):
                  "--out", str(tmp_path / "runs")]) == 0
     report = json.loads((tmp_path / "runs" / "heat" / "heat_report.json").read_text())
     assert report["matrix_identity_error"] < 1e-8
+
+
+def test_cli_flat_resolvent_reports_discarded_winding_mass(tmp_path):
+    """residue and connes-trace report the winding mass the classicalized
+    resolvent discards at its 32 windings: 9.2e-4 at tau = 1+i, none at
+    tau = i."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the discarded mass is warned about too
+        want = acceptance.graded_symbol(cfgmod.preset("flat-tau1plusi")).diagnostics[
+            "discarded_winding_mass"]
+        for name in ("flat-tau1plusi", "connes-flat-resolvent"):
+            assert _run(["residue", "--preset", name, "--out", str(tmp_path / name)]) == 0
+            assert _run(["connes-trace", "--preset", name, "--out", str(tmp_path / name)]) == 0
+    assert want == pytest.approx(9.2e-4, rel=0.01)
+    for name, mass in (("flat-tau1plusi", want), ("connes-flat-resolvent", 0.0)):
+        out = tmp_path / name
+        for sub, report in (("residue", "residue_report.json"),
+                            ("connes_trace", "connes_report.json")):
+            assert json.loads((out / sub / report).read_text())["discarded_winding_mass"] == mass
 
 
 def test_cli_residue_and_compose(tmp_path):

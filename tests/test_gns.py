@@ -56,6 +56,44 @@ def test_window_enumeration_round_trip():
     assert w.index_of(-2, -3) == 7
 
 
+@pytest.mark.parametrize("band", [-1, -3])
+def test_window_rejects_negative_bandwidth(band):
+    with pytest.raises(SectionError, match="bandwidth"):
+        BasisWindow(band)
+    assert BasisWindow(0).dim == 1
+
+
+def _nearly_hermitian(eps):
+    """A complex Hermitian 9 x 9 matrix with eps added above the diagonal
+    at (0, 1): its asymmetry |M - M^H| is eps to rounding."""
+    rng = np.random.default_rng(24)
+    a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    m = a + a.conj().T
+    m[0, 1] += eps
+    return m
+
+
+def test_selfadjoint_section_refuses_asymmetry():
+    m = _nearly_hermitian(1e-9)
+    with pytest.raises(SectionError, match="asymmetry"):
+        gns.FiniteSectionOperator(BasisWindow(1), m, selfadjoint=True)
+    # without the flag the matrix is kept as given
+    op = gns.FiniteSectionOperator(BasisWindow(1), m)
+    assert np.array_equal(op.entries, m) and op.diagnostics == {}
+
+
+def test_selfadjoint_section_is_its_hermitian_part():
+    import scipy.sparse as sp
+
+    m = _nearly_hermitian(1e-12)
+    op = gns.FiniteSectionOperator(BasisWindow(1), sp.csr_matrix(m), selfadjoint=True)
+    assert np.array_equal(op.entries, (m + m.conj().T) / 2.0)
+    assert np.array_equal(op.entries, op.entries.conj().T)
+    asym = op.diagnostics["asymmetry"]
+    assert asym == np.max(np.abs(m - m.conj().T))
+    assert 0.5e-12 < asym < 2e-12
+
+
 def test_left_mult_identity_and_shift():
     w = BasisWindow(2)
     ident = left_mult_matrix(ONE, w)
@@ -336,7 +374,6 @@ def test_block_path_matches_dense_reference(block_case):
     w = BasisWindow(N)
     n_blocks, largest = expect(N)
     P = perturbed_laplacian_matrix(cd, w)
-    assert (P.diagnostics["blocks"], P.diagnostics["max_block"]) == (n_blocks, largest)
     K = left_mult_matrix(cd.k, w).entries
     dense = K @ flat_laplacian_matrix(cd.tau, w).entries @ K
     dense = (dense + dense.conj().T) / 2.0

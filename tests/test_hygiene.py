@@ -463,6 +463,50 @@ def test_vacuum_block_is_selected_once():
     assert len(found) == 1, ", ".join(found)
 
 
+def _hermitian_transposes(tree: ast.Module):
+    """(innermost "Class.function", function or "<module>", line) of each
+    x.conj().T or x.conjugate().T."""
+    owner = {}
+
+    def scope(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            owner[child] = inner
+            scope(child, inner)
+
+    scope(tree, "")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "T"
+                and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr in ("conj", "conjugate")):
+            yield owner[node] or "<module>", node.lineno
+
+
+def test_hermitian_transpose_scan_sees_each_kind():
+    tree = ast.parse(
+        "a = x.conj().T\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        def g(y):\n"
+        "            return np.conj(y).T\n"
+        "        return self.m.conjugate().T + self.m.T\n")
+    assert sorted(_hermitian_transposes(tree), key=lambda t: t[1]) == [
+        ("<module>", 1), ("C.f.g", 5), ("C.f", 6)]
+
+
+def test_hermitian_part_is_taken_once():
+    """Exactly one x.conj().T in the library, in
+    FiniteSectionOperator.__post_init__: a selfadjoint section is checked
+    and made Hermitian there alone, K D K, the pencil and heat's k^2 alike."""
+    found = [(path.name, func, line) for path in MODULES
+             for func, line in _hermitian_transposes(ast.parse(path.read_text(encoding="utf-8")))]
+    where = ", ".join(f"{name}:{line} in {func}" for name, func, line in found)
+    assert [(name, func) for name, func, _ in found] == [
+        ("gns.py", "FiniteSectionOperator.__post_init__")], where
+
+
 def test_default_scan_sees_each_kind():
     """The scan finds a function's default, an __init__'s under its class,
     a classmethod's past cls, and a dataclass field's (not a field(init=False))."""

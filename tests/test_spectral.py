@@ -236,29 +236,43 @@ def test_lattice_disk_matches_brute_force_count(tau):
 @pytest.mark.parametrize("tau", LATTICE_TAUS, ids=_tau_id)
 @pytest.mark.parametrize("q_max", [None, 0.0, 777.7])
 def test_lattice_half_box_equals_sorted_full_box(tau, q_max):
-    """The half-box build is the sorted full box byte for byte."""
-    band = 37
+    """The half-box build is the sorted full box byte for byte: the box
+    itself (q_max None), or its part Q <= q_max, the disk, from a box that
+    contains the disk."""
+    band = 37 if q_max is None else 60
     ms = np.arange(-band, band + 1)
     q = quadratic_form_values(tau, ms[:, None], ms[None, :]).ravel()
-    ref = np.sort(q if q_max is None else q[q <= q_max])
-    assert lattice_eigenvalues(tau, band, q_max=q_max).tobytes() == ref.tobytes()
+    if q_max is None:
+        assert lattice_eigenvalues(tau, band).tobytes() == np.sort(q).tobytes()
+    else:
+        assert box_containment_ceiling(tau, band) > q_max
+        ref = np.sort(q[q <= q_max])
+        assert _expanded(lattice_disk_eigenvalues(tau, q_max)).tobytes() == ref.tobytes()
 
 
 def test_lattice_eigenvalues_edge_cases():
     assert lattice_eigenvalues(TAU_I, 0).tolist() == [0.0]
     # a negative q_max filters the origin too
-    assert lattice_eigenvalues(TAU_I, 5, q_max=-1e-3).size == 0
-    assert lattice_eigenvalues(TAU_I, 5, q_max=0.0).tolist() == [0.0]
+    assert _expanded(lattice_disk_eigenvalues(TAU_I, -1e-3)).size == 0
+    assert _expanded(lattice_disk_eigenvalues(TAU_I, 0.0)).tolist() == [0.0]
 
 
-def test_lattice_eigenvalues_q_max_nan_inf():
-    """NaN fails loudly, as in lattice_disk_eigenvalues; inf is no cap and
-    -inf, like any negative q_max, leaves no value."""
-    with pytest.raises(SpectralError, match="q_max"):
-        lattice_eigenvalues(TAU_I, 5, q_max=math.nan)
-    assert (lattice_eigenvalues(TAU_I, 5, q_max=math.inf).tobytes()
-            == lattice_eigenvalues(TAU_I, 5).tobytes())
-    assert lattice_eigenvalues(TAU_I, 5, q_max=-math.inf).size == 0
+@pytest.mark.parametrize("band", [-1, -3])
+def test_lattice_eigenvalues_rejects_negative_band(band):
+    with pytest.raises(SpectralError, match="band"):
+        lattice_eigenvalues(TAU_I, band)
+
+
+@pytest.mark.parametrize("name", ["flat", "flat-tau2i", "flat-tau1plusi"])
+def test_disk_equals_box_at_containment_ceiling(name):
+    """The flat heat fit reads the disk at the containment ceiling of the
+    preset's box: it is the box's values Q <= that ceiling, byte for byte."""
+    cfg = preset(name)
+    tau, band = cfg.moduli, cfg.flat_band
+    ceiling = box_containment_ceiling(tau, band)
+    box = lattice_eigenvalues(tau, band)
+    disk = _expanded(lattice_disk_eigenvalues(tau, ceiling))
+    assert disk.tobytes() == box[box <= ceiling].tobytes()
 
 
 @pytest.mark.parametrize("tau", LATTICE_TAUS, ids=_tau_id)
@@ -295,8 +309,8 @@ def test_disk_rejects_nonfinite_q_max(q_max):
 
 @pytest.mark.parametrize("q_max", [-1e-3, -50.0])
 def test_disk_negative_q_max_is_empty(q_max):
-    """As lattice_eigenvalues, a negative q_max filters the origin too."""
-    ref = lattice_eigenvalues(TAU_I, 5, q_max=q_max)
+    """A negative q_max filters the origin too."""
+    ref = np.empty(0)
     for runs in (lattice_disk_eigenvalues(TAU_I, q_max), resolvent_mu_disk(1.0, q_max)):
         assert int(runs.mult.sum()) == 0
         assert _expanded(runs).tobytes() == ref.tobytes()
