@@ -90,7 +90,7 @@ def section_spectrum(cfg: ExperimentConfig) -> np.ndarray:
 
 def weyl_claim(cfg: ExperimentConfig, spectrum=None):
     """The eigenvalue counting slope against pi t(k^{-2}) / Im(tau): the
-    report and the counted spectrum.  spectrum: section_spectrum(cfg), when
+    report and the counting data.  spectrum: section_spectrum(cfg), when
     it is already at hand (a perturbed cfg only)."""
     cd = cfg.conformal_data()
     wc = weyl_constant_closed_form(cd)
@@ -122,7 +122,7 @@ def weyl_claim(cfg: ExperimentConfig, spectrum=None):
         "ceiling_note": counting.note,
         "passed": rel <= tol,
     }
-    return report, counting.eigenvalues
+    return report, counting
 
 
 def heat_claim(cfg: ExperimentConfig, spectrum=None):
@@ -138,12 +138,12 @@ def heat_claim(cfg: ExperimentConfig, spectrum=None):
     window_gap = abs(heat_coefficient(0, ls, window_pad=pad + 4).value - quad.value)
     if cfg.is_flat:
         # the sublevel ellipse the index box contains, as the flat Weyl fit cuts it
-        disk = lattice_disk_eigenvalues(cfg.moduli,
+        spec = lattice_disk_eigenvalues(cfg.moduli,
                                         box_containment_ceiling(cfg.moduli, cfg.flat_band))
-        eigs = np.repeat(disk.values, disk.mult)
+        eigs = np.repeat(spec.values, spec.mult)
     else:
-        eigs = section_spectrum(cfg) if spectrum is None else spectrum
-    fit = heat_trace_fit(eigs)
+        spec = eigs = section_spectrum(cfg) if spectrum is None else spectrum
+    fit = heat_trace_fit(spec)
     gaps = {
         "quad_vs_closed": abs(quad.value - closed) / closed,
         "fit_vs_closed": abs(fit.b0 - closed) / closed,
@@ -324,11 +324,11 @@ def criterion_2(ctx, tau_2i, tau_1_plus_i):
 
 @_criterion(3, "perturbed Weyl law", "perturbed")
 def criterion_3(ctx, perturbed):
-    report, spec = weyl_claim(perturbed, ctx.perturbed_spectrum)
+    report, counting = weyl_claim(perturbed, ctx.perturbed_spectrum)
     details = {k: report[k] for k in ("slope", "closed_form", "rel_error", "tolerance",
                                       "ceiling", "trace_kinv2")}
     details["bandwidth"] = perturbed.bandwidth
-    details["quarter_cap"] = CountingData(spec, perturbed.bandwidth).lambda_max
+    details["quarter_cap"] = CountingData(counting.eigenvalues, perturbed.bandwidth).lambda_max
     return report["passed"], details
 
 

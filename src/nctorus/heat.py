@@ -3,10 +3,10 @@
 A term of the resolvent parametrix of the perturbed Laplacian is a sum of
 xi-polynomials times ordered words over two kinds of factor: the resolvent
 (Q(xi) k^2 - lambda)^{-1} and fixed algebra elements acting by left
-multiplication.  The xi-derivative and the torus derivation act on that
-normal form by the Leibniz rule, so every term of the recursion for the
-subleading symbols is exact.  A word is evaluated in the eigenbasis of the
-k^2 section, selfadjoint and so symmetrized by gns.FiniteSectionOperator,
+multiplication.  The xi-derivative and the torus derivation (of element
+factors only) act on that normal form by the Leibniz rule, so every term of
+the recursion for the subleading symbols is exact.  A word is evaluated in
+the eigenbasis of the k^2 section, selfadjoint and so symmetrized by gns.FiniteSectionOperator,
 where the resolvent is diagonal, on the coupling blocks of the window
 sections of k^2 and the word's element factors: window matrices
 (eval_expr, parametrix_residual) solve every block, and a vacuum expectation
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConformalData, ModuliPoint, NcElement, add, coeff_key, delta, mul, scale
-from .gns import (BasisWindow, FiniteSectionOperator, ascending, block_stacks,
+from .gns import (BasisWindow, FiniteSectionOperator, Runs, ascending, block_stacks,
                   coupling_blocks, left_mult_matrix, runs_of, vacuum_block)
 from .symbols import _leibniz
 
@@ -65,15 +65,12 @@ class LaplaceSymbolData:
     a1_1: NcElement
     a1_2: NcElement
     a0: NcElement
-    k2_d1: NcElement
-    k2_d2: NcElement
 
 
 def _symbol_data(tau: ModuliPoint, k2: NcElement, a1_1: NcElement, a1_2: NcElement,
                  a0: NcElement) -> LaplaceSymbolData:
-    """The symbol data of these elements; a2_q and the derivations of k2 follow."""
-    return LaplaceSymbolData(tau, (1.0, 2.0 * tau.re, tau.abs2), k2, a1_1, a1_2, a0,
-                             delta(1, k2), delta(2, k2))
+    """The symbol data of these elements; a2_q follows from tau."""
+    return LaplaceSymbolData(tau, (1.0, 2.0 * tau.re, tau.abs2), k2, a1_1, a1_2, a0)
 
 
 def trimmed_symbol_data(ls: LaplaceSymbolData, tol: float) -> LaplaceSymbolData:
@@ -228,12 +225,14 @@ def xi_derivative_expr(e: tuple, axis: int, ls: LaplaceSymbolData) -> tuple:
 
 
 def delta_expr(e: tuple, axis: int, ls: LaplaceSymbolData) -> tuple:
-    """Torus derivation of the algebra content: delta_j B0 = -B0 Q delta_j(k^2) B0,
-    and delta_j of an element factor is delta(j, elem)."""
-    dk2 = ls.k2_d1 if axis == 1 else ls.k2_d2
-    dres = _prod(B0, _atom(dk2, f"d{axis}k2", {m: -c for m, c in _q_poly(ls).items()}), B0)
-    return _derive(e, lambda p: {}, lambda f: dres if isinstance(f, Resolvent)
-                   else _atom(delta(axis, f.elem), f"d{axis}({f.label})"))
+    """Torus derivation of words of element factors: delta_j of a factor is
+    delta(j, elem).  The parametrix recursion derives only the symbol terms,
+    so a resolvent factor raises HeatError."""
+    def rule(f):
+        if isinstance(f, Resolvent):
+            raise HeatError("delta_expr derives element factors only, not the resolvent B0")
+        return _atom(delta(axis, f.elem), f"d{axis}({f.label})")
+    return _derive(e, lambda p: {}, rule)
 
 
 def symbol_term_expr(ls: LaplaceSymbolData, k: int) -> tuple:
@@ -570,12 +569,13 @@ def heat_trace_fit(eigenvalues) -> HeatFitResult:
     does on an empty spectrum or one with no positive value.
     The heat trace sums mult * e^{-t lambda} over the distinct eigenvalues
     (a lattice spectrum repeats each value, the flat 801^2 box about 12
-    times on average), one t at a time.
+    times on average), one t at a time.  eigenvalues may be given as
+    ascending Runs (a lattice disk), read as they are.
     """
-    eigs = ascending(eigenvalues)
-    if not (eigs.size and eigs[-1] > 0.0):
+    runs = eigenvalues if isinstance(eigenvalues, Runs) else runs_of(ascending(eigenvalues))
+    if not (runs.values.size and runs.values[-1] > 0.0):
         raise HeatError("heat trace fit needs a spectrum with a positive largest eigenvalue")
-    lam_max = eigs[-1]
+    lam_max = runs.values[-1]
     t_min = math.log(1.0 / FIT_TAIL_TOL) / lam_max
     t_grid = np.geomspace(t_min * 1.02, min(0.2, 60.0 * t_min), 40)
     admissible = t_grid[np.exp(-t_grid * lam_max) < FIT_TAIL_TOL]
@@ -583,7 +583,6 @@ def heat_trace_fit(eigenvalues) -> HeatFitResult:
         raise HeatError(
             f"no admissible t-window: need t >= {t_min:.3e}; spectrum window too small"
         )
-    runs = runs_of(eigs)
     mult = runs.mult.astype(float)
     y = admissible * np.array([np.sum(mult * np.exp(-t * runs.values)) for t in admissible])
     design = np.stack([np.ones_like(admissible), admissible, admissible ** 2], axis=1)

@@ -2,10 +2,12 @@
 
 The counting function of a finite-section spectrum is trusted only below a
 validity ceiling (a configured fraction of the largest computed eigenvalue,
-guarding against window-edge corruption).  Dixmier traces are estimated as the
-log-slope of partial sums of the decreasing singular values, with the Cesaro
-mean of the classical construction reported as a secondary estimate and a
-dyadic drift diagnostic standing in for the choice of limiting state.
+guarding against window-edge corruption).  The flat box is counted row by
+row, its sorted spectrum built only for spectrum.csv.  Dixmier traces are
+estimated as the log-slope of partial sums of the decreasing singular values,
+with the Cesaro mean of the classical construction reported as a secondary
+estimate and a dyadic drift diagnostic standing in for the choice of
+limiting state.
 """
 
 from __future__ import annotations
@@ -72,6 +74,10 @@ class CountingData:
         object.__setattr__(self, "eigenvalues", np.clip(ev, 0.0, None, out=ev))
         object.__setattr__(self, "lambda_max", ceiling)
 
+    def count(self, lams) -> np.ndarray:
+        """The number of eigenvalues below each lambda of lams."""
+        return np.searchsorted(self.eigenvalues, lams, side="left")
+
 
 @dataclass(frozen=True)
 class SlopeFit:
@@ -82,7 +88,7 @@ class SlopeFit:
     intercept: float = 0.0
 
 
-def weyl_slope(cd: CountingData, fit_window=None) -> SlopeFit:
+def weyl_slope(cd: CountingData | LatticeCountingData, fit_window=None) -> SlopeFit:
     """Least-squares slope of the counting function over a log-spaced grid of
     64 points.
 
@@ -97,7 +103,7 @@ def weyl_slope(cd: CountingData, fit_window=None) -> SlopeFit:
     if hi > cd.lambda_max * (1.0 + 1e-12):
         raise SpectralError("fit window exceeds the validity ceiling")
     lams = np.geomspace(lo, hi, 64)
-    counts = np.searchsorted(cd.eigenvalues, lams, side="left").astype(float)
+    counts = cd.count(lams).astype(float)
     design = np.stack([np.ones_like(lams), lams], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, counts, rcond=None)
     resid = counts - design @ coef
@@ -119,7 +125,7 @@ def adaptive_counting_ceiling(cd: CountingData) -> float:
     cap = cd.lambda_max
     probe = weyl_slope(cd, (cap / 50.0, cap / 5.0))
     lams = np.geomspace(cap / 5.0, cap, 200)
-    counts = np.searchsorted(cd.eigenvalues, lams, side="left").astype(float)
+    counts = cd.count(lams).astype(float)
     pred = probe.intercept + probe.slope * lams
     bad = np.abs(counts - pred) > 0.02 * np.maximum(counts, 1.0)
     if not np.any(bad):
@@ -215,16 +221,48 @@ def lattice_disk_eigenvalues(tau: ModuliPoint, q_max: float) -> Runs:
     return Runs(np.concatenate(([0.0], half.values)), np.concatenate(([1], 2 * half.mult)))
 
 
-def lattice_counting_data(tau: ModuliPoint, band: int) -> CountingData:
+@dataclass(frozen=True)
+class LatticeCountingData:
+    """The counting function of the flat box |m|,|n| <= source_bandwidth,
+    counted row by row without building its spectrum."""
+
+    tau: ModuliPoint
+    source_bandwidth: int
+    lambda_max: float
+    note: str
+
+    def count(self, lams) -> np.ndarray:
+        """CountingData.count on lattice_eigenvalues, bit for bit.  Row n holds
+        the m between c -+ d, c = -n Re(tau), d = sqrt(lambda - n^2 Im(tau)^2),
+        Q falling on m <= s = floor(c) and rising after; each end, rounded
+        inward and clipped, moves one step where Q says it is wrong (the
+        roots err far less than a step).  Rows -n mirror n bit for bit."""
+        band, tau = self.source_bandwidth, self.tau
+        lams = np.asarray(lams, dtype=float)
+        n = np.arange(band + 1.0).reshape(-1, *(1,) * lams.ndim)
+        c = -tau.re * n
+        d = np.sqrt(np.maximum(lams - tau.im * tau.im * n * n, 0.0))
+        s = np.clip(np.floor(c), -band - 1, band)
+        lo = np.clip(np.ceil(c - d), -band, s + 1)
+        lo += (lo <= s) & (quadratic_form_values(tau, lo, n) >= lams)
+        lo -= (lo > -band) & (quadratic_form_values(tau, lo - 1, n) < lams)
+        hi = np.clip(np.floor(c + d), s, band)
+        hi -= (hi > s) & (quadratic_form_values(tau, hi, n) >= lams)
+        hi += (hi < band) & (quadratic_form_values(tau, hi + 1, n) < lams)
+        rows = hi - lo + 1
+        return (2.0 * rows.sum(axis=0) - rows[0]).astype(np.intp)
+
+
+def lattice_counting_data(tau: ModuliPoint, band: int) -> LatticeCountingData:
     """Counting data for the analytic flat spectrum, with the ceiling at 0.95
-    of the containment ceiling."""
-    eigs = lattice_eigenvalues(tau, band)
-    ceiling = min(0.95 * box_containment_ceiling(tau, band),
-                  DEFAULT_CEILING_FRACTION * float(eigs[-1]))
-    return CountingData(
-        eigs, band, explicit_ceiling=ceiling,
-        note="ceiling = box containment radius of the sublevel ellipse",
-    )
+    of the containment ceiling, below the quarter of the box maximum, which
+    sits at a corner Q(band, +-band)."""
+    if band < 0:
+        raise SpectralError(f"lattice band must be >= 0, got {band}")
+    top = float(quadratic_form_values(tau, [band, -band], band).max())
+    ceiling = min(0.95 * box_containment_ceiling(tau, band), DEFAULT_CEILING_FRACTION * top)
+    return LatticeCountingData(tau, band, ceiling,
+                               "ceiling = box containment radius of the sublevel ellipse")
 
 
 # ---------------------------------------------------------------------------

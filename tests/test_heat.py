@@ -36,7 +36,7 @@ from nctorus.heat import (
     trimmed_symbol_data,
     xi_derivative_expr,
 )
-from nctorus.spectral import lattice_eigenvalues
+from nctorus.spectral import lattice_disk_eigenvalues, lattice_eigenvalues
 from nctorus.symbols import PolySymbol, compose_poly, flat_laplacian_symbol
 
 TAU_I = ModuliPoint(0.0, 1.0)
@@ -151,11 +151,11 @@ def test_eval_expr_matches_dense_inverse(block_case):
 
     for b in parametrix_terms(ls, 2)[1:]:
         assert_close(eval_expr(b, xi, lam, w, ls).entries, dense(b))
-    # the resolvent's delta leaf against delta(A^{-1}) = -A^{-1} delta(A) A^{-1}
+    # the delta leaf of the leading symbol term Q(xi) k^2: Q(xi) delta(k^2)
     for axis in (1, 2):
         dk2 = left_mult_matrix(alg.delta(axis, ls.k2), w).entries
-        assert_close(eval_expr(delta_expr(B0, axis, ls), xi, lam, w, ls).entries,
-                     -b0m @ (q * dk2) @ b0m)
+        d_a2 = delta_expr(heat.symbol_term_expr(ls, 2), axis, ls)
+        assert_close(eval_expr(d_a2, xi, lam, w, ls).entries, q * dk2)
 
 
 def _whole_window(monkeypatch):
@@ -247,20 +247,31 @@ def test_xi_derivative_matches_finite_differences(ls_default):
         assert order > 1.9
 
 
-def test_delta_is_commutator_on_parametrix_terms(block_case):
-    """delta_j of each of b0, b1, b2 evaluates to the commutator with
-    D_j = diag(m) or diag(n) of the window: the Leibniz rule over the words,
-    the resolvent rule and the element rule together."""
+def test_delta_is_commutator_on_symbol_terms(block_case):
+    """delta_j of each symbol term a0, a1, a2, the words the parametrix
+    recursion derives, and of their product a2 a1 a0 evaluates to the
+    commutator with D_j = diag(m) or diag(n) of the window: the Leibniz rule
+    over the words and the element rule together.  D_j is diagonal, so the
+    identity holds on any window."""
     cd, _ = block_case
     ls = laplace_symbol(cd)
     w = BasisWindow(3)
     xi, lam = (0.8, -0.5), -1.0 + 2.0j
-    for b in parametrix_terms(ls, 2):
-        m = eval_expr(b, xi, lam, w, ls).entries
+    terms = [heat.symbol_term_expr(ls, k) for k in range(3)]
+    for e in terms + [heat._prod(*terms[::-1])]:
+        m = eval_expr(e, xi, lam, w, ls).entries
         for axis, grid in zip((1, 2), w.index_grids()):
             d = np.diag(grid.astype(float))
-            got = eval_expr(delta_expr(b, axis, ls), xi, lam, w, ls).entries
+            got = eval_expr(delta_expr(e, axis, ls), xi, lam, w, ls).entries
             assert np.max(np.abs(got - (d @ m - m @ d))) <= 1e-12 * np.max(np.abs(m))
+
+
+def test_delta_of_the_resolvent_raises(ls_default):
+    """delta_expr derives words of element factors only: a word holding the
+    resolvent B0, such as each parametrix term b_j, raises HeatError."""
+    for b in parametrix_terms(ls_default, 1):
+        with pytest.raises(HeatError, match="resolvent"):
+            delta_expr(b, 1, ls_default)
 
 
 def test_contour_matches_matrix_exponential():
@@ -446,13 +457,18 @@ def _plain_heat_fit_b0(eigs, t_grid):
     return np.linalg.lstsq(design, y, rcond=None)[0][0]
 
 
-@pytest.mark.parametrize("kind", ["flat lattice", "random"])
+@pytest.mark.parametrize("kind", ["flat lattice", "disk runs", "random"])
 def test_heat_trace_fit_matches_plain_sum(kind):
     """The sum over distinct eigenvalues with multiplicities reproduces the
-    plain sum over the spectrum, with or without repeated values."""
+    plain sum over the spectrum, with or without repeated values; the runs
+    of a lattice disk fit as their expanded array does."""
+    runs = None
     if kind == "flat lattice":
         eigs = lattice_eigenvalues(TAU_I, 150)
         assert np.unique(eigs).size < eigs.size / 4
+    elif kind == "disk runs":
+        runs = lattice_disk_eigenvalues(ModuliPoint(1.0, 1.0), 1.0e4)
+        eigs = np.repeat(runs.values, runs.mult)
     else:
         eigs = np.sort(np.random.default_rng(5).uniform(0.0, 4.0e4, 60_000))
     # the fit's own grid, every point of it admissible
@@ -464,6 +480,8 @@ def test_heat_trace_fit_matches_plain_sum(kind):
     assert abs(fit.b0 - ref) <= 1e-13 * abs(ref)
     shuffled = np.random.default_rng(6).permutation(eigs)
     assert heat_trace_fit(shuffled) == fit
+    if runs is not None:
+        assert heat_trace_fit(runs) == fit
 
 
 def test_heat_trace_fit_rejects_small_window():

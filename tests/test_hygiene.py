@@ -463,9 +463,9 @@ def test_vacuum_block_is_selected_once():
     assert len(found) == 1, ", ".join(found)
 
 
-def _hermitian_transposes(tree: ast.Module):
-    """(innermost "Class.function", function or "<module>", line) of each
-    x.conj().T or x.conjugate().T."""
+def _owners(tree: ast.Module) -> dict:
+    """node -> the innermost "Class.function" or function holding it, or
+    "<module>"."""
     owner = {}
 
     def scope(node, name):
@@ -473,15 +473,21 @@ def _hermitian_transposes(tree: ast.Module):
             inner = name
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = f"{name}.{child.name}" if name else child.name
-            owner[child] = inner
+            owner[child] = inner or "<module>"
             scope(child, inner)
 
     scope(tree, "")
+    return owner
+
+
+def _hermitian_transposes(tree: ast.Module):
+    """(owner, line) of each x.conj().T or x.conjugate().T."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and node.attr == "T"
                 and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Attribute)
                 and node.value.func.attr in ("conj", "conjugate")):
-            yield owner[node] or "<module>", node.lineno
+            yield owner[node], node.lineno
 
 
 def test_hermitian_transpose_scan_sees_each_kind():
@@ -505,6 +511,40 @@ def test_hermitian_part_is_taken_once():
     where = ", ".join(f"{name}:{line} in {func}" for name, func, line in found)
     assert [(name, func) for name, func, _ in found] == [
         ("gns.py", "FiniteSectionOperator.__post_init__")], where
+
+
+def _staircase_counts(tree: ast.Module):
+    """(owner, line) of each x.searchsorted(..., side="left"): the number of
+    values of a sorted spectrum below each lambda."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "searchsorted"
+                and any(k.arg == "side" and isinstance(k.value, ast.Constant)
+                        and k.value.value == "left" for k in node.keywords)):
+            yield owner[node], node.lineno
+
+
+def test_staircase_scan_sees_each_kind():
+    tree = ast.parse(
+        "a = np.searchsorted(e, x, side='left')\n"
+        "class C:\n"
+        "    def f(self, x):\n"
+        "        b = self.e.searchsorted(x, side=\"left\")\n"
+        "        return np.searchsorted(self.e, x) + np.searchsorted(self.e, x, side='right')\n")
+    assert sorted(_staircase_counts(tree), key=lambda t: t[1]) == [("<module>", 1), ("C.f", 4)]
+
+
+def test_staircase_is_counted_once():
+    """Exactly one searchsorted(..., side="left") in the library, in
+    CountingData.count: weyl_slope, adaptive_counting_ceiling and the CLI's
+    staircase all count a spectrum through it (the flat box counts its rows
+    in LatticeCountingData.count)."""
+    found = [(path.name, func, line) for path in MODULES
+             for func, line in _staircase_counts(ast.parse(path.read_text(encoding="utf-8")))]
+    where = ", ".join(f"{name}:{line} in {func}" for name, func, line in found)
+    assert [(name, func) for name, func, _ in found] == [
+        ("spectral.py", "CountingData.count")], where
 
 
 def test_default_scan_sees_each_kind():

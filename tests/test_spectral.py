@@ -7,8 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nctorus import algebra as alg
+from nctorus import algebra as alg, spectral
 from nctorus.acceptance import connes_claim
 from nctorus.algebra import (
     GOLDEN,
@@ -72,14 +73,68 @@ def cd_default():
 def test_counting_function_small_values():
     """N(lambda), the count of eigenvalues below lambda, at small lambda."""
     cdata = lattice_counting_data(TAU_I, 40)
-    assert np.searchsorted(cdata.eigenvalues, [0.5, 1.5]).tolist() == [1, 5]
+    assert cdata.count([0.5, 1.5]).tolist() == [1, 5]
 
 
 def test_counting_function_gauss_circle():
     cdata = lattice_counting_data(TAU_I, 150)
     lam = 1.0e4
     assert lam <= cdata.lambda_max
-    assert abs(np.searchsorted(cdata.eigenvalues, lam) - math.pi * lam) < 300
+    assert abs(cdata.count(lam) - math.pi * lam) < 300
+
+
+def _box_count_points(box, picks):
+    """lambda at the picked box values, their nextafter neighbours, at 0,
+    at the box maximum and above it."""
+    v = box[np.asarray(picks, dtype=np.intp)]
+    top = box[-1]
+    return np.concatenate([v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf),
+                           [0.0, top, np.nextafter(top, np.inf), 2.0 * top + 1.0]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), band=st.integers(0, 60),
+       re=st.one_of(st.sampled_from([0.0, 0.5, 1.0, -0.3]),
+                    st.floats(-2.0, 2.0, allow_nan=False)),
+       im=st.floats(0.1, 3.0))
+def test_row_count_equals_sorted_box_count(data, band, re, im):
+    """The row-by-row count equals np.searchsorted on the sorted box, and
+    the ceiling reads the quarter of the box maximum bit for bit."""
+    tau = ModuliPoint(re, im)
+    box = lattice_eigenvalues(tau, band)
+    cdata = lattice_counting_data(tau, band)
+    picks = data.draw(st.lists(st.integers(0, box.size - 1), min_size=1, max_size=40))
+    lams = _box_count_points(box, picks)
+    assert cdata.count(lams).tolist() == np.searchsorted(box, lams, side="left").tolist()
+    assert cdata.lambda_max == min(0.95 * box_containment_ceiling(tau, band), 0.25 * box[-1])
+
+
+@pytest.mark.parametrize("tau", LATTICE_TAUS, ids=_tau_id)
+def test_row_count_at_every_box_value(tau):
+    """The row count at every distinct value of the band-60 box and at both
+    of its neighbours."""
+    box = lattice_eigenvalues(tau, 60)
+    lams = _box_count_points(box, np.flatnonzero(np.diff(box, prepend=-1.0)))
+    assert np.array_equal(lattice_counting_data(tau, 60).count(lams),
+                          np.searchsorted(box, lams, side="left"))
+
+
+def test_flat_counting_never_sorts_the_box(monkeypatch):
+    """weyl_slope on lattice_counting_data builds no box spectrum, and its
+    fit equals the fit to the sorted box under the same ceiling."""
+    tau, band = ModuliPoint(1.0, 1.0), 400
+    cdata = lattice_counting_data(tau, band)
+    sorted_box = CountingData(lattice_eigenvalues(tau, band), band,
+                              explicit_ceiling=cdata.lambda_max)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box spectrum was built")
+
+    want = weyl_slope(sorted_box)
+    for name in ("lattice_eigenvalues", "_half_box"):
+        monkeypatch.setattr(spectral, name, refuse)
+    monkeypatch.setattr(np, "sort", refuse)
+    assert weyl_slope(lattice_counting_data(tau, band)) == want
 
 
 def test_weyl_slope_flat_cases():
@@ -261,6 +316,8 @@ def test_lattice_eigenvalues_edge_cases():
 def test_lattice_eigenvalues_rejects_negative_band(band):
     with pytest.raises(SpectralError, match="band"):
         lattice_eigenvalues(TAU_I, band)
+    with pytest.raises(SpectralError, match="band"):
+        lattice_counting_data(TAU_I, band)
 
 
 @pytest.mark.parametrize("name", ["flat", "flat-tau2i", "flat-tau1plusi"])
