@@ -2,12 +2,14 @@
 
 A claim function (weyl_claim, heat_claim, connes_claim) computes the numbers
 of one experiment from a config and returns its report with the data behind
-it; the CLI runner writes them to disk.  Criteria 1-7 run the same functions
-on named presets and gate the reports; criteria 8-10 have no runner twin.
-A criterion returns a CriterionResult with the measured numbers, the
-tolerance actually applied (scaled by the run's tolerance_scale) and the
-verdict.  The heavy inputs (the bandwidth-48 perturbed spectrum, the
-flat-resolvent Dixmier estimate) are computed once per context and shared.
+it; the CLI runner writes them to disk.  Each composes the sections, symbols
+and spectral estimators itself: connes_claim alone puts a Connes or Corollary
+comparison together.  Criteria 1-7 run the same functions on named presets and
+gate the reports; criteria 8-10 have no runner twin.  A criterion returns a
+CriterionResult with the measured numbers, the tolerance actually applied
+(scaled by the run's tolerance_scale) and the verdict.  The heavy inputs (the
+bandwidth-48 perturbed spectrum, the flat-resolvent Dixmier estimate) are
+computed once per context and shared.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import dataclasses
 import functools
 import math
 import time
+import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -37,11 +41,13 @@ from .config import PRESETS, ConfigError, ExperimentConfig
 from .gns import (
     BasisWindow,
     Runs,
+    SpectrumResult,
     descending_runs,
     generalized_spectrum,
     gram_laplacian_matrix,
     hermitian_spectrum,
     perturbed_laplacian_matrix,
+    runs_of,
 )
 from .heat import (
     heat_coefficient,
@@ -53,14 +59,14 @@ from .heat import (
 from .spectral import (
     CountingData,
     DixmierData,
+    _section_dixmier,
     adaptive_counting_ceiling,
     box_containment_ceiling,
-    counted_connes_trace_check,
     dixmier_estimate,
     lattice_counting_data,
     lattice_disk_eigenvalues,
-    perturbed_resolvent_check,
     resolvent_mu_disk,
+    singular_values_descending,
     weyl_constant_closed_form,
     weyl_slope,
 )
@@ -82,10 +88,10 @@ DISK_QMAX = 1.0e6
 PRESET_FIELDS = sorted({key for fields in PRESETS.values() for key in fields})
 
 
-def section_spectrum(cfg: ExperimentConfig) -> np.ndarray:
-    """Eigenvalues of the K D K section of cfg's Weyl factor at cfg.bandwidth."""
+def section_spectrum(cfg: ExperimentConfig) -> SpectrumResult:
+    """The spectrum of the K D K section of cfg's Weyl factor at cfg.bandwidth."""
     window = BasisWindow(cfg.bandwidth)
-    return hermitian_spectrum(perturbed_laplacian_matrix(cfg.conformal_data(), window)).eigenvalues
+    return hermitian_spectrum(perturbed_laplacian_matrix(cfg.conformal_data(), window))
 
 
 def weyl_claim(cfg: ExperimentConfig, spectrum=None):
@@ -99,8 +105,8 @@ def weyl_claim(cfg: ExperimentConfig, spectrum=None):
         tol = cfg.tolerance("weyl_flat")
     else:
         spec = section_spectrum(cfg) if spectrum is None else spectrum
-        ceiling = adaptive_counting_ceiling(CountingData(spec, cfg.bandwidth))
-        counting = CountingData(spec, cfg.bandwidth, explicit_ceiling=ceiling,
+        ceiling = adaptive_counting_ceiling(CountingData(spec.eigenvalues, cfg.bandwidth))
+        counting = CountingData(spec.eigenvalues, cfg.bandwidth, explicit_ceiling=ceiling,
                                 note="adaptive trusted ceiling")
         tol = cfg.tolerance("weyl_perturbed")
     fit = weyl_slope(counting)
@@ -122,13 +128,15 @@ def weyl_claim(cfg: ExperimentConfig, spectrum=None):
         "ceiling_note": counting.note,
         "passed": rel <= tol,
     }
+    if not cfg.is_flat:
+        report["asymmetry"] = spec.diagnostics["asymmetry"]  # ungated
     return report, counting
 
 
 def heat_claim(cfg: ExperimentConfig, spectrum=None):
     """The heat coefficient b0 by contour quadrature, by a fit to the heat
-    trace of the spectrum and in closed form: the report and the spectrum.
-    spectrum as for weyl_claim."""
+    trace of the spectrum and in closed form: the report and the Runs of
+    the spectrum it fits.  spectrum as for weyl_claim."""
     cdata = cfg.conformal_data()
     closed = weyl_constant_closed_form(cdata).slope  # pi/Im(tau) t(k^{-2}) is also b0
     ls = laplace_symbol(cdata)
@@ -140,9 +148,8 @@ def heat_claim(cfg: ExperimentConfig, spectrum=None):
         # the sublevel ellipse the index box contains, as the flat Weyl fit cuts it
         spec = lattice_disk_eigenvalues(cfg.moduli,
                                         box_containment_ceiling(cfg.moduli, cfg.flat_band))
-        eigs = np.repeat(spec.values, spec.mult)
     else:
-        spec = eigs = section_spectrum(cfg) if spectrum is None else spectrum
+        spec = runs_of((section_spectrum(cfg) if spectrum is None else spectrum).eigenvalues)
     fit = heat_trace_fit(spec)
     gaps = {
         "quad_vs_closed": abs(quad.value - closed) / closed,
@@ -173,7 +180,7 @@ def heat_claim(cfg: ExperimentConfig, spectrum=None):
         "fit_t_window": list(fit.t_window),
         "passed": ok,
     }
-    return report, eigs
+    return report, spec
 
 
 def graded_symbol(cfg: ExperimentConfig) -> GradedSymbol:
@@ -207,11 +214,18 @@ def connes_claim(cfg: ExperimentConfig):
                   "route": "analytic disk eigenvalues",
                   "discarded_winding_mass": p.diagnostics.get("discarded_winding_mass", 0.0)}
     elif kind == "k_weighted":
-        rep, caught = counted_connes_trace_check(graded_symbol(cfg), BasisWindow(cfg.bandwidth))
-        est = rep.dixmier
-        report = {"residue": rep.residue, "dixmier": est.value, "drift": est.drift,
-                  "ratio": rep.ratio, "passed": abs(rep.ratio - 0.5) <= 0.5 * tol,
-                  "route": f"finite section N={cfg.bandwidth}", "warnings": caught}
+        # the warnings of the whole route: the symbol, its section and the SVD
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = graded_symbol(cfg)
+            res = residue(p).real
+            mat = finite_section_of_op(p, BasisWindow(cfg.bandwidth)).matrix
+            est = _section_dixmier(singular_values_descending(mat))
+        ratio = est.value / res if res != 0.0 else math.inf
+        report = {"residue": res, "dixmier": est.value, "drift": est.drift,
+                  "ratio": ratio, "passed": abs(ratio - 0.5) <= 0.5 * tol,
+                  "route": f"finite section N={cfg.bandwidth}",
+                  "warnings": dict(Counter(c.category.__name__ for c in caught))}
     elif kind == "power":
         order = cfg.symbol[1]
         if order > -2.5:
@@ -224,11 +238,13 @@ def connes_claim(cfg: ExperimentConfig):
                   "vanishing": est.vanishing, "passed": est.vanishing,
                   "route": "trace-class decay, Dixmier trace vanishes"}
     elif kind == "perturbed_resolvent":
-        rep = perturbed_resolvent_check(section_spectrum(cfg), cfg.conformal_data())
-        est = rep["dixmier"]
+        # 1/(1 + x) reverses the ascending section spectrum
+        est = _section_dixmier(1.0 / (1.0 + np.clip(section_spectrum(cfg).eigenvalues, 0.0, None)))
+        closed = weyl_constant_closed_form(cfg.conformal_data()).slope
+        ratio = est.value / closed if closed else math.inf
         report = {"dixmier": est.value, "drift": est.drift,
-                  "closed_form": rep["closed_form"], "ratio": rep["ratio"],
-                  "passed": abs(rep["ratio"] - 1.0) <= tol,
+                  "closed_form": closed, "ratio": ratio,
+                  "passed": abs(ratio - 1.0) <= tol,
                   "route": "Corollary preset (1+perturbed)^{-1}"}
     else:
         raise ConfigError(f"unknown symbol kind {kind!r}")
@@ -280,7 +296,7 @@ class AcceptanceContext:
         return value * self.base.tolerance_scale
 
     @property
-    def perturbed_spectrum(self) -> np.ndarray:
+    def perturbed_spectrum(self) -> SpectrumResult:
         return self.shared(section_spectrum, self.config("perturbed"))
 
 

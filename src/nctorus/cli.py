@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import __version__, acceptance, config as cfgmod, io as iomod
-from .heat import ContourSpec, contour_gate, heat_coefficient, laplace_symbol
+from .heat import ContourSpec, contour_gate, heat_coefficient, heat_trace, laplace_symbol
 from .spectral import lattice_eigenvalues
 from .symbols import (
     compose,
@@ -116,7 +116,7 @@ def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
               f"matrix {report['matrix_identity_error']:.2e} -> {_verdict(report)}")
         return 0 if report["passed"] else 1
 
-    report, eigs = acceptance.heat_claim(cfg)
+    report, spec = acceptance.heat_claim(cfg)
     ls = laplace_symbol(cfg.conformal_data())
     b2 = heat_coefficient(2, ls, contour=ContourSpec(nodes=64))
     # radial rule convergence: the change of b2 with 16 more radial nodes
@@ -131,7 +131,7 @@ def run_heat(cfg: cfgmod.ExperimentConfig) -> int:
     ts = np.geomspace(*report["fit_t_window"], 40)
     out = _write_run(cfg, "heat", "heat_report.json", report)
     iomod.write_csv(out / "heat_trace.csv", ["t", "t_times_trace"],
-                    [(float(t), float(t * np.sum(np.exp(-t * eigs)))) for t in ts])
+                    [(float(t), float(y)) for t, y in zip(ts, heat_trace(spec, ts))])
     print(f"heat: B0 quad {report['b0_quadrature']:.6f} fit {report['b0_fit']:.6f} "
           f"closed {report['b0_closed_form']:.6f} -> {_verdict(report)}")
     return 0 if report["passed"] else 1

@@ -287,14 +287,16 @@ def gram_laplacian_matrix(cd: ConformalData, w: BasisWindow):
 
 
 def hermitian_spectrum(op: FiniteSectionOperator) -> SpectrumResult:
-    """Full ascending spectrum of a selfadjoint finite section, block by block."""
+    """Full ascending spectrum of a selfadjoint finite section, block by block,
+    with the section's diagnostics (its asymmetry) among its own."""
     if not op.selfadjoint:
         raise SectionError("hermitian_spectrum requires the selfadjoint flag")
     try:
         ev, diag = block_spectrum(np.linalg.eigvalsh, _as_real_if_possible(op.matrix))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
         raise SectionError(f"eigensolver failed: {exc}") from exc
-    return SpectrumResult(ev, {"dim": op.dim, "min_eigenvalue": float(ev[0]), **diag})
+    return SpectrumResult(ev, {"dim": op.dim, "min_eigenvalue": float(ev[0]),
+                               **op.diagnostics, **diag})
 
 
 def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator) -> SpectrumResult:

@@ -558,6 +558,14 @@ class HeatFitResult:
     residual_rms: float
 
 
+def heat_trace(runs: Runs, ts) -> np.ndarray:
+    """t * sum e^{-t lambda_j} at each t of ts: mult * e^{-t lambda} summed
+    over the runs of the spectrum (a lattice spectrum repeats each value,
+    the flat 801^2 box about 12 times on average), one t at a time."""
+    mult = runs.mult.astype(float)
+    return ts * np.array([np.sum(mult * np.exp(-t * runs.values)) for t in ts])
+
+
 def heat_trace_fit(eigenvalues) -> HeatFitResult:
     """Fit t * sum e^{-t lambda_j} to b0 + b2 t + guard t^2 on small t.
 
@@ -566,11 +574,8 @@ def heat_trace_fit(eigenvalues) -> HeatFitResult:
     e^{-t lambda_max} < FIT_TAIL_TOL are admissible (larger windows would see
     the missing spectral tail); when fewer than 3 are (lambda_max below about
     96, where the grid runs down past t_min), the fit fails loudly, as it
-    does on an empty spectrum or one with no positive value.
-    The heat trace sums mult * e^{-t lambda} over the distinct eigenvalues
-    (a lattice spectrum repeats each value, the flat 801^2 box about 12
-    times on average), one t at a time.  eigenvalues may be given as
-    ascending Runs (a lattice disk), read as they are.
+    does on an empty spectrum or one with no positive value.  The trace is
+    heat_trace's, over the runs of the sorted spectrum or ascending Runs as given.
     """
     runs = eigenvalues if isinstance(eigenvalues, Runs) else runs_of(ascending(eigenvalues))
     if not (runs.values.size and runs.values[-1] > 0.0):
@@ -583,8 +588,7 @@ def heat_trace_fit(eigenvalues) -> HeatFitResult:
         raise HeatError(
             f"no admissible t-window: need t >= {t_min:.3e}; spectrum window too small"
         )
-    mult = runs.mult.astype(float)
-    y = admissible * np.array([np.sum(mult * np.exp(-t * runs.values)) for t in admissible])
+    y = heat_trace(runs, admissible)
     design = np.stack([np.ones_like(admissible), admissible, admissible ** 2], axis=1)
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef

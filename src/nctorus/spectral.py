@@ -1,5 +1,6 @@
-"""Eigenvalue counting, Weyl slopes, Dixmier traces and the residue comparison.
+"""Estimators on spectra: eigenvalue counting, Weyl slopes, Dixmier traces.
 
+Nothing here builds a symbol; acceptance composes these into the claims.
 The counting function of a finite-section spectrum is trusted only below a
 validity ceiling (a configured fraction of the largest computed eigenvalue,
 guarding against window-edge corruption).  The flat box is counted row by
@@ -13,8 +14,6 @@ limiting state.
 from __future__ import annotations
 
 import math
-import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,6 @@ import scipy.sparse as sp
 
 from .algebra import ConformalData, ModuliPoint, trace_t
 from .gns import (
-    BasisWindow,
     Runs,
     _as_real_if_possible,
     ascending,
@@ -31,7 +29,6 @@ from .gns import (
     runs_of,
     trace_kinv2_matrix_route,
 )
-from .symbols import GradedSymbol, finite_section_of_op, residue
 
 
 class SpectralError(ValueError):
@@ -382,16 +379,6 @@ def resolvent_mu_disk(c0: float, q_max: float, tau: ModuliPoint = ModuliPoint(0.
     return Runs(np.divide(1.0, q, out=q), disk.mult)
 
 
-# ---------------------------------------------------------------------------
-# Connes trace comparison
-
-@dataclass(frozen=True)
-class ConnesReport:
-    residue: float
-    dixmier: DixmierEstimate
-    ratio: float
-
-
 def singular_values_descending(mat) -> np.ndarray:
     """Singular values of square mat, dense or sparse, via the Gram matrix of
     each coupling block."""
@@ -408,37 +395,3 @@ def _section_dixmier(mu: np.ndarray) -> DixmierEstimate:
     as the counting-side validity ceiling) is excluded, keeping at least 1000.
     """
     return dixmier_estimate(DixmierData(mu[:max(1000, int(mu.size * 0.75))]))
-
-
-def connes_trace_check(p: GradedSymbol, w: BasisWindow) -> ConnesReport:
-    """Dixmier estimate of the operator of an order -2 symbol against half its
-    residue."""
-    if p.top_order != -2:
-        raise SpectralError("the trace comparison needs a symbol of order -2")
-    res = residue(p).real
-    est = _section_dixmier(singular_values_descending(finite_section_of_op(p, w).matrix))
-    ratio = est.value / res if res != 0.0 else math.inf
-    return ConnesReport(res, est, ratio)
-
-
-def counted_connes_trace_check(p: GradedSymbol, w: BasisWindow):
-    """connes_trace_check, and the number of warnings it raised per category
-    name."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rep = connes_trace_check(p, w)
-    return rep, dict(Counter(c.category.__name__ for c in caught))
-
-
-def perturbed_resolvent_check(eigenvalues, cdata: ConformalData) -> dict:
-    """Named preset: Dixmier estimate of (1 + perturbed Laplacian)^{-1} against
-    the closed form pi phi(1) / Im(tau)."""
-    # 1/(1 + x) reverses the order of the ascending eigenvalues
-    eigs = ascending(eigenvalues)
-    est = _section_dixmier(1.0 / (1.0 + np.clip(eigs, 0.0, None)))
-    closed = weyl_constant_closed_form(cdata).slope
-    return {
-        "dixmier": est,
-        "closed_form": closed,
-        "ratio": est.value / closed if closed else math.inf,
-    }

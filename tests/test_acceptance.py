@@ -79,7 +79,7 @@ def test_monotone_refinement_of_perturbed_slope(ctx):
         ).eigenvalues
         fit = weyl_slope(CountingData(spec, N), fit_window=window)
         errors.append(abs(fit.slope - wc.slope))
-    fit48 = weyl_slope(CountingData(ctx.perturbed_spectrum, ctx.base.bandwidth),
+    fit48 = weyl_slope(CountingData(ctx.perturbed_spectrum.eigenvalues, ctx.base.bandwidth),
                        fit_window=window)
     errors.append(abs(fit48.slope - wc.slope))
     print("\nrefinement errors over N=24,32,48:", errors)

@@ -13,7 +13,9 @@ from nctorus import acceptance, config as cfgmod
 from nctorus import io as iomod
 from nctorus.algebra import GOLDEN, ModuliPoint, add, adjoint, is_selfadjoint, make_monomial, scale
 from nctorus.cli import main
+from nctorus.gns import BasisWindow, perturbed_laplacian_matrix
 from nctorus.heat import ContourSpec, heat_coefficient, laplace_symbol
+from nctorus.spectral import box_containment_ceiling, lattice_disk_eigenvalues
 from nctorus.symbols import classicalize_resolvent, symbol_to_json_dict
 
 
@@ -130,6 +132,7 @@ def test_cli_weyl_flat_and_manifest_replay(tmp_path):
     assert report["schema_version"] == 1
     assert report["passed"] is True
     assert report["route_gap"] == 0.0  # k = 1: both routes read t(1) exactly
+    assert "asymmetry" not in report  # no section is built
     spectrum1 = (out / "spectrum.csv").read_bytes()
     staircase1 = (out / "staircase.csv").read_bytes()
     # replay from the manifest into a fresh directory: identical bytes
@@ -154,6 +157,16 @@ def test_cli_weyl_replay_generic_h_is_byte_identical(tmp_path):
         files.append([(out / "weyl" / name).read_bytes()
                       for name in ("spectrum.csv", "staircase.csv", "weyl_report.json")])
     assert files[0] == files[1] == files[2]
+
+
+def test_cli_weyl_reports_section_asymmetry(tmp_path):
+    """A perturbed weyl report carries, ungated, the asymmetry that
+    FiniteSectionOperator discarded from the K D K section it solved."""
+    out = tmp_path / "runs"
+    assert _run(["weyl", "--preset", "perturbed", "--bandwidth", "12", "--out", str(out)]) == 0
+    report = json.loads((out / "weyl" / "weyl_report.json").read_text())
+    op = perturbed_laplacian_matrix(cfgmod.preset("perturbed").conformal_data(), BasisWindow(12))
+    assert report["asymmetry"] == op.diagnostics["asymmetry"] < 1e-12
 
 
 def test_cli_rejected_run_leaves_no_directory(tmp_path, capsys):
@@ -191,6 +204,13 @@ def test_cli_heat_flat(tmp_path):
         assert report[key] < 1e-10
     trace = (tmp_path / "runs" / "heat" / "heat_trace.csv").read_text()
     assert trace.splitlines()[0] == "t,t_times_trace"
+    # summed over the disk's runs, the plain sum over its values to rounding
+    cfg = cfgmod.load(cfg_path)
+    disk = lattice_disk_eigenvalues(cfg.moduli, box_containment_ceiling(cfg.moduli, 120))
+    eigs = np.repeat(disk.values, disk.mult)
+    for line in trace.splitlines()[1:]:
+        t, y = map(float, line.split(","))
+        assert y == pytest.approx(t * np.sum(np.exp(-t * eigs)), rel=1e-14, abs=0.0)
 
 
 def test_cli_heat_perturbed_radial_gap(tmp_path):

@@ -29,6 +29,7 @@ from nctorus.heat import (
     delta_expr,
     eval_expr,
     heat_coefficient,
+    heat_trace,
     heat_trace_fit,
     laplace_symbol,
     parametrix_residual,
@@ -480,8 +481,12 @@ def test_heat_trace_fit_matches_plain_sum(kind):
     assert abs(fit.b0 - ref) <= 1e-13 * abs(ref)
     shuffled = np.random.default_rng(6).permutation(eigs)
     assert heat_trace_fit(shuffled) == fit
+    plain = t_grid * np.array([np.sum(np.exp(-t * eigs)) for t in t_grid])
+    trace = heat_trace(gns.runs_of(eigs), t_grid)
+    assert np.max(np.abs(trace - plain) / plain) <= 1e-13
     if runs is not None:
         assert heat_trace_fit(runs) == fit
+        assert heat_trace(runs, t_grid).tobytes() == trace.tobytes()
 
 
 def test_heat_trace_fit_rejects_small_window():

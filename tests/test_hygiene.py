@@ -547,6 +547,71 @@ def test_staircase_is_counted_once():
         ("spectral.py", "CountingData.count")], where
 
 
+# module -> the package modules it may import ("__init__" for a name of the
+# package itself): each layer reads only the layers below it, so spectral
+# estimates spectra without building symbols, and acceptance composes them.
+LAYERS = {
+    "algebra": set(),
+    "io": set(),
+    "config": {"algebra"},
+    "gns": {"algebra"},
+    "symbols": {"algebra", "gns"},
+    "spectral": {"algebra", "gns"},
+    "heat": {"algebra", "gns", "symbols"},
+    "acceptance": {"algebra", "config", "gns", "heat", "spectral", "symbols"},
+    "cli": {"__init__", "acceptance", "config", "heat", "io", "spectral", "symbols"},
+}
+
+
+def _package_imports(tree: ast.Module) -> set:
+    """The package modules a file imports: x of from .x import y, of
+    from . import x and of their absolute forms; a name that the package
+    itself defines (from . import __version__) counts as "__init__"."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if not (node.level or source.partition(".")[0] == "nctorus"):
+                continue
+            source = source if node.level else source.partition(".")[2]
+            if source:
+                found.add(source.partition(".")[0])
+            else:
+                found.update(a.name if a.name in LIBRARY else "__init__" for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, sub = alias.name.partition(".")
+                if head == "nctorus":
+                    found.add(sub.partition(".")[0] or "__init__")
+    return found
+
+
+def test_import_scan_sees_each_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from . import __version__, algebra as alg, io\n"
+        "from .gns import BasisWindow\n"
+        "from .heat import (ContourSpec,\n"
+        "                   laplace_symbol)\n"
+        "from scipy import sparse\n"
+        "import nctorus.spectral\n"
+        "from nctorus import config\n"
+        "from nctorus.symbols import residue\n")
+    assert _package_imports(tree) == {"__init__", "algebra", "io", "gns", "heat", "spectral",
+                                      "config", "symbols"}
+
+
+def test_module_imports_follow_the_layers():
+    """Each library module imports only the package modules its LAYERS row
+    names, and every module has a row."""
+    assert set(LAYERS) == LIBRARY
+    outside = [f"{path.stem} -> {name}" for path in MODULES
+               for name in sorted(_package_imports(ast.parse(path.read_text(encoding="utf-8")))
+                                  - LAYERS[path.stem])]
+    assert not outside, ", ".join(outside)
+
+
 def test_default_scan_sees_each_kind():
     """The scan finds a function's default, an __init__'s under its class,
     a classmethod's past cls, and a dataclass field's (not a field(init=False))."""

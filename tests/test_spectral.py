@@ -1,9 +1,11 @@
-"""Tests for counting functions, Weyl slopes, Dixmier estimates and the
-residue comparison."""
+"""Tests for counting functions, Weyl slopes, Dixmier estimates, and the
+Connes trace comparison composed from them."""
 
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,12 +35,10 @@ from nctorus.spectral import (
     SpectralError,
     adaptive_counting_ceiling,
     box_containment_ceiling,
-    connes_trace_check,
     dixmier_estimate,
     lattice_counting_data,
     lattice_disk_eigenvalues,
     lattice_eigenvalues,
-    perturbed_resolvent_check,
     resolvent_mu_disk,
     singular_values_descending,
     weyl_constant_closed_form,
@@ -47,7 +47,13 @@ from nctorus.spectral import (
     _trace_n,
 )
 from nctorus.config import preset
-from nctorus.symbols import GradedSymbol, OriginRegularization, classicalize_resolvent
+from nctorus.symbols import (
+    GradedSymbol,
+    OriginRegularization,
+    classicalize_resolvent,
+    finite_section_of_op,
+    residue,
+)
 
 TAU_I = ModuliPoint(0.0, 1.0)
 U = make_monomial(1, 0)
@@ -503,31 +509,29 @@ def test_counting_data_sorts_only_unsorted_input():
     assert shuffled.tobytes() == before.tobytes()
 
 
+def _section_connes(p, n):
+    """connes_claim's section route by hand: the residue of p and the
+    Dixmier estimate of its section at bandwidth n."""
+    mat = finite_section_of_op(p, BasisWindow(n)).matrix
+    return residue(p).real, _section_dixmier(singular_values_descending(mat))
+
+
 def test_connes_check_flat_resolvent():
     """The section of the three-layer expansion, its origin column dropped."""
     p = classicalize_resolvent(1.0, TAU_I, depth=3, angle=GOLDEN)
     with pytest.warns(OriginRegularization, match="1 column"):
-        rep = connes_trace_check(p, BasisWindow(48))
-    assert rep.residue == pytest.approx(2 * math.pi, abs=1e-10)
-    assert 0.425 <= rep.ratio <= 0.575
+        res, est = _section_connes(p, 48)
+    assert res == pytest.approx(2 * math.pi, abs=1e-10)
+    assert 0.425 <= est.value / res <= 0.575
 
 
 def test_connes_check_weighted_symbol(cd_default):
     kinv2 = cd_default.k_inv2.trimmed(1e-13)
     p = GradedSymbol(GOLDEN, -2, 1, {-2: {0: kinv2}})
     with pytest.warns(Warning):
-        rep = connes_trace_check(p, BasisWindow(24))
-    assert rep.residue == pytest.approx(
-        2 * math.pi * alg.trace_t(kinv2).real, abs=1e-10
-    )
-    assert 0.40 <= rep.ratio <= 0.60  # tighter band checked at N=48 in acceptance
-
-
-def test_connes_check_requires_order_minus_two():
-    p = classicalize_resolvent(1.0, TAU_I, depth=1, angle=GOLDEN)
-    shifted = GradedSymbol(GOLDEN, -3, 1, {-3: {0: alg.unit()}})
-    with pytest.raises(SpectralError):
-        connes_trace_check(shifted, BasisWindow(8))
+        res, est = _section_connes(p, 24)
+    assert res == pytest.approx(2 * math.pi * alg.trace_t(kinv2).real, abs=1e-10)
+    assert 0.40 <= est.value / res <= 0.60  # tighter band checked at N=48 in acceptance
 
 
 def test_connes_check_zero_leading_layer():
@@ -535,26 +539,31 @@ def test_connes_check_zero_leading_layer():
     # and the trace-class decay drives the Dixmier fit toward zero, with the
     # dyadic drift dominating the small window available at this bandwidth
     p = GradedSymbol(GOLDEN, -2, 2, {-3: {0: alg.unit()}})
-    from nctorus.symbols import residue
-
     assert residue(p) == 0.0
     with pytest.warns(Warning):
-        rep = connes_trace_check(p, BasisWindow(32))
-    assert rep.dixmier.value < 0.35
-    assert rep.dixmier.drift > 0.2
+        _, est = _section_connes(p, 32)
+    assert est.value < 0.35
+    assert est.drift > 0.2
 
 
-def test_perturbed_resolvent_mu_needs_no_sort(cd_default):
-    eigs = lattice_eigenvalues(ModuliPoint(0.3, 0.8), 30)
-    ref = _section_dixmier(np.sort(1.0 / (1.0 + eigs))[::-1])
-    shuffled = np.random.default_rng(4).permutation(eigs)
-    for spec in (eigs, shuffled):
-        assert perturbed_resolvent_check(spec, cd_default)["dixmier"] == ref
+def test_k_weighted_claim_equals_hand_composed_route():
+    """connes_claim's k_weighted branch is the symbol, its section and its
+    singular values, with the warnings of the whole route counted."""
+    cfg = dataclasses.replace(preset("connes-k-weighted"), bandwidth=16)
+    report, est = connes_claim(cfg)
+    kinv2 = cfg.conformal_data().k_inv2.trimmed(1e-13)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res, ref = _section_connes(GradedSymbol(cfg.angle, -2, 1, {-2: {0: kinv2}}), 16)
+    assert est == ref
+    assert (report["residue"], report["dixmier"], report["drift"]) == (res, ref.value, ref.drift)
+    assert report["ratio"] == ref.value / res
+    assert report["warnings"] == dict(Counter(c.category.__name__ for c in caught))
+    assert report["warnings"] == {"OriginRegularization": 1}
 
 
-def test_perturbed_resolvent_corollary(cd_default):
-    spec = hermitian_spectrum(
-        perturbed_laplacian_matrix(cd_default, BasisWindow(24))
-    ).eigenvalues
-    rep = perturbed_resolvent_check(spec, cd_default)
-    assert rep["ratio"] == pytest.approx(1.0, abs=0.1)
+def test_perturbed_resolvent_corollary():
+    cfg = dataclasses.replace(preset("connes-perturbed-resolvent"), bandwidth=24)
+    report, _ = connes_claim(cfg)
+    assert report["ratio"] == pytest.approx(1.0, abs=0.1)
+    assert report["passed"]
