@@ -514,8 +514,9 @@ def criterion_10(ctx, perturbed):
     for N, tol in tols.items():
         w = BasisWindow(N)
         op, gm = gram_laplacian_matrix(cd, w)
-        pencil = generalized_spectrum(op, gm).eigenvalues
-        direct = hermitian_spectrum(perturbed_laplacian_matrix(cd, w)).eigenvalues
+        pencil_spec = generalized_spectrum(op, gm)
+        direct_spec = hermitian_spectrum(perturbed_laplacian_matrix(cd, w))
+        pencil, direct = pencil_spec.eigenvalues, direct_spec.eigenvalues
         # both constructions share the constants kernel; compare the next ten
         kernel_ok = abs(pencil[0]) < 1e-8 and abs(direct[0]) < 1e-8
         rel = np.abs(pencil[1:11] - direct[1:11]) / np.abs(direct[1:11])
@@ -524,6 +525,10 @@ def criterion_10(ctx, perturbed):
         details[f"N_{N}"] = {
             "max_rel_diff": float(rel.max()), "tolerance": tol,
             "kernel": [float(pencil[0]), float(direct[0])], "passed": good,
+            # ungated: how far each section was from Hermitian before symmetrizing
+            "pencil_op_asymmetry": pencil_spec.diagnostics["op_asymmetry"],
+            "pencil_gram_asymmetry": pencil_spec.diagnostics["gram_asymmetry"],
+            "kdk_asymmetry": direct_spec.diagnostics["asymmetry"],
         }
     return ok, details
 

@@ -21,7 +21,8 @@ spectra here (``block_spectrum``) and for ``heat``'s window matrices.
 vacuum expectation reads: the closed form of t(k^{-2}) here and ``heat``'s
 quadrature solve it alone.  A section stays sparse from assembly to solve;
 only the blocks handed to LAPACK, and ``FiniteSectionOperator.entries``, are
-dense.
+dense.  ``as_csr`` is the one reader of dense input: a section, a pattern or a
+matrix to decompose that arrives dense is read once, through its nonzero mask.
 """
 
 from __future__ import annotations
@@ -46,6 +47,24 @@ HERMITICITY_TOL = 1e-10
 
 class SectionError(RuntimeError):
     """Finite-section construction or diagonalization failure."""
+
+
+def as_csr(mat) -> sp.csr_matrix:
+    """mat as a CSR matrix equal to sp.csr_matrix(mat) entry for entry.
+
+    A sparse mat is converted by scipy; a dense 2-D array is read once,
+    through its nonzero mask (-0.0 is dropped and NaN kept, as scipy does),
+    the row of each entry giving indptr.  Other shapes raise SectionError.
+    """
+    if sp.issparse(mat):
+        return sp.csr_matrix(mat)
+    a = np.asarray(mat)
+    if a.ndim != 2:
+        raise SectionError(f"a section is a 2-D matrix, got shape {a.shape}")
+    idx = np.flatnonzero(a != 0)
+    rows, cols = np.divmod(idx, a.shape[1])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=a.shape[0]))))
+    return sp.csr_matrix((a.ravel()[idx], cols, indptr), shape=a.shape)
 
 
 @dataclass(frozen=True)
@@ -95,9 +114,9 @@ class FiniteSectionOperator:
     matrix is kept as a canonical CSR matrix (sorted indices, no duplicates):
     the real and imaginary parts of a CSR matrix share its index arrays, and
     some scipy operations sort them in place.  A dense array is accepted and
-    converted; entries is the dense matrix, built on each read.  Here alone a
-    selfadjoint section becomes its Hermitian part (M+M^H)/2: the asymmetry
-    |M - M^H|, refused above HERMITICITY_TOL, is in diagnostics.
+    read once by as_csr; entries is the dense matrix, built on each read.
+    Here alone a selfadjoint section becomes its Hermitian part (M+M^H)/2:
+    the asymmetry |M - M^H|, refused above HERMITICITY_TOL, is in diagnostics.
     """
 
     window: BasisWindow
@@ -106,7 +125,7 @@ class FiniteSectionOperator:
     diagnostics: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
-        self.matrix = sp.csr_matrix(self.matrix)
+        self.matrix = as_csr(self.matrix)
         self.matrix.sum_duplicates()
         d = self.window.dim
         if self.matrix.shape != (d, d):
@@ -189,10 +208,15 @@ def descending_runs(runs: Runs) -> Runs:
 
 
 def quadratic_form_values(tau: ModuliPoint, m, n):
-    """Q(m,n) = m^2 + 2 Re(tau) m n + |tau|^2 n^2 evaluated elementwise."""
+    """Q(m,n) = m^2 + 2 Re(tau) m n + |tau|^2 n^2 evaluated elementwise,
+    summed in place in the broadcast result: + is commutative, so the value
+    is that of the expression as written, bit for bit."""
     m = np.asarray(m, dtype=float)
     n = np.asarray(n, dtype=float)
-    return m * m + 2.0 * tau.re * m * n + tau.abs2 * n * n
+    q = np.multiply(2.0 * tau.re * m, n)
+    q += m * m
+    q += tau.abs2 * n * n
+    return q
 
 
 def flat_laplacian_matrix(tau: ModuliPoint, w: BasisWindow) -> FiniteSectionOperator:
@@ -213,9 +237,9 @@ def coupling_blocks(*mats) -> list:
     """Index sets (ascending) of the connected components of the joint nonzero
     pattern of the mats, dense or sparse: every mat is block diagonal under
     one common permutation."""
-    pattern = sp.csr_matrix(mats[0]) != 0
+    pattern = as_csr(mats[0]) != 0
     for m in mats[1:]:
-        pattern = pattern + (sp.csr_matrix(m) != 0)
+        pattern = pattern + (as_csr(m) != 0)
     count, labels = connected_components(pattern, directed=False)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
@@ -301,7 +325,8 @@ def hermitian_spectrum(op: FiniteSectionOperator) -> SpectrumResult:
 
 def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator) -> SpectrumResult:
     """Ascending generalized eigenvalues of the pencil (op, gram), solved on
-    the coupling blocks of their joint pattern."""
+    the coupling blocks of their joint pattern, with the asymmetry of each
+    section (None for one not flagged selfadjoint) among the diagnostics."""
     try:
         ev, diag = block_spectrum(
             lambda a, b: [sla.eigh(x, y, eigvals_only=True) for x, y in zip(a, b)],
@@ -310,7 +335,8 @@ def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator)
         raise SectionError(
             f"Gram matrix not positive definite within tolerance: {exc}"
         ) from exc
-    return SpectrumResult(ev, {"dim": op.dim, **diag})
+    return SpectrumResult(ev, {"dim": op.dim, "op_asymmetry": op.diagnostics.get("asymmetry"),
+                               "gram_asymmetry": gram.diagnostics.get("asymmetry"), **diag})
 
 
 def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:

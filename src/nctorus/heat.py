@@ -575,9 +575,17 @@ def heat_trace_fit(eigenvalues) -> HeatFitResult:
     the missing spectral tail); when fewer than 3 are (lambda_max below about
     96, where the grid runs down past t_min), the fit fails loudly, as it
     does on an empty spectrum or one with no positive value.  The trace is
-    heat_trace's, over the runs of the sorted spectrum or ascending Runs as given.
+    heat_trace's, over the runs of the sorted spectrum or ascending Runs as
+    given; Runs out of order or with a multiplicity below 1 raise.
     """
-    runs = eigenvalues if isinstance(eigenvalues, Runs) else runs_of(ascending(eigenvalues))
+    if isinstance(eigenvalues, Runs):
+        runs = eigenvalues
+        if runs.mult.shape != runs.values.shape or np.any(runs.mult < 1):
+            raise HeatError("heat trace fit needs run multiplicities >= 1, one per value")
+        if np.any(runs.values[1:] < runs.values[:-1]):
+            raise HeatError("heat trace fit needs runs in ascending order")
+    else:
+        runs = runs_of(ascending(eigenvalues))
     if not (runs.values.size and runs.values[-1] > 0.0):
         raise HeatError("heat trace fit needs a spectrum with a positive largest eigenvalue")
     lam_max = runs.values[-1]

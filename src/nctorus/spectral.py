@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import ConformalData, ModuliPoint, trace_t
 from .gns import (
     Runs,
     _as_real_if_possible,
+    as_csr,
     ascending,
     block_spectrum,
     quadratic_form_values,
@@ -380,10 +380,10 @@ def resolvent_mu_disk(c0: float, q_max: float, tau: ModuliPoint = ModuliPoint(0.
 
 
 def singular_values_descending(mat) -> np.ndarray:
-    """Singular values of square mat, dense or sparse, via the Gram matrix of
-    each coupling block."""
+    """Singular values of square mat, dense (read by as_csr) or sparse, via
+    the Gram matrix of each coupling block."""
     ev, _ = block_spectrum(lambda b: np.linalg.eigvalsh(b.conj().swapaxes(1, 2) @ b),
-                           _as_real_if_possible(sp.csr_matrix(mat)))
+                           _as_real_if_possible(as_csr(mat)))
     return np.sqrt(np.clip(ev, 0.0, None))[::-1]
 
 

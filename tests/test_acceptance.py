@@ -63,7 +63,13 @@ def test_criterion_09_algebraic_invariants(ctx):
 
 
 def test_criterion_10_cross_construction(ctx):
-    _report(acc.criterion_10(ctx))
+    result = acc.criterion_10(ctx)
+    _report(result)
+    # ungated: each section's asymmetry before it was symmetrized
+    for N in (16, 24):
+        d = result.details[f"N_{N}"]
+        for key in ("pencil_op_asymmetry", "pencil_gram_asymmetry", "kdk_asymmetry"):
+            assert 0.0 <= d[key] <= 1e-10, (N, key, d[key])
 
 
 def test_monotone_refinement_of_perturbed_slope(ctx):

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from nctorus import algebra as alg
 from nctorus.algebra import (
@@ -30,6 +32,7 @@ from nctorus.gns import (
     hermitian_spectrum,
     left_mult_matrix,
     perturbed_laplacian_matrix,
+    quadratic_form_values,
     right_mult_matrix,
     runs_of,
 )
@@ -83,8 +86,6 @@ def test_selfadjoint_section_refuses_asymmetry():
 
 
 def test_selfadjoint_section_is_its_hermitian_part():
-    import scipy.sparse as sp
-
     m = _nearly_hermitian(1e-12)
     op = gns.FiniteSectionOperator(BasisWindow(1), sp.csr_matrix(m), selfadjoint=True)
     assert np.array_equal(op.entries, (m + m.conj().T) / 2.0)
@@ -92,6 +93,65 @@ def test_selfadjoint_section_is_its_hermitian_part():
     asym = op.diagnostics["asymmetry"]
     assert asym == np.max(np.abs(m - m.conj().T))
     assert 0.5e-12 < asym < 2e-12
+
+
+def _dense_cases():
+    """name -> dense 2-D array: the dtypes, shapes and entries whose CSR form
+    as_csr must give exactly as scipy does."""
+    rng = np.random.default_rng(28)
+    a = rng.standard_normal((3, 5))
+    a[a < 0.3] = 0.0
+    return {
+        "complex": a + 1j * a[::-1],
+        "real": a,
+        "int": np.round(10.0 * a).astype(np.int64),
+        "bool": a != 0.0,
+        "zero": np.zeros((4, 4)),
+        "1x1": np.array([[2.5]]),
+        "1x1 zero": np.array([[0.0]]),
+        "fortran": np.asfortranarray(a),
+        "nan and -0.0": np.array([[np.nan, -0.0, 1.0], [0.0, -0.0, np.nan]]),
+        "section": left_mult_matrix(add(U, adjoint(U)), BasisWindow(3)).entries,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_dense_cases()))
+def test_as_csr_equals_scipy_conversion(name):
+    """The mask read of a dense array is scipy's dense-to-CSR conversion
+    entry for entry: data, indices, indptr, their dtypes and the canonical
+    format."""
+    a = _dense_cases()[name]
+    got, ref = gns.as_csr(a), sp.csr_matrix(a)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    for part in ("data", "indices", "indptr"):
+        x, y = getattr(got, part), getattr(ref, part)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), part
+    assert got.has_canonical_format and ref.has_canonical_format
+    # a sparse argument is scipy's own conversion
+    again = gns.as_csr(sp.coo_matrix(ref))
+    assert np.array_equal(again.toarray(), ref.toarray(), equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 2, 2)])
+def test_as_csr_rejects_non_matrix(shape):
+    with pytest.raises(SectionError, match="2-D"):
+        gns.as_csr(np.ones(shape))
+
+
+@pytest.mark.parametrize("kind", ["nearly hermitian", "k squared"])
+def test_dense_selfadjoint_section_equals_sparse(kind, cd_default):
+    """A selfadjoint section built from a dense array is the one built from
+    its sparse matrix, asymmetry included."""
+    if kind == "nearly hermitian":
+        w, m = BasisWindow(1), sp.csr_matrix(_nearly_hermitian(1e-12))
+    else:
+        w = BasisWindow(6)
+        m = left_mult_matrix(mul(cd_default.k, cd_default.k), w).matrix
+    dense = gns.FiniteSectionOperator(w, m.toarray(), selfadjoint=True)
+    sparse = gns.FiniteSectionOperator(w, m, selfadjoint=True)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(dense.matrix, part).tobytes() == getattr(sparse.matrix, part).tobytes()
+    assert dense.diagnostics == sparse.diagnostics and "asymmetry" in dense.diagnostics
 
 
 def test_left_mult_identity_and_shift():
@@ -249,6 +309,14 @@ def test_pencil_kernel_dimension_one(cd_default):
     assert np.sum(spec.eigenvalues < 1e-10) == 1
 
 
+def test_pencil_reports_both_asymmetries(cd_default):
+    """The pencil's spectrum carries the asymmetry of each of its sections."""
+    op, gm = gram_laplacian_matrix(cd_default, BasisWindow(5))
+    diag = generalized_spectrum(op, gm).diagnostics
+    assert diag["op_asymmetry"] == op.diagnostics["asymmetry"]
+    assert diag["gram_asymmetry"] == gm.diagnostics["asymmetry"]
+
+
 def test_pencil_matches_perturbed_spectrum(cd_default):
     """Cross-construction: pencil and K D K agree on low eigenvalues."""
     w = BasisWindow(12)
@@ -403,8 +471,6 @@ def test_noncanonical_csr_section_keeps_its_spectrum():
     canonicalized on construction: the real and imaginary parts of a CSR
     matrix share its index arrays, so sorting them in place would scramble a
     non-canonical matrix."""
-    import scipy.sparse as sp
-
     rng = np.random.default_rng(14)
     w = BasisWindow(1)
     a = rng.standard_normal((w.dim, w.dim)) + 1j * rng.standard_normal((w.dim, w.dim))
@@ -482,3 +548,46 @@ def test_verify_criteria_3_and_10_memory(tmp_path):
     assert run.returncode == 0, run.stdout + run.stderr
     peak_mb = int(run.stdout.split()[-1]) / 1024.0
     assert peak_mb < 300.0
+
+
+def _q_written_out(tau, m, n):
+    """Q as the expression of its definition, the reference of the in-place sum."""
+    m = np.asarray(m, dtype=float)
+    n = np.asarray(n, dtype=float)
+    return m * m + 2.0 * tau.re * m * n + tau.abs2 * n * n
+
+
+_Q_ENTRIES = st.one_of(st.integers(-500, 500), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=st.sampled_from(["0-d", "1-d", "broadcast"]),
+       re=st.one_of(st.sampled_from([-0.45, 0.0, 0.3, 1.0]),
+                    st.floats(-2.0, 2.0, allow_nan=False)),
+       im=st.floats(0.1, 3.0))
+def test_quadratic_form_in_place_equals_written_out(data, shape, re, im):
+    """The in-place Q equals m*m + 2 Re(tau) m n + |tau|^2 n*n bit for bit,
+    on scalars, on vectors and on a (1, W) x (H, 1) grid, int or float."""
+    tau = ModuliPoint(re, im)
+    if shape == "0-d":
+        m, n = data.draw(_Q_ENTRIES), data.draw(_Q_ENTRIES)
+    else:
+        width = data.draw(st.integers(1, 12))
+        m = data.draw(st.lists(_Q_ENTRIES, min_size=width, max_size=width))
+        height = width if shape == "1-d" else data.draw(st.integers(1, 12))
+        n = data.draw(st.lists(_Q_ENTRIES, min_size=height, max_size=height))
+        if shape == "broadcast":
+            m, n = np.array(m)[None, :], np.array(n)[:, None]
+    got, want = np.asarray(quadratic_form_values(tau, m, n)), _q_written_out(tau, m, n)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tau", [TAU_I, ModuliPoint(0.3, 0.8), ModuliPoint(-0.45, 1.3),
+                                 ModuliPoint(1.0, 1.0)])
+def test_quadratic_form_is_even_bit_for_bit(tau):
+    """Q(-m, -n) == Q(m, n) bit for bit on the band-60 box: the half-box
+    disk and the row count take each half-box value twice."""
+    ms = np.arange(-60, 61)
+    q = quadratic_form_values(tau, ms[None, :], ms[:, None])
+    assert q.tobytes() == q[::-1, ::-1].copy().tobytes()
+    assert q.tobytes() == _q_written_out(tau, ms[None, :], ms[:, None]).tobytes()

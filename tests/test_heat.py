@@ -489,6 +489,22 @@ def test_heat_trace_fit_matches_plain_sum(kind):
         assert heat_trace(runs, t_grid).tobytes() == trace.tobytes()
 
 
+@pytest.mark.parametrize("defect", ["multiplicity below 1", "descending"])
+def test_heat_trace_fit_refuses_bad_runs(defect):
+    """Runs are fitted as given, so runs that are not ascending, or that
+    carry a multiplicity below 1, are refused by name."""
+    disk = lattice_disk_eigenvalues(TAU_I, 1.0e4)
+    if defect == "descending":
+        runs, match = gns.Runs(disk.values[::-1], disk.mult[::-1]), "ascending"
+    else:
+        mult = disk.mult.copy()
+        mult[5] = -3
+        runs, match = gns.Runs(disk.values, mult), "multiplicities"
+    with pytest.raises(HeatError, match=match):
+        heat_trace_fit(runs)
+    assert heat_trace_fit(disk).b0 == pytest.approx(math.pi, abs=0.01)
+
+
 def test_heat_trace_fit_rejects_small_window():
     """Below lambda_max of about 96 the grid runs down past t_min and fewer
     than 3 points are admissible: the flat band-6 lattice (lambda_max = 72)

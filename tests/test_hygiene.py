@@ -547,6 +547,43 @@ def test_staircase_is_counted_once():
         ("spectral.py", "CountingData.count")], where
 
 
+def _dense_reads(tree: ast.Module):
+    """(owner, line) of each x.csr_matrix(a) or csr_matrix(a) whose one
+    positional argument is not a tuple: a conversion of a whole matrix, not
+    a build from (data, indices, indptr) or an empty (rows, cols) shape."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and len(node.args) == 1
+                and not isinstance(node.args[0], ast.Tuple)
+                and (node.func.attr if isinstance(node.func, ast.Attribute)
+                     else getattr(node.func, "id", None)) == "csr_matrix"):
+            yield owner[node], node.lineno
+
+
+def test_dense_read_scan_sees_each_kind():
+    tree = ast.parse(
+        "a = sp.csr_matrix(x)\n"
+        "def f(m, n):\n"
+        "    b = csr_matrix(m.T) + sp.csr_matrix((n, n), dtype=complex)\n"
+        "    return sp.csr_matrix((d, i, p), shape=s) + sp.csc_matrix(m)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return scipy.sparse.csr_matrix(self.m, copy=True)\n")
+    assert sorted(_dense_reads(tree), key=lambda t: t[1]) == [
+        ("<module>", 1), ("f", 3), ("C.g", 7)]
+
+
+def test_dense_input_is_read_once():
+    """Exactly one whole-matrix csr_matrix(x) in the library, in gns.as_csr:
+    a section, a block pattern or a matrix to decompose that arrives dense
+    is read through its nonzero mask there, and nowhere by scipy's
+    dense-to-CSR conversion."""
+    found = [(path.name, func, line) for path in MODULES
+             for func, line in _dense_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    where = ", ".join(f"{name}:{line} in {func}" for name, func, line in found)
+    assert [(name, func) for name, func, _ in found] == [("gns.py", "as_csr")], where
+
+
 # module -> the package modules it may import ("__init__" for a name of the
 # package itself): each layer reads only the layers below it, so spectral
 # estimates spectra without building symbols, and acceptance composes them.

@@ -57,6 +57,7 @@ from nctorus.symbols import (
 
 TAU_I = ModuliPoint(0.0, 1.0)
 U = make_monomial(1, 0)
+V = make_monomial(0, 1)
 LATTICE_TAUS = [TAU_I, ModuliPoint(0.0, 2.0), ModuliPoint(1.0, 1.0),
                 ModuliPoint(0.3, 0.8), ModuliPoint(-0.45, 1.3)]
 
@@ -281,6 +282,24 @@ def test_singular_values_block_path_matches_svd(block_case):
     # the Gram route resolves squares to rounding: a zero singular value
     # reads as sqrt(eps) |mat|, on the block path as on the dense one
     assert np.max(np.abs(sv ** 2 - ref ** 2)) < 1e-10 * ref[0] ** 2
+
+
+@pytest.mark.filterwarnings("ignore::nctorus.symbols.OriginRegularization")
+@pytest.mark.parametrize("kind", ["rank1 N16", "generic N5"])
+def test_singular_values_of_dense_equal_sparse(kind, cd_default):
+    """The singular values of a section read dense are those of its sparse
+    matrix bit for bit: the rank-1 k_weighted section (33 blocks) and a
+    generic-h section (one block)."""
+    if kind == "rank1 N16":
+        cd, band = cd_default, 16
+    else:
+        h = add(scale(0.3, add(U, adjoint(U))), scale(0.2, add(V, adjoint(V))))
+        cd, band = ConformalData.build(ModuliPoint(0.3, 0.8), h, pad=16), 5
+    p = GradedSymbol(GOLDEN, -2, 1, {-2: {0: cd.k_inv2.trimmed(1e-13)}})
+    S = finite_section_of_op(p, BasisWindow(band)).matrix
+    sv = singular_values_descending(S)
+    assert singular_values_descending(S.toarray()).tobytes() == sv.tobytes()
+    assert sv.size == (2 * band + 1) ** 2
 
 
 @pytest.mark.parametrize("tau", [ModuliPoint(0.0, 2.0), ModuliPoint(1.0, 1.0),
