@@ -4,15 +4,17 @@ Elements are finite twisted Fourier series sum_{m,n} a_{m,n} U^m V^n over the
 unitary generators U, V with VU = e^{2*pi*i*theta} UV.  All operations here are
 pure functions of immutable values: products never truncate, the trace reads
 the (0,0) coefficient, and the two torus derivations act diagonally on the
-monomial basis.  The conformal data (Weyl factor k = e^{h/2}, its inverse
-square and the weight phi) live here as well, with the one sparse builder of
-multiplication sections and the JSON form {"theta", "coeffs"} of elements.
+monomial basis.  The conformal data (Weyl factor k = e^{h/2}, its square and
+inverse square, the weight phi) live here as well, with the window
+|m|,|n| <= N of the finite sections (``BasisWindow``, the one producer of its
+layout), the one sparse builder of multiplication sections on it, and the
+JSON form {"theta", "coeffs"} of elements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +33,10 @@ class AlgebraError(ValueError):
 
 class NonConvergence(AlgebraError):
     """A padded approximation failed its self-reported convergence check."""
+
+
+class SectionError(RuntimeError):
+    """Finite-section construction or diagonalization failure."""
 
 
 @dataclass(frozen=True)
@@ -304,43 +310,82 @@ def is_selfadjoint(a: NcElement, tol: float = DEFAULT_TOL) -> bool:
     return a.isclose(adjoint(a), tol)
 
 
-def _mult_section(theta: float, terms: dict, band: int, right: bool = False) -> sp.csr_matrix:
-    """Sparse finite section of a twisted multiplication on the band window.
+@dataclass(frozen=True)
+class BasisWindow:
+    """Index window |m|,|n| <= bandwidth with its deterministic enumeration,
+    row-major (m outer, n inner): the one producer of the window's layout."""
+
+    bandwidth: int
+
+    def __post_init__(self):
+        if self.bandwidth < 0:
+            raise SectionError(f"window bandwidth must be >= 0, got {self.bandwidth}")
+
+    @property
+    def side(self) -> int:
+        return 2 * self.bandwidth + 1
+
+    @property
+    def dim(self) -> int:
+        return self.side * self.side
+
+    def index_of(self, m, n):
+        """The enumeration index of (m, n); elementwise over integer arrays,
+        which the caller clips to the window (a scalar pair is checked)."""
+        N = self.bandwidth
+        if np.isscalar(m) and (abs(m) > N or abs(n) > N):
+            raise SectionError(f"({m},{n}) outside window bandwidth {N}")
+        return (m + N) * self.side + (n + N)
+
+    def pair_of(self, idx: int):
+        N = self.bandwidth
+        m, n = divmod(int(idx), self.side)
+        return m - N, n - N
+
+    def index_grids(self):
+        """(m, n) integer arrays aligned with the enumeration."""
+        N = self.bandwidth
+        mm, nn = np.divmod(np.arange(self.dim), self.side)
+        return mm - N, nn - N
+
+    @property
+    def vacuum(self) -> int:
+        return self.index_of(0, 0)
+
+
+def _mult_section(theta: float, terms: dict, w: BasisWindow, right: bool = False) -> sp.csr_matrix:
+    """Sparse finite section of a twisted multiplication on the window w.
 
     terms maps a shift (p,q) to a scalar or to an array holding one
     coefficient c per column (m,n); left multiplication puts
     c e^{2 pi i theta q m} at row (m+p, n+q), right multiplication puts
     c e^{2 pi i theta p n} there.  Images leaving the window are clipped.
     """
-    side = 2 * band + 1
-    dim = side * side
+    dim = w.dim
     if not terms:
         return sp.csr_matrix((dim, dim), dtype=complex)
-    mm, nn = np.divmod(np.arange(dim), side)
-    mm -= band
-    nn -= band
+    mm, nn = w.index_grids()
     p, q = np.array(list(terms)).T[:, :, None]
     coef = np.array(list(terms.values()), dtype=complex).reshape(len(terms), -1)
     tm = mm + p
     tn = nn + q
-    ok = (np.abs(tm) <= band) & (np.abs(tn) <= band)
+    ok = (np.abs(tm) <= w.bandwidth) & (np.abs(tn) <= w.bandwidth)
     shift, grid = (p, nn) if right else (q, mm)
     vals = (coef * _twist(theta, shift * grid))[ok]
-    rows = (tm[ok] + band) * side + (tn[ok] + band)
+    rows = w.index_of(tm[ok], tn[ok])
     cols = np.nonzero(ok)[1]
     order = np.lexsort((cols, rows))  # row-major: the CSR arrays directly
     indptr = np.searchsorted(rows[order], np.arange(dim + 1))
     return sp.csr_matrix((vals[order], cols[order], indptr), shape=(dim, dim))
 
 
-def _exp_image(h: NcElement, scl: float, band: int) -> NcElement:
-    """e^{scl*h} applied to the vacuum vector on the given window."""
-    side = 2 * band + 1
-    dim = side * side
-    mat = _mult_section(h.theta, h.coeffs, band) * scl
-    e0 = np.zeros(dim, dtype=complex)
-    e0[band * side + band] = 1.0
-    img = spla.expm_multiply(mat, e0).reshape(side, side)
+def _exp_image(h: NcElement, scl: float, w: BasisWindow) -> NcElement:
+    """e^{scl*h} applied to the vacuum vector on the window w."""
+    mat = _mult_section(h.theta, h.coeffs, w) * scl
+    e0 = np.zeros(w.dim, dtype=complex)
+    e0[w.vacuum] = 1.0
+    img = spla.expm_multiply(mat, e0).reshape(w.side, w.side)
+    band = w.bandwidth
     return _element(h.angle, band, (-band, -band), np.where(np.abs(img) > 1e-300, img, 0))
 
 
@@ -358,8 +403,8 @@ def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16):
     if pad < 1:
         raise AlgebraError("pad must be >= 1")
     bw = h.support_bandwidth()
-    full = _exp_image(h, scl, bw + pad)
-    prev = _exp_image(h, scl, bw + pad - 1)
+    full = _exp_image(h, scl, BasisWindow(bw + pad))
+    prev = _exp_image(h, scl, BasisWindow(bw + pad - 1))
     convergence = add(full, scale(-1.0, prev)).l1_norm()
     if convergence > EXP_CONV_TOL:
         raise NonConvergence(
@@ -371,7 +416,8 @@ def exp_selfadjoint(h: NcElement, scl: float = 1.0, pad: int = 16):
 @dataclass(frozen=True)
 class ConformalData:
     """Conformal modulus plus the Weyl factor caches k = e^{h/2}, k^{-2} = e^{-h},
-    with exp_selfadjoint's convergence metric of each."""
+    with exp_selfadjoint's convergence metric of each.  k2 = k k, the product
+    the consistency check forms, is kept: the one producer of k^2."""
 
     tau: ModuliPoint
     h: NcElement
@@ -379,11 +425,13 @@ class ConformalData:
     k_inv2: NcElement
     k_convergence: float
     k_inv2_convergence: float
+    k2: NcElement = field(init=False)
 
     def __post_init__(self):
         if not is_selfadjoint(self.h, 1e-10):
             raise AlgebraError("conformal data requires selfadjoint h")
         k2 = mul(self.k, self.k)
+        object.__setattr__(self, "k2", k2)
         resid = add(mul(self.k_inv2, k2), scale(-1.0, unit(self.h.angle)))
         if resid.l1_norm() > 1e-7:
             raise AlgebraError(

@@ -1,7 +1,8 @@
 """Finite sections of operators on the GNS space of the noncommutative torus.
 
 The monomial basis U^m V^n with |m|,|n| <= N is enumerated row-major (m outer,
-n inner).  Left and right multiplication operators (``left_mult_matrix``,
+n inner) by algebra.BasisWindow, which this module re-exports with
+SectionError.  Left and right multiplication operators (``left_mult_matrix``,
 ``right_mult_matrix``: every multiplication section here is built through
 one of the two) and the conformally perturbed Laplacian are compressed to
 this window as sparse CSR matrices; a generalized eigenvalue pencil built
@@ -35,18 +36,15 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .algebra import (
+    BasisWindow,
     ConformalData,
     ModuliPoint,
     NcElement,
+    SectionError,
     _mult_section,
-    mul,
 )
 
 HERMITICITY_TOL = 1e-10
-
-
-class SectionError(RuntimeError):
-    """Finite-section construction or diagonalization failure."""
 
 
 def as_csr(mat) -> sp.csr_matrix:
@@ -65,46 +63,6 @@ def as_csr(mat) -> sp.csr_matrix:
     rows, cols = np.divmod(idx, a.shape[1])
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=a.shape[0]))))
     return sp.csr_matrix((a.ravel()[idx], cols, indptr), shape=a.shape)
-
-
-@dataclass(frozen=True)
-class BasisWindow:
-    """Index window |m|,|n| <= bandwidth with its deterministic enumeration."""
-
-    bandwidth: int
-
-    def __post_init__(self):
-        if self.bandwidth < 0:
-            raise SectionError(f"window bandwidth must be >= 0, got {self.bandwidth}")
-
-    @property
-    def side(self) -> int:
-        return 2 * self.bandwidth + 1
-
-    @property
-    def dim(self) -> int:
-        return self.side * self.side
-
-    def index_of(self, m: int, n: int) -> int:
-        N = self.bandwidth
-        if abs(m) > N or abs(n) > N:
-            raise SectionError(f"({m},{n}) outside window bandwidth {N}")
-        return (m + N) * self.side + (n + N)
-
-    def pair_of(self, idx: int):
-        N = self.bandwidth
-        m, n = divmod(int(idx), self.side)
-        return m - N, n - N
-
-    def index_grids(self):
-        """(m, n) integer arrays aligned with the enumeration."""
-        N = self.bandwidth
-        mm, nn = np.divmod(np.arange(self.dim), self.side)
-        return mm - N, nn - N
-
-    @property
-    def vacuum(self) -> int:
-        return self.index_of(0, 0)
 
 
 @dataclass
@@ -165,12 +123,12 @@ class SpectrumResult:
 
 def left_mult_matrix(a: NcElement, w: BasisWindow) -> FiniteSectionOperator:
     """Finite section of the left regular action of a."""
-    return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w.bandwidth))
+    return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w))
 
 
 def right_mult_matrix(a: NcElement, w: BasisWindow) -> FiniteSectionOperator:
     """Finite section of right multiplication by a (the weighted Gram)."""
-    return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w.bandwidth, right=True))
+    return FiniteSectionOperator(w, _mult_section(a.theta, a.coeffs, w, right=True))
 
 
 def ascending(values) -> np.ndarray:
@@ -195,16 +153,6 @@ def runs_of(sorted_values: np.ndarray) -> Runs:
     v = sorted_values
     starts = np.flatnonzero(np.concatenate(([v.size > 0], v[1:] != v[:-1])))
     return Runs(v[starts], np.diff(starts, append=v.size))
-
-
-def descending_runs(runs: Runs) -> Runs:
-    """runs in descending order of value: the runs themselves when already
-    descending, else reordered by a stable sort on the values."""
-    v = runs.values
-    if np.all(v[:-1] >= v[1:]):
-        return runs
-    perm = np.argsort(-v, kind="stable")
-    return Runs(v[perm], runs.mult[perm])
 
 
 def quadratic_form_values(tau: ModuliPoint, m, n):
@@ -326,7 +274,10 @@ def hermitian_spectrum(op: FiniteSectionOperator) -> SpectrumResult:
 def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator) -> SpectrumResult:
     """Ascending generalized eigenvalues of the pencil (op, gram), solved on
     the coupling blocks of their joint pattern, with the asymmetry of each
-    section (None for one not flagged selfadjoint) among the diagnostics."""
+    section among the diagnostics.  The solver reads one triangle of each
+    block, so both sections need the selfadjoint flag."""
+    if not (op.selfadjoint and gram.selfadjoint):
+        raise SectionError("generalized_spectrum requires the selfadjoint flag on both sections")
     try:
         ev, diag = block_spectrum(
             lambda a, b: [sla.eigh(x, y, eigvals_only=True) for x, y in zip(a, b)],
@@ -335,8 +286,8 @@ def generalized_spectrum(op: FiniteSectionOperator, gram: FiniteSectionOperator)
         raise SectionError(
             f"Gram matrix not positive definite within tolerance: {exc}"
         ) from exc
-    return SpectrumResult(ev, {"dim": op.dim, "op_asymmetry": op.diagnostics.get("asymmetry"),
-                               "gram_asymmetry": gram.diagnostics.get("asymmetry"), **diag})
+    return SpectrumResult(ev, {"dim": op.dim, "op_asymmetry": op.diagnostics["asymmetry"],
+                               "gram_asymmetry": gram.diagnostics["asymmetry"], **diag})
 
 
 def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:
@@ -346,7 +297,7 @@ def trace_kinv2_matrix_route(cd: ConformalData, pad: int = 8) -> float:
     inverse well near the vacuum column; only the vacuum's coupling block is
     solved, for that column alone.
     """
-    k2 = mul(cd.k, cd.k).trimmed(1e-14)
+    k2 = cd.k2.trimmed(1e-14)
     w = BasisWindow(k2.support_bandwidth() + pad)
     K2 = left_mult_matrix(k2, w).matrix
     pos, (sub,) = vacuum_block(w, K2)

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ConformalData, ModuliPoint, NcElement, add, coeff_key, delta, mul, scale
-from .gns import (BasisWindow, FiniteSectionOperator, Runs, ascending, block_stacks,
-                  coupling_blocks, left_mult_matrix, runs_of, vacuum_block)
+from .algebra import (BasisWindow, ConformalData, ModuliPoint, NcElement, add, coeff_key, delta,
+                      mul, scale)
+from .gns import (FiniteSectionOperator, Runs, ascending, block_stacks, coupling_blocks,
+                  left_mult_matrix, runs_of, vacuum_block)
 from .symbols import _leibniz
 
 
@@ -54,34 +55,31 @@ CHUNK_BYTES = 1 << 19
 class LaplaceSymbolData:
     """Coefficients of the symbol of the conformally rescaled Laplacian.
 
-    The quadratic form Q(xi) carries coefficients a2_q = (1, 2 Re tau, |tau|^2);
-    the full leading term is Q(xi) k2.  a1_1, a1_2 are the algebra coefficients
-    of xi1 and xi2 in the subleading term and a0 is the zeroth-order part.
+    The quadratic form Q(xi) has the coefficients a2_q = (1, 2 Re tau, |tau|^2)
+    of tau; the full leading term is Q(xi) k2.  a1_1, a1_2 are the algebra
+    coefficients of xi1 and xi2 in the subleading term, a0 the zeroth order.
     """
 
     tau: ModuliPoint
-    a2_q: tuple
     k2: NcElement
     a1_1: NcElement
     a1_2: NcElement
     a0: NcElement
 
-
-def _symbol_data(tau: ModuliPoint, k2: NcElement, a1_1: NcElement, a1_2: NcElement,
-                 a0: NcElement) -> LaplaceSymbolData:
-    """The symbol data of these elements; a2_q follows from tau."""
-    return LaplaceSymbolData(tau, (1.0, 2.0 * tau.re, tau.abs2), k2, a1_1, a1_2, a0)
+    @property
+    def a2_q(self) -> tuple:
+        return (1.0, 2.0 * self.tau.re, self.tau.abs2)
 
 
 def trimmed_symbol_data(ls: LaplaceSymbolData, tol: float) -> LaplaceSymbolData:
     """Drop tiny coefficients from every element; a resolution knob for the
     quadrature engine (smaller windows for the expensive subleading terms)."""
-    return _symbol_data(ls.tau, ls.k2.trimmed(tol), ls.a1_1.trimmed(tol),
-                        ls.a1_2.trimmed(tol), ls.a0.trimmed(tol))
+    return LaplaceSymbolData(ls.tau, ls.k2.trimmed(tol), ls.a1_1.trimmed(tol),
+                             ls.a1_2.trimmed(tol), ls.a0.trimmed(tol))
 
 
 def laplace_symbol(cd: ConformalData) -> LaplaceSymbolData:
-    """Exact coefficients built from the Weyl factor and its derivations."""
+    """Exact coefficients built from k, its square cd.k2 and its derivations."""
     k = cd.k
     tau = cd.tau
     tre, tabs2 = tau.re, tau.abs2
@@ -93,8 +91,8 @@ def laplace_symbol(cd: ConformalData) -> LaplaceSymbolData:
         add(mul(k, delta(1, d1k)), scale(tabs2, mul(k, delta(2, d2k)))),
         scale(2.0 * tre, mul(k, delta(2, d1k))),
     )
-    return _symbol_data(tau, mul(k, k).trimmed(1e-14), a1_1.trimmed(1e-15),
-                        a1_2.trimmed(1e-15), a0.trimmed(1e-15))
+    return LaplaceSymbolData(tau, cd.k2.trimmed(1e-14), a1_1.trimmed(1e-15),
+                             a1_2.trimmed(1e-15), a0.trimmed(1e-15))
 
 
 # ---------------------------------------------------------------------------
@@ -258,25 +256,23 @@ def _pairings(db, da, order: int):
                     yield k, l, f, pb, ak
 
 
-def _expansion(ls: LaplaceSymbolData, n_max: int):
-    """b_0 .. b_n_max, the xi-derivatives d^l(b_j) with |l| <= n_max - j for
-    j < n_max, and the delta-derivatives of the three symbol terms."""
-    da = [_leibniz(symbol_term_expr(ls, k), delta_expr, n_max, ls) for k in range(3)]
+def _expansion(ls: LaplaceSymbolData):
+    """b_0, b_1, b_2, the xi-derivatives d^l(b_j) with |l| <= 2 - j for
+    j < 2, and the delta-derivatives of the three symbol terms."""
+    da = [_leibniz(symbol_term_expr(ls, k), delta_expr, 2, ls) for k in range(3)]
     bs, db = [B0], []
-    for n in range(1, n_max + 1):
-        db.append(_leibniz(bs[-1], xi_derivative_expr, n_max - len(db), ls))
+    for n in (1, 2):
+        db.append(_leibniz(bs[-1], xi_derivative_expr, 2 - len(db), ls))
         bs.append(_sum(_prod(_const(-f), pb, ak, B0)
                        for _, _, f, pb, ak in _pairings(db, da, -n)))
     return bs, db, da
 
 
-def parametrix_terms(ls: LaplaceSymbolData, n_max: int = 2) -> tuple:
-    """The resolvent parametrix terms (b_0, .., b_n_max) in normal form, the
-    expansion of the recursion
+def parametrix_terms(ls: LaplaceSymbolData) -> tuple:
+    """The second-order resolvent parametrix (b_0, b_1, b_2) in normal form,
+    the expansion of the recursion
     b_n = - sum 1/(l1! l2!) d^l(b_j) delta^l(a_k) b_0 over 2+j+l1+l2-k = n."""
-    if n_max > 2:
-        raise HeatError("parametrix terms beyond n = 2 are not supported")
-    bs, _, _ = _expansion(ls, n_max)
+    bs, _, _ = _expansion(ls)
     return tuple(bs)
 
 
@@ -452,7 +448,7 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
         window_pad = 8 if n == 0 else 4
     if n == 2:
         ls = trimmed_symbol_data(ls, 1e-7)
-    terms = B0 if n == 0 else parametrix_terms(ls, 2)[2]
+    terms = B0 if n == 0 else parametrix_terms(ls)[2]
     window = BasisWindow(ls.k2.support_bandwidth() + window_pad)
     keys, sections = _window_sections(ls, window, (terms,))
     pos, (k2, *subs) = vacuum_block(window, *sections)
@@ -526,7 +522,7 @@ def parametrix_residual(ls: LaplaceSymbolData, lam: complex, window: BasisWindow
     with k - 2 - j - |l| = g are evaluated at XI_SAMPLES and summed; at order
     0 the identity is subtracted.  Returns {order: max matrix entry}.
     """
-    bs, db, da = _expansion(ls, 2)
+    bs, db, da = _expansion(ls)
     db.append(_leibniz(bs[2], xi_derivative_expr, 0, ls))
     orders = {}
     for g in (0, -1, -2):

@@ -391,7 +391,9 @@ def _section_dixmier(mu: np.ndarray) -> DixmierEstimate:
     """Dixmier estimate of a finite section's decreasing spectrum mu.
 
     Its smallest values sit in the window-corner region where the box
-    truncation distorts the counting, so the trailing quarter (the same share
-    as the counting-side validity ceiling) is excluded, keeping at least 1000.
+    truncation distorts the counting, so the trailing DEFAULT_CEILING_FRACTION
+    (the counting-side validity ceiling's share) is excluded, keeping at
+    least 1000.
     """
-    return dixmier_estimate(DixmierData(mu[:max(1000, int(mu.size * 0.75))]))
+    keep = int(mu.size * (1.0 - DEFAULT_CEILING_FRACTION))
+    return dixmier_estimate(DixmierData(mu[:max(1000, keep)]))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    BasisWindow,
     DeformationAngle,
     ModuliPoint,
     NcElement,
@@ -39,7 +40,7 @@ from .algebra import (
     unit,
     zero,
 )
-from .gns import BasisWindow, FiniteSectionOperator, quadratic_form_values
+from .gns import FiniteSectionOperator, quadratic_form_values
 
 DEFAULT_WINDING_CUTOFF = 32
 # default depth below the leading term retained by compositions
@@ -247,14 +248,14 @@ def xi_derivative(s: GradedSymbol, axis: int) -> GradedSymbol:
 
 
 def poly_xi_derivative(p: PolySymbol, axis: int) -> PolySymbol:
+    if axis not in (1, 2):
+        raise SymbolError("axis must be 1 or 2")
     out: dict = {}
     for (j1, j2), c in p.monomials.items():
-        if axis == 1 and j1 > 0:
-            key = (j1 - 1, j2)
-            out[key] = add(out[key], scale(j1, c)) if key in out else scale(j1, c)
-        if axis == 2 and j2 > 0:
-            key = (j1, j2 - 1)
-            out[key] = add(out[key], scale(j2, c)) if key in out else scale(j2, c)
+        e = j1 if axis == 1 else j2
+        if e:
+            key = (j1 - 1, j2) if axis == 1 else (j1, j2 - 1)
+            out[key] = add(out[key], scale(e, c)) if key in out else scale(e, c)
     return PolySymbol(p.angle, out)
 
 
@@ -435,7 +436,7 @@ def finite_section_of_op(p, w: BasisWindow) -> FiniteSectionOperator:
     window."""
     mm, nn = w.index_grids()
     return FiniteSectionOperator(
-        w, _mult_section(p.angle.theta, _column_terms(p, mm, nn), w.bandwidth))
+        w, _mult_section(p.angle.theta, _column_terms(p, mm, nn), w))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from nctorus.algebra import (
 from nctorus import gns
 from nctorus.gns import (
     BasisWindow,
-    Runs,
     SectionError,
-    descending_runs,
     flat_laplacian_matrix,
     generalized_spectrum,
     gram_laplacian_matrix,
@@ -57,6 +55,12 @@ def test_window_enumeration_round_trip():
     assert w.index_of(-3, -3) == 0
     assert w.index_of(-3, -2) == 1
     assert w.index_of(-2, -3) == 7
+    # elementwise over arrays; a scalar pair outside the window raises
+    mm, nn = w.index_grids()
+    assert np.array_equal(w.index_of(mm, nn), np.arange(w.dim))
+    for m, n in ((4, 0), (0, -4), (np.int64(-4), 2)):
+        with pytest.raises(SectionError, match="outside"):
+            w.index_of(m, n)
 
 
 @pytest.mark.parametrize("band", [-1, -3])
@@ -309,6 +313,24 @@ def test_pencil_kernel_dimension_one(cd_default):
     assert np.sum(spec.eigenvalues < 1e-10) == 1
 
 
+def test_pencil_refuses_unflagged_sections():
+    """scipy's eigh reads one triangle of each block, so a pencil section not
+    flagged selfadjoint is refused, as hermitian_spectrum refuses it: a
+    symmetric positive 9 x 9 matrix with 4.0 added at (0, 5) against the
+    identity would otherwise give the spectrum of its lower triangle."""
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((9, 9))
+    m = a @ a.T + 9.0 * np.eye(9)
+    m[0, 5] += 4.0
+    w = BasisWindow(1)
+    plain, eye = gns.FiniteSectionOperator(w, m), gns.FiniteSectionOperator(w, np.eye(9))
+    flagged_op = gns.FiniteSectionOperator(w, m + m.T, selfadjoint=True)
+    flagged_eye = gns.FiniteSectionOperator(w, np.eye(9), selfadjoint=True)
+    for op, gram in ((plain, eye), (plain, flagged_eye), (flagged_op, eye)):
+        with pytest.raises(SectionError, match="selfadjoint flag"):
+            generalized_spectrum(op, gram)
+
+
 def test_pencil_reports_both_asymmetries(cd_default):
     """The pencil's spectrum carries the asymmetry of each of its sections."""
     op, gm = gram_laplacian_matrix(cd_default, BasisWindow(5))
@@ -509,16 +531,6 @@ def test_runs_of_sorted_values():
     assert np.repeat(r.values, r.mult).tobytes() == v.tobytes()
     empty = runs_of(np.empty(0))
     assert int(empty.mult.sum()) == 0 and empty.values.size == 0
-
-
-def test_descending_runs_sorts_only_unsorted_runs():
-    down = Runs(np.array([4.0, 2.5, 1.0, 0.0]), np.array([1, 3, 2, 1]))
-    assert descending_runs(down) is down
-    mixed = Runs(np.array([2.5, 0.0, 4.0, 1.0]), np.array([3, 1, 1, 2]))
-    out = descending_runs(mixed)
-    assert out.values.tobytes() == down.values.tobytes()
-    assert out.mult.tobytes() == down.mult.tobytes()
-    assert mixed.values.tolist() == [2.5, 0.0, 4.0, 1.0]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")

@@ -15,7 +15,9 @@ from nctorus.algebra import (
     ModuliPoint,
     adjoint,
     add,
+    coeff_key,
     make_monomial,
+    mul,
     scale,
     unit,
 )
@@ -90,16 +92,27 @@ def test_laplace_symbol_matches_composition_oracle(cd_default, ls_default):
         assert got.isclose(want, 1e-10), f"mismatch at xi-monomial {key}"
 
 
+def test_k2_is_formed_once(block_case):
+    """ConformalData keeps the k k its check forms: cd.k2 is mul(k, k) byte
+    for byte, and the symbol's k2 is that product trimmed at 1e-14, on the
+    flat, rank-1, parity and generic Weyl factors."""
+    flat = ConformalData.build(TAU_I, alg.zero(), pad=2)
+    for cd in (flat, block_case[0]):
+        kk = mul(cd.k, cd.k)
+        assert coeff_key(cd.k2) == coeff_key(kk)
+        assert coeff_key(laplace_symbol(cd).k2) == coeff_key(kk.trimmed(1e-14))
+
+
 def test_parametrix_flat_terms_vanish():
     flat = ConformalData.build(TAU_I, alg.zero(), pad=2)
-    pt = parametrix_terms(laplace_symbol(flat), 2)
+    pt = parametrix_terms(laplace_symbol(flat))
     assert tuple(map(len, pt)) == (1, 0, 0)
 
 
 def test_parametrix_b1_contains_first_order_term(ls_default):
     # for h along the U axis with tau = i the xi2 channels vanish identically,
     # leaving the -b0 a1 b0 leaf and one derivative leaf
-    terms = parametrix_terms(ls_default, 1)[1]
+    terms = parametrix_terms(ls_default)[1]
     assert len(terms) == 2
     # the -b0 a1 b0 contribution: word (B0, a1_1, B0) with polynomial -xi1
     keys = {heat._word_key(w): p for p, w in terms}
@@ -150,7 +163,7 @@ def test_eval_expr_matches_dense_inverse(block_case):
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    for b in parametrix_terms(ls, 2)[1:]:
+    for b in parametrix_terms(ls)[1:]:
         assert_close(eval_expr(b, xi, lam, w, ls).entries, dense(b))
     # the delta leaf of the leading symbol term Q(xi) k^2: Q(xi) delta(k^2)
     for axis in (1, 2):
@@ -183,7 +196,7 @@ def test_block_engine_matches_whole_window(block_case, monkeypatch):
         b2 = heat_coefficient(2, trimmed_symbol_data(ls, 1e-4), contour=ContourSpec(nodes=64),
                               radial_nodes=16, rmax=rmax[1], window_pad=1)
         return b0, b2, [eval_expr(b, xi, lam, w, ls).entries
-                        for b in parametrix_terms(ls, 2)]
+                        for b in parametrix_terms(ls)]
 
     b0, b2, mats = run()
     _whole_window(monkeypatch)
@@ -227,7 +240,7 @@ def test_xi_derivative_matches_finite_differences(ls_default):
     w = BasisWindow(5)
     lam = -1.0 + 2.0j
     xi = (0.9, 0.6)
-    for b in parametrix_terms(ls_default, 2):
+    for b in parametrix_terms(ls_default):
         errs = []
         for hstep in (1e-3, 5e-4):
             for axis, e1 in ((1, (hstep, 0.0)), (2, (0.0, hstep))):
@@ -270,7 +283,7 @@ def test_delta_is_commutator_on_symbol_terms(block_case):
 def test_delta_of_the_resolvent_raises(ls_default):
     """delta_expr derives words of element factors only: a word holding the
     resolvent B0, such as each parametrix term b_j, raises HeatError."""
-    for b in parametrix_terms(ls_default, 1):
+    for b in parametrix_terms(ls_default)[:2]:
         with pytest.raises(HeatError, match="resolvent"):
             delta_expr(b, 1, ls_default)
 
@@ -356,7 +369,7 @@ def _per_node_heat(n, ls, contour, window_pad):
         contour = ContourSpec()
     if n == 2:
         ls = trimmed_symbol_data(ls, 1e-7)
-    terms = B0 if n == 0 else parametrix_terms(ls, 2)[2]
+    terms = B0 if n == 0 else parametrix_terms(ls)[2]
     window = BasisWindow(ls.k2.support_bandwidth() + window_pad)
     keys, sections = heat._window_sections(ls, window, (terms,))
     pos, (k2, *subs) = gns.vacuum_block(window, *sections)

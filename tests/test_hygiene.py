@@ -584,6 +584,101 @@ def test_dense_input_is_read_once():
     assert [(name, func) for name, func, _ in found] == [("gns.py", "as_csr")], where
 
 
+def _name(node: ast.AST):
+    """The identifier of a name x or of an attribute a.x, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _constant(node: ast.AST):
+    """The value of a constant, else None."""
+    return node.value if isinstance(node, ast.Constant) else None
+
+
+def _is_mult_by(node: ast.AST, factor: str) -> bool:
+    """node is a product with an operand named factor."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and factor in (_name(node.left), _name(node.right)))
+
+
+def _window_arithmetic(tree: ast.Module):
+    """(owner, line) of each piece of window layout arithmetic: the side
+    2 * band + 1 (band, bandwidth or N), the grids divmod(arange(...), side)
+    and a row-major index x * side + y."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            left = node.left
+            side = _is_mult_by(left, "side") or _is_mult_by(node.right, "side")
+            doubled = (isinstance(left, ast.BinOp) and isinstance(left.op, ast.Mult)
+                       and _constant(left.left) == 2 and _constant(node.right) == 1
+                       and _name(left.right) in ("band", "bandwidth", "N"))
+            if side or doubled:
+                yield owner[node], node.lineno
+        elif (isinstance(node, ast.Call) and _name(node.func) == "divmod" and node.args
+              and isinstance(node.args[0], ast.Call) and _name(node.args[0].func) == "arange"):
+            yield owner[node], node.lineno
+
+
+def test_window_arithmetic_scan_sees_each_kind():
+    tree = ast.parse(
+        "side = 2 * band + 1\n"
+        "def f(w, m, n, N):\n"
+        "    mm, nn = np.divmod(np.arange(dim), side)\n"
+        "    e0[band * side + band] = 1.0\n"
+        "    return 2 * top + 1, divmod(int(i), w.side), 2 * w.bandwidth + 1\n"
+        "class C:\n"
+        "    def g(self, m, n, N):\n"
+        "        return (m + N) * self.side + (n + N), self.side * self.side, 2 * N + 2\n")
+    assert sorted(_window_arithmetic(tree), key=lambda t: t[1]) == [
+        ("<module>", 1), ("f", 3), ("f", 4), ("f", 5), ("C.g", 8)]
+
+
+def test_window_layout_has_one_producer():
+    """The side 2N+1, the index grids and the row-major index of the window
+    |m|,|n| <= N are computed in algebra.BasisWindow alone: the
+    multiplication sections and the exponential read them off a window."""
+    found = [(path.name, func, line) for path in MODULES
+             for func, line in _window_arithmetic(ast.parse(path.read_text(encoding="utf-8")))]
+    where = ", ".join(f"{name}:{line} in {func}" for name, func, line in found)
+    assert {(name, func) for name, func, _ in found} == {
+        ("algebra.py", "BasisWindow.side"), ("algebra.py", "BasisWindow.index_of"),
+        ("algebra.py", "BasisWindow.index_grids")}, where
+
+
+def _k_squares(tree: ast.Module):
+    """(owner, line) of each mul(x, x) whose operand is named k (k, cd.k, ...)."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and _name(node.func) == "mul" and len(node.args) == 2
+                and _name(node.args[0]) == "k"
+                and ast.dump(node.args[0]) == ast.dump(node.args[1])):
+            yield owner[node], node.lineno
+
+
+def test_k_square_scan_sees_each_kind():
+    tree = ast.parse(
+        "k2 = mul(k, k)\n"
+        "def f(cd, k):\n"
+        "    a = alg.mul(cd.k, cd.k).trimmed(1e-14)\n"
+        "    return mul(k, d1k), mul(cd.k, other.k), mul(cd.k_inv2, cd.k_inv2)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return mul(self.k, self.k)\n")
+    assert sorted(_k_squares(tree), key=lambda t: t[1]) == [
+        ("<module>", 1), ("f", 3), ("C.g", 7)]
+
+
+def test_k_square_has_one_producer():
+    """k k is formed once, in ConformalData.__post_init__, and kept as
+    ConformalData.k2: the symbol data, the closed form of t(k^-2) and the
+    KMS identity read that field."""
+    found = [(path.name, func, line) for path in MODULES
+             for func, line in _k_squares(ast.parse(path.read_text(encoding="utf-8")))]
+    where = ", ".join(f"{name}:{line} in {func}" for name, func, line in found)
+    assert [(name, func) for name, func, _ in found] == [
+        ("algebra.py", "ConformalData.__post_init__")], where
+
+
 # module -> the package modules it may import ("__init__" for a name of the
 # package itself): each layer reads only the layers below it, so spectral
 # estimates spectra without building symbols, and acceptance composes them.

@@ -25,6 +25,7 @@ from nctorus.algebra import (
 )
 from nctorus.gns import (
     BasisWindow,
+    Runs,
     hermitian_spectrum,
     perturbed_laplacian_matrix,
     quadratic_form_values,
@@ -475,6 +476,21 @@ def test_power_claim_equals_sorted_reference():
     assert est.value == pytest.approx(ref[0], rel=1e-10)
     assert est.drift == pytest.approx(ref[1], rel=1e-8)
     assert est.cesaro == pytest.approx(ref[2], rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [TAU_I, ModuliPoint(0.3, 0.8), ModuliPoint(-1.5, 1.1)],
+                         ids=_tau_id)
+def test_power_map_needs_no_sort(tau):
+    """(1 + q)^(order/2) over the ascending disk runs has no rise (ties
+    only), so the power claim hands its runs to DixmierData unsorted: the
+    estimate equals that of the runs stable-sorted into descending order."""
+    disk = lattice_disk_eigenvalues(tau, 1.0e5)
+    for order in (-3.0, -4.0, -5.0):
+        mu = (1.0 + disk.values) ** (order / 2.0)
+        assert np.all(mu[:-1] >= mu[1:])
+        perm = np.argsort(-mu, kind="stable")
+        ref = dixmier_estimate(DixmierData(Runs(mu[perm], disk.mult[perm])))
+        assert dixmier_estimate(DixmierData(Runs(mu, disk.mult))) == ref
 
 
 def test_anchor_dixmier_never_expands_the_disk():

@@ -104,6 +104,9 @@ def test_xi_derivative_matches_poly_path():
             lhs = xi_derivative(p.to_graded(), axis)
             rhs = sym.poly_xi_derivative(p, axis).to_graded()
             assert symbols_match_pointwise(lhs, rhs)
+    for axis in (0, 3):
+        with pytest.raises(sym.SymbolError, match="axis"):
+            sym.poly_xi_derivative(p, axis)
 
 
 def test_degree_bookkeeping():
