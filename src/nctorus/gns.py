@@ -20,10 +20,12 @@ groups them by size and yields each stack with its window indices, for the
 spectra here (``block_spectrum``) and for ``heat``'s window matrices.
 ``vacuum_block`` is the one selector of the vacuum's block, the only block a
 vacuum expectation reads: the closed form of t(k^{-2}) here and ``heat``'s
-quadrature solve it alone.  A section stays sparse from assembly to solve;
-only the blocks handed to LAPACK, and ``FiniteSectionOperator.entries``, are
-dense.  ``as_csr`` is the one reader of dense input: a section, a pattern or a
-matrix to decompose that arrives dense is read once, through its nonzero mask.
+quadrature solve it alone.  It reads the vacuum's component label, from the
+labelling that ``coupling_blocks`` reads too, without a search.  A section
+stays sparse from assembly to solve; only the blocks handed to LAPACK, and
+``FiniteSectionOperator.entries``, are dense.  ``as_csr`` is the one reader
+of dense input: a section, a pattern or a matrix to decompose that arrives
+dense is read once, through its nonzero mask.
 """
 
 from __future__ import annotations
@@ -181,14 +183,20 @@ def _as_real_if_possible(mat: sp.csr_matrix) -> sp.csr_matrix:
     return mat
 
 
+def _block_labels(*mats):
+    """The component count and the component label of each site of the joint
+    nonzero pattern of the mats, dense or sparse."""
+    pattern = as_csr(mats[0]) != 0
+    for m in mats[1:]:
+        pattern = pattern + (as_csr(m) != 0)
+    return connected_components(pattern, directed=False)
+
+
 def coupling_blocks(*mats) -> list:
     """Index sets (ascending) of the connected components of the joint nonzero
     pattern of the mats, dense or sparse: every mat is block diagonal under
     one common permutation."""
-    pattern = as_csr(mats[0]) != 0
-    for m in mats[1:]:
-        pattern = pattern + (as_csr(m) != 0)
-    count, labels = connected_components(pattern, directed=False)
+    count, labels = _block_labels(*mats)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
@@ -215,8 +223,10 @@ def vacuum_block(w: BasisWindow, *mats):
     """The vacuum's coupling block in the joint pattern of the sparse mats:
     the vacuum's position in the block, and the dense diagonal block of each
     mat there.  The one selector of the vacuum's block, for the closed form
-    of t(k^{-2}) and for heat's vacuum expectations."""
-    block = next(b for b in coupling_blocks(*mats) if w.vacuum in b)
+    of t(k^{-2}) and for heat's vacuum expectations: the sites that share
+    the vacuum's component label, ascending as coupling_blocks gives them."""
+    _, labels = _block_labels(*mats)
+    block = np.flatnonzero(labels == labels[w.vacuum])
     ((_, stacks),) = block_stacks([block], *mats)
     return int(np.searchsorted(block, w.vacuum)), [s[0] for s in stacks]
 

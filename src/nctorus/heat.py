@@ -301,15 +301,17 @@ class _Eigenblocks:
 
 
 def _window_sections(ls: LaplaceSymbolData, window: BasisWindow, exprs):
-    """The keys of the element factors of exprs, and the sparse window
-    sections of k^2, selfadjoint and so symmetrized, and of those factors.
+    """The keys of the element factors of exprs, the sparse window sections
+    of k^2, selfadjoint and so symmetrized, and of those factors, and the
+    asymmetry |M - M^H| of the k^2 section before its symmetrization.
     Every factor maps each coupling block of their joint pattern into
     itself, so a word is evaluated block by block; an h whose support spans
     Z^2 makes the window one block."""
     atoms = {f.key: f.elem for e in exprs for _, word in e for f in word
              if isinstance(f, ElementAtom)}
     k2 = FiniteSectionOperator(window, left_mult_matrix(ls.k2, window).matrix, selfadjoint=True)
-    return list(atoms), [k2.matrix, *(left_mult_matrix(a, window).matrix for a in atoms.values())]
+    return (list(atoms), [k2.matrix, *(left_mult_matrix(a, window).matrix for a in atoms.values())],
+            k2.diagnostics["asymmetry"])
 
 
 def _window_matrices(ls: LaplaceSymbolData, window: BasisWindow, exprs, xis, lam: complex):
@@ -317,7 +319,7 @@ def _window_matrices(ls: LaplaceSymbolData, window: BasisWindow, exprs, xis, lam
     outer) and at lambda as a window matrix in the standard basis, solved on
     every coupling block, blocks of one size stacked; lambda near the
     spectrum is refused."""
-    keys, sections = _window_sections(ls, window, exprs)
+    keys, sections, _ = _window_sections(ls, window, exprs)
     stacks = [(idx, _Eigenblocks(subs[0], dict(zip(keys, subs[1:]))))
               for idx, subs in block_stacks(coupling_blocks(*sections), *sections)]
     for e in exprs:
@@ -438,7 +440,8 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     added in closed form from the spectral decay e^{-r^2 s_i} and reported.
     Words are evaluated on the vacuum's coupling block alone
     (params["block"] is its size); the radial cut, the tail and the contour
-    gate read its spectrum.
+    gate read its spectrum.  params["k2_asymmetry"] is the asymmetry of the
+    window section of k^2 before it was made Hermitian.
     """
     if n not in (0, 2):
         raise HeatError("only the coefficients n = 0 and n = 2 are built")
@@ -450,7 +453,7 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
         ls = trimmed_symbol_data(ls, 1e-7)
     terms = B0 if n == 0 else parametrix_terms(ls)[2]
     window = BasisWindow(ls.k2.support_bandwidth() + window_pad)
-    keys, sections = _window_sections(ls, window, (terms,))
+    keys, sections, k2_asymmetry = _window_sections(ls, window, (terms,))
     pos, (k2, *subs) = vacuum_block(window, *sections)
     eig = _Eigenblocks(k2, dict(zip(keys, subs)))
     # the conjugate of the vacuum vector in the eigenbasis of its block
@@ -464,7 +467,8 @@ def heat_coefficient(n: int, ls: LaplaceSymbolData, contour: ContourSpec | None 
     cerr = contour_gate(contour, s_max=float(s.max()) * rmax * rmax)
     im_tau = ls.tau.im
     params = {"radial_nodes": radial_nodes, "rmax": rmax, "window": window.bandwidth,
-              "block": int(s.size), "contour_nodes": contour.nodes}
+              "block": int(s.size), "contour_nodes": contour.nodes,
+              "k2_asymmetry": k2_asymmetry}
     if not terms:
         params["note"] = "second parametrix term vanishes identically"
         return HeatCoefficientResult(value=0.0, tail=0.0, contour_error=cerr,

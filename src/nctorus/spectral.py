@@ -200,22 +200,85 @@ def box_containment_ceiling(tau: ModuliPoint, band: int) -> float:
     return band * band / stretch
 
 
-def lattice_disk_eigenvalues(tau: ModuliPoint, q_max: float) -> Runs:
-    """The values Q <= q_max over the whole lattice as ascending Runs, read
-    off the smallest index box whose containment ceiling reaches q_max.
+def _reflection_is_exact(k: int, rows: int, top: int) -> bool:
+    """Whether every integer the reflected disk forms, and m^2 + k m n at
+    each of its points, is below 2^53 in magnitude: |m|, |k n|, |b_n| and j
+    are at most reach, so every such integer is at most 2 reach^2."""
+    reach = abs(k) * rows + top + 1
+    return 2 * reach * reach < 2 ** 53
 
-    The origin is a run of 1 at the front, and each run of the sorted half
-    box counts twice; np.repeat of the runs is the sorted full disk byte for
-    byte.  q_max < 0 gives no run, the origin's included; a NaN or infinite
-    q_max raises SpectralError.
+
+def _reflected_disk(tau: ModuliPoint, k: int, rows: int, top: int, q_max: float) -> Runs:
+    """The disk Q <= q_max, less the origin, as ascending Runs, from the
+    representatives of the row reflection (m, n) -> (-m - k n, n), k = 2 Re(tau).
+
+    quadratic_form_values forms the integer I = m^2 + k m n exactly and adds
+    C_n = |tau|^2 n n in one rounding, so Q is the same at a point and at its
+    reflection, bit for bit.  Row n is m = b_n + j, b_n = floor(-k n / 2),
+    j = 1..top, where I = j^2 - j [k n odd] + I(b_n, n); I(b_n, n) is an
+    integer in [-C_n, 0], so I(b_n, n) + C_n is exact (C_n < 2^53 on every
+    row that reaches the disk) and adding the j part rounds once, as Q does.
+    The points m > -k n / 2 of rows 1..rows stand for themselves, their
+    reflections and the negatives of both (weight 4); the points
+    m = -k n / 2 and the points m > 0 of row 0 for themselves and their
+    negatives (weight 2).  Only the weight-4 values are sorted; the few
+    weight-2 runs are merged into theirs, equal values adding weights.
+    """
+    n = np.arange(1, rows + 1)
+    kn = k * n
+    b = -kn // 2
+    odd = (kn & 1).astype(bool)
+    base = (b * b + kn * b) + tau.abs2 * n * n  # Q(b_n, n)
+    j = np.arange(1.0, top + 1.0)
+    q = np.empty((rows, top))
+    lo = 0
+    for sel, jpart in ((~odd, j * j), (odd, j * j - j)):
+        block = q[lo:lo + np.count_nonzero(sel)]
+        np.add(base[sel, np.newaxis], jpart, out=block)
+        lo += block.shape[0]
+    q = q.ravel()
+    q = q[q <= q_max]
+    q.sort()
+    two = np.concatenate((base[~odd], j * j))
+    four, two = runs_of(q), runs_of(np.sort(two[two <= q_max]))
+    at = np.searchsorted(four.values, two.values)
+    hit = at < four.values.size
+    hit[hit] = four.values[at[hit]] == two.values[hit]
+    mult = 4 * four.mult
+    mult[at[hit]] += 2 * two.mult[hit]
+    new = ~hit
+    return Runs(np.insert(four.values, at[new], two.values[new]),
+                np.insert(mult, at[new], 2 * two.mult[new]))
+
+
+def lattice_disk_eigenvalues(tau: ModuliPoint, q_max: float) -> Runs:
+    """The values Q <= q_max over the whole lattice as ascending Runs.
+
+    When k = 2 Re(tau) is an integer and _reflection_is_exact holds, the
+    disk is read off the representatives of the row reflection
+    (_reflected_disk), on the rows n <= sqrt(q_max) / Im(tau) + 1 (one past
+    the disk's, as the rounded quotient may fall short) and the columns
+    |m + k n / 2| <= isqrt(q_max) + 1/2.  Otherwise it is read off the
+    smallest index box whose containment ceiling reaches q_max, each run of
+    the sorted half box counting twice.  Either way the origin is a run of 1
+    at the front, and np.repeat of the runs is the sorted full disk byte for
+    byte: the two reads give the same Runs.  q_max < 0 gives no run, the
+    origin's included; a NaN or infinite q_max raises SpectralError.
     """
     if not math.isfinite(q_max):
         raise SpectralError(f"q_max must be finite, got {q_max}")
     if q_max < 0.0:
         return runs_of(np.empty(0))
-    band = math.isqrt(int(q_max / box_containment_ceiling(tau, 1))) + 2
-    half = runs_of(_half_box(tau, band, q_max))
-    return Runs(np.concatenate(([0.0], half.values)), np.concatenate(([1], 2 * half.mult)))
+    k = 2.0 * tau.re
+    rows = int(math.sqrt(q_max) / tau.im) + 1
+    top = math.isqrt(int(q_max)) + 1
+    if k.is_integer() and _reflection_is_exact(int(k), rows, top):
+        disk = _reflected_disk(tau, int(k), rows, top, q_max)
+    else:
+        band = math.isqrt(int(q_max / box_containment_ceiling(tau, 1))) + 2
+        half = runs_of(_half_box(tau, band, q_max))
+        disk = Runs(half.values, 2 * half.mult)
+    return Runs(np.concatenate(([0.0], disk.values)), np.concatenate(([1], disk.mult)))
 
 
 @dataclass(frozen=True)

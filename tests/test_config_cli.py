@@ -13,7 +13,7 @@ from nctorus import acceptance, config as cfgmod
 from nctorus import io as iomod
 from nctorus.algebra import GOLDEN, ModuliPoint, add, adjoint, is_selfadjoint, make_monomial, scale
 from nctorus.cli import main
-from nctorus.gns import BasisWindow, perturbed_laplacian_matrix
+from nctorus.gns import HERMITICITY_TOL, BasisWindow, perturbed_laplacian_matrix
 from nctorus.heat import ContourSpec, heat_coefficient, laplace_symbol
 from nctorus.spectral import box_containment_ceiling, lattice_disk_eigenvalues
 from nctorus.symbols import classicalize_resolvent, symbol_to_json_dict
@@ -227,6 +227,7 @@ def test_cli_heat_perturbed_radial_gap(tmp_path):
     assert report["radial_gap"] == abs(more.value - b2.value) < 1e-7
     assert "internal consistency" in report["b2_note"]
     assert report["b2_fit_note"].startswith("ungated")
+    assert report["quadrature_params"]["k2_asymmetry"] <= HERMITICITY_TOL
 
 
 def test_cli_heat_flat_non_rectangular_tau(tmp_path):

@@ -342,6 +342,16 @@ def test_heat_b0_scaling_covariance(cd_default, ls_default):
     assert res2.value == pytest.approx(res1.value / (c * c), rel=1e-6)
 
 
+def test_heat_reports_k2_asymmetry(ls_default):
+    """params carry the asymmetry of the window section of k^2, which
+    FiniteSectionOperator refuses above HERMITICITY_TOL: rank-1 b0, and
+    flat b0 and b2 (whose terms vanish)."""
+    flat = laplace_symbol(ConformalData.build(TAU_I, alg.zero(), pad=2))
+    for n, ls in ((0, ls_default), (0, flat), (2, flat)):
+        asym = heat_coefficient(n, ls).params["k2_asymmetry"]
+        assert 0.0 <= asym <= gns.HERMITICITY_TOL
+
+
 def test_heat_b2_flat_zero():
     flat = ConformalData.build(TAU_I, alg.zero(), pad=2)
     res = heat_coefficient(2, laplace_symbol(flat))
@@ -371,7 +381,7 @@ def _per_node_heat(n, ls, contour, window_pad):
         ls = trimmed_symbol_data(ls, 1e-7)
     terms = B0 if n == 0 else parametrix_terms(ls)[2]
     window = BasisWindow(ls.k2.support_bandwidth() + window_pad)
-    keys, sections = heat._window_sections(ls, window, (terms,))
+    keys, sections, _ = heat._window_sections(ls, window, (terms,))
     pos, (k2, *subs) = gns.vacuum_block(window, *sections)
     eig = heat._Eigenblocks(k2, dict(zip(keys, subs)))
     vac = np.conj(eig.basis[pos])

@@ -446,21 +446,45 @@ def test_blocks_are_read_through_block_stacks():
     assert not slices, ", ".join(slices)
 
 
-def _vacuum_selector(node: ast.AST) -> bool:
-    """x.vacuum in b: the test that picks the block holding the vacuum."""
-    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
-            and node.left.attr == "vacuum" and any(isinstance(op, ast.In) for op in node.ops))
+def _vacuum_selectors(tree: ast.Module):
+    """(owner, kind, line) of each test that picks the block holding the
+    vacuum: "label", labels == labels[x.vacuum], the sites that share the
+    vacuum's component label, or "search", x.vacuum in b."""
+    owner = _owners(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        by_label = any(isinstance(op, ast.Eq) for op in node.ops) and any(
+            isinstance(x, ast.Subscript) and isinstance(x.slice, ast.Attribute)
+            and x.slice.attr == "vacuum" for x in (node.left, *node.comparators))
+        by_search = (isinstance(node.left, ast.Attribute) and node.left.attr == "vacuum"
+                     and any(isinstance(op, ast.In) for op in node.ops))
+        if by_label or by_search:
+            yield owner[node], "label" if by_label else "search", node.lineno
+
+
+def test_vacuum_selector_scan_sees_each_kind():
+    tree = ast.parse(
+        "b = np.flatnonzero(labels == labels[w.vacuum])\n"
+        "def f(w, blocks):\n"
+        "    return next(b for b in blocks if w.vacuum in b)\n"
+        "def g(lab, w):\n"
+        "    return lab[w.vacuum] == lab\n"
+        "c = labels[vacuum] == labels\n"
+        "d = labels[w.vacuum] < labels\n")
+    assert sorted(_vacuum_selectors(tree), key=lambda t: t[2]) == [
+        ("<module>", "label", 1), ("f", "search", 3), ("g", "label", 5)]
 
 
 def test_vacuum_block_is_selected_once():
-    """Exactly one x.vacuum in b in the library: gns.vacuum_block is the one
-    selector of the vacuum's coupling block, for the closed form of t(k^-2)
-    and for the heat quadrature alike."""
-    found = [f"{path.name}:{node.lineno}"
-             for path in MODULES
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if _vacuum_selector(node)]
-    assert len(found) == 1, ", ".join(found)
+    """Exactly one selector of the vacuum's block in the library, the label
+    test in gns.vacuum_block, with no search over the blocks: the one
+    selector of the vacuum's coupling block, for the closed form of
+    t(k^-2) and for the heat quadrature alike."""
+    found = [(path.name, func, kind, line) for path in MODULES
+             for func, kind, line in _vacuum_selectors(ast.parse(path.read_text(encoding="utf-8")))]
+    where = ", ".join(f"{name}:{line} in {func} ({kind})" for name, func, kind, line in found)
+    assert [entry[:3] for entry in found] == [("gns.py", "vacuum_block", "label")], where
 
 
 def _owners(tree: ast.Module) -> dict:

@@ -29,6 +29,7 @@ from nctorus.gns import (
     hermitian_spectrum,
     perturbed_laplacian_matrix,
     quadratic_form_values,
+    runs_of,
 )
 from nctorus.spectral import (
     CountingData,
@@ -60,7 +61,11 @@ TAU_I = ModuliPoint(0.0, 1.0)
 U = make_monomial(1, 0)
 V = make_monomial(0, 1)
 LATTICE_TAUS = [TAU_I, ModuliPoint(0.0, 2.0), ModuliPoint(1.0, 1.0),
-                ModuliPoint(0.3, 0.8), ModuliPoint(-0.45, 1.3)]
+                ModuliPoint(0.3, 0.8), ModuliPoint(-0.45, 1.3),
+                ModuliPoint(0.5, 0.9), ModuliPoint(-1.5, 1.1)]
+# 2 Re(tau) an integer: the disk is built from the row reflection's representatives
+REFLECTED_TAUS = [TAU_I, ModuliPoint(0.0, 2.0), ModuliPoint(1.0, 1.0),
+                  ModuliPoint(0.5, 0.9), ModuliPoint(-1.5, 1.1)]
 
 
 def _tau_id(tau):
@@ -329,6 +334,92 @@ def test_lattice_half_box_equals_sorted_full_box(tau, q_max):
         assert box_containment_ceiling(tau, band) > q_max
         ref = np.sort(q[q <= q_max])
         assert _expanded(lattice_disk_eigenvalues(tau, q_max)).tobytes() == ref.tobytes()
+
+
+def _half_box_disk(tau, q_max):
+    """The disk as the half box gives it, the path of a tau whose 2 Re(tau)
+    is not an integer: the origin, then each half-box run twice."""
+    band = math.isqrt(int(q_max / box_containment_ceiling(tau, 1))) + 2
+    half = runs_of(spectral._half_box(tau, band, q_max))
+    return Runs(np.concatenate(([0.0], half.values)), np.concatenate(([1], 2 * half.mult)))
+
+
+@pytest.mark.parametrize("tau, q_max", [
+    (TAU_I, 1.0e6), (ModuliPoint(0.0, 2.0), 1.0e6), (ModuliPoint(1.0, 1.0), 1.0e6),
+    (ModuliPoint(0.5, 0.9), 2.0e5), (ModuliPoint(-1.5, 1.1), 5.0e4),
+    (ModuliPoint(-1.5, 1.1), 0.5), (TAU_I, 25.0),
+    (ModuliPoint(0.0, 0.3), 86.49), (ModuliPoint(0.5, 1.0), 31.25)],
+    ids=lambda v: _tau_id(v) if isinstance(v, ModuliPoint) else f"{v:g}")
+def test_reflected_disk_equals_half_box(tau, q_max):
+    """The reflected disk's runs are the half box's byte for byte, values,
+    multiplicities and their dtypes: k = 2 Re(tau) even (0, 2) and odd (1,
+    -3).  At tau = i, 25 has weight 4 from (3, 4) and weight 2 from (5, 0).
+    The last two q_max are a point on the disk's edge: the rows reach one
+    past sqrt(q_max) / Im(tau), as Q(0, 31) = 86.49 at tau = 0.3i though
+    sqrt(86.49) / 0.3 rounds below 31, and the columns reach isqrt(q_max) +
+    1/2 from -k n / 2, as Q(5, 1) = 31.25 at tau = 0.5 + i, 5.5 from -1/2."""
+    got, want = lattice_disk_eigenvalues(tau, q_max), _half_box_disk(tau, q_max)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.mult.tobytes() == want.mult.tobytes()
+    assert got.mult.dtype == want.mult.dtype
+    if q_max == 25.0:
+        assert (got.values[-1], got.mult[-1]) == (25.0, 12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(-5, 5), im=st.floats(0.3, 2.5),
+       q_max=st.one_of(st.integers(0, 500).map(float), st.floats(0.0, 500.0)))
+def test_reflected_disk_equals_sorted_full_box(k, im, q_max):
+    """For 2 Re(tau) an integer the disk is the sorted full box's values
+    Q <= q_max, byte for byte, from a box that contains the disk."""
+    tau = ModuliPoint(k / 2.0, im)
+    band = math.isqrt(int(q_max / box_containment_ceiling(tau, 1))) + 2
+    ms = np.arange(-band, band + 1)
+    q = quadratic_form_values(tau, ms[:, None], ms[None, :]).ravel()
+    ref = np.sort(q[q <= q_max])
+    assert _expanded(lattice_disk_eigenvalues(tau, q_max)).tobytes() == ref.tobytes()
+
+
+def test_disk_reads_the_half_box_only_for_a_generic_tau(monkeypatch):
+    """A tau with 2 Re(tau) an integer never reaches _half_box; a generic
+    tau still does, once."""
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return half_box(*args)
+
+    half_box = spectral._half_box
+    monkeypatch.setattr(spectral, "_half_box", count)
+    for tau in REFLECTED_TAUS:
+        lattice_disk_eigenvalues(tau, 1.0e4)
+        resolvent_mu_disk(1.0, 1.0e4, tau)
+    assert calls == []
+    lattice_disk_eigenvalues(ModuliPoint(0.3, 0.8), 1.0e4)
+    assert len(calls) == 1
+
+
+def test_reflected_disk_exactness_guard(monkeypatch):
+    """The reflected disk needs its integers below 2^53: past that, as at
+    tau = 1e8 + i (k = 2e8), the half box is read, and its disk is not
+    built here."""
+    reach = 2 ** 26  # 2 reach^2 = 2^53
+    assert spectral._reflection_is_exact(0, 10, reach - 2)
+    assert not spectral._reflection_is_exact(0, 10, reach - 1)
+    assert spectral._reflection_is_exact(-3, 1000, reach - 3002)
+    assert not spectral._reflection_is_exact(-3, 1000, reach - 3001)
+    assert not spectral._reflection_is_exact(2 * 10 ** 8, 1001, 1002)
+
+    class Fallback(Exception):
+        pass
+
+    def refuse(tau, band, q_max):
+        raise Fallback(band)
+
+    monkeypatch.setattr(spectral, "_half_box", refuse)
+    with pytest.raises(Fallback):
+        lattice_disk_eigenvalues(ModuliPoint(1.0e8, 1.0), 1.0e6)
+    assert lattice_disk_eigenvalues(ModuliPoint(2.0, 1.0), 1.0e6).mult.sum() > 0
 
 
 def test_lattice_eigenvalues_edge_cases():
